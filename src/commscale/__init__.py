@@ -2,7 +2,8 @@
 
 The main entry points are svps_select (sequential spectral test on the
 variance-profile-scaled adjacency) and score_select (penalized
-likelihood baselines), both operating on WeightedAdjacency networks.
+likelihood baselines), both operating on WeightedAdjacency networks;
+select runs whichever one a MethodSpec names.
 """
 
 from .network import (
@@ -34,16 +35,17 @@ from .spectral import (
     score_cluster,
     score_ratios,
 )
-from .fitting import FitError, FittedStep, block_sums, fit_step, floor_positive
+from .fitting import FitError, FittedStep, fit_step
 from .scaling import ScalingError, ScalingResult, scaled_matrix, sinkhorn_symmetric
 from .selection import (
-    EPSILON_PRESETS,
+    MethodSpec,
     SelectionTrace,
     StepRecord,
     cbic_score,
     icl_score,
     log_likelihood,
     score_select,
+    select,
     select_by_score,
     svps_select,
     svps_statistic,
@@ -52,7 +54,6 @@ from .bench import (
     AccuracyTable,
     ExperimentConfig,
     LesmisTable,
-    MethodSpec,
     emit_csv,
     parse_config,
     run_experiment,
@@ -88,27 +89,25 @@ __all__ = [
     "score_ratios",
     "FitError",
     "FittedStep",
-    "block_sums",
     "fit_step",
-    "floor_positive",
     "ScalingError",
     "ScalingResult",
     "scaled_matrix",
     "sinkhorn_symmetric",
-    "EPSILON_PRESETS",
+    "MethodSpec",
     "SelectionTrace",
     "StepRecord",
     "cbic_score",
     "icl_score",
     "log_likelihood",
     "score_select",
+    "select",
     "select_by_score",
     "svps_select",
     "svps_statistic",
     "AccuracyTable",
     "ExperimentConfig",
     "LesmisTable",
-    "MethodSpec",
     "emit_csv",
     "parse_config",
     "run_experiment",

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fitting import FitError
 from .model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
-from .network import WeightedAdjacency, binarize, regularize
-from .selection import score_select, svps_select
+from .network import WeightedAdjacency, binarize, open_text, regularize
+from .scaling import ScalingError
+from .selection import MethodSpec, select
+from .spectral import ClusterError
 
 __all__ = [
-    "MethodSpec",
     "ExperimentConfig",
     "AccuracyTable",
     "LesmisTable",
@@ -28,30 +30,6 @@ __all__ = [
     "run_lesmis",
     "emit_csv",
 ]
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """One selector variant: svps with an epsilon, or cbic/icl with lambda."""
-
-    selector: str
-    clusterer: str = "score"
-    epsilon: float = 0.05
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.selector not in ("svps", "cbic", "icl"):
-            raise ValueError(f"unknown selector {self.selector!r}")
-        if self.clusterer not in ("score", "rsc"):
-            raise ValueError(f"unknown clusterer {self.clusterer!r}")
-
-    @property
-    def label(self) -> str:
-        if self.selector == "svps":
-            return f"svps-{self.clusterer}-eps{self.epsilon:g}"
-        if self.selector == "cbic" and self.lam != 1.0:
-            return f"cbic-{self.clusterer}-lam{self.lam:g}"
-        return f"{self.selector}-{self.clusterer}"
 
 
 @dataclass(frozen=True)
@@ -114,10 +92,9 @@ def parse_config(source) -> ExperimentConfig:
     seed, zero_diagonal, and one 'method = selector clusterer [...]'
     line per method. '#' starts a comment.
     """
-    stream = source if hasattr(source, "read") else open(source, "r", encoding="utf-8")
     scalars = {}
     methods = []
-    try:
+    with open_text(source) as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -131,9 +108,6 @@ def parse_config(source) -> ExperimentConfig:
                 methods.append(_parse_method(value.split(), lineno))
             else:
                 scalars[key] = value
-    finally:
-        if stream is not source:
-            stream.close()
     missing = {"distribution", "rho", "r", "k_list", "n_all"} - set(scalars)
     if missing:
         raise ValueError(f"config is missing keys: {sorted(missing)}")
@@ -155,6 +129,14 @@ def _method_seed(base_seed: int, k: int, rep: int, label: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _k_hat(adj, spec: MethodSpec, **kwargs):
+    """The selector's estimate, or None when it fails with a domain error."""
+    try:
+        return select(adj, spec, **kwargs).k_hat
+    except (FitError, ClusterError, ScalingError):
+        return None
+
+
 def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
     """Sample one network and run every method on it."""
     rng = make_rng(np.random.SeedSequence((config.seed, k, rep)))
@@ -162,32 +144,16 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
     adj = sample_network(
         mean_matrix(model), config.distribution, rng, zero_diagonal=config.zero_diagonal
     )
-    out = {}
-    for spec in config.methods:
-        seed = _method_seed(config.seed, k, rep, spec.label)
-        try:
-            if spec.selector == "svps":
-                trace = svps_select(
-                    adj,
-                    epsilon=spec.epsilon,
-                    m_max=max(12, k + 4),
-                    clusterer=spec.clusterer,
-                    seed=seed,
-                )
-            else:
-                trace = score_select(
-                    adj,
-                    dist=config.distribution,
-                    method=spec.selector,
-                    m_range=range(1, k + 5),
-                    clusterer=spec.clusterer,
-                    seed=seed,
-                    lam=spec.lam,
-                )
-            out[spec.label] = trace.k_hat
-        except Exception:
-            out[spec.label] = None
-    return out
+    return {
+        spec.label: _k_hat(
+            adj,
+            spec,
+            dist=config.distribution,
+            m_max=max(12, k + 4) if spec.selector == "svps" else k + 4,
+            seed=_method_seed(config.seed, k, rep, spec.label),
+        )
+        for spec in config.methods
+    }
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AccuracyTable:
@@ -224,7 +190,6 @@ def run_lesmis(
     tau_list=(0.05, 0.1, 0.25, 0.5),
     seed: int = 0,
     epsilon: float = 0.05,
-    m_max: int = 12,
     score_m_range=range(1, 11),
 ) -> LesmisTable:
     """The weighted-network study grid.
@@ -232,44 +197,24 @@ def run_lesmis(
     For each clusterer: the sequential test on the regularized matrix at
     every tau, then CBIC and ICL on the raw weighted matrix with poisson
     likelihood, then CBIC and ICL on the binarized matrix with bernoulli
-    likelihood. Cells that fail record an empty estimate.
+    likelihood. CBIC and ICL evaluate m = 1..max(score_m_range), so
+    score_m_range must start at 1 and be contiguous. Cells that fail
+    record an empty estimate.
     """
-    rows = []
+    score_m_max = max(score_m_range)
+    if list(score_m_range) != list(range(1, score_m_max + 1)):
+        raise ValueError(f"score_m_range must be 1..m, got {score_m_range!r}")
+    grid = []  # (network, spec, likelihood, m_max, variant); m_max None is svps's 12
     for clusterer in ("score", "rsc"):
-        for tau in tau_list:
-            try:
-                trace = svps_select(
-                    regularize(adj, tau),
-                    epsilon=epsilon,
-                    m_max=m_max,
-                    clusterer=clusterer,
-                    seed=seed,
-                )
-                k_hat = trace.k_hat
-            except Exception:
-                k_hat = None
-            rows.append((clusterer, "svps", f"tau={tau:g}", "" if k_hat is None else k_hat))
-        for selector in ("cbic", "icl"):
-            try:
-                trace = score_select(
-                    adj, dist="poisson", method=selector, m_range=score_m_range,
-                    clusterer=clusterer, seed=seed,
-                )
-                k_hat = trace.k_hat
-            except Exception:
-                k_hat = None
-            rows.append((clusterer, selector, "weighted", "" if k_hat is None else k_hat))
+        svps = MethodSpec("svps", clusterer, epsilon=epsilon)
+        grid += [(regularize(adj, tau), svps, None, None, f"tau={tau:g}") for tau in tau_list]
+        grid += [(adj, MethodSpec(s, clusterer), "poisson", score_m_max, "weighted") for s in ("cbic", "icl")]
     flat = binarize(adj)
-    for selector in ("cbic", "icl"):
-        try:
-            trace = score_select(
-                flat, dist="bernoulli", method=selector, m_range=score_m_range,
-                clusterer="score", seed=seed,
-            )
-            k_hat = trace.k_hat
-        except Exception:
-            k_hat = None
-        rows.append(("score", selector, "binarized", "" if k_hat is None else k_hat))
+    grid += [(flat, MethodSpec(s, "score"), "bernoulli", score_m_max, "binarized") for s in ("cbic", "icl")]
+    rows = []
+    for network, spec, dist, m_max, variant in grid:
+        k_hat = _k_hat(network, spec, dist=dist, m_max=m_max, seed=seed)
+        rows.append((spec.clusterer, spec.selector, variant, "" if k_hat is None else k_hat))
     return LesmisTable(rows=tuple(rows))
 
 
@@ -277,12 +222,8 @@ def emit_csv(table, sink) -> None:
     """Write a table with a stable header and row order, RFC-4180 quoting."""
     import csv
 
-    stream, close = (sink, False) if hasattr(sink, "write") else (open(sink, "w", encoding="utf-8", newline=""), True)
-    try:
+    with open_text(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(table.header)
         for row in table.rows:
             writer.writerow(row)
-    finally:
-        if close:
-            stream.close()

@@ -17,15 +17,13 @@ import numpy as np
 from . import bench as bench_mod
 from .datasets import load_lesmis
 from .fitting import FitError, fit_step
-from .model import EdgeDistribution, VarianceFunction, make_rng, mean_matrix, sample_network, simulation_params
+from .model import EDGE_LAWS, VarianceFunction, make_rng, mean_matrix, sample_network, simulation_params
 from .network import EdgeListError, EdgeListFormat, binarize, load_edge_list, regularize, write_edge_list
 from .scaling import ScalingError, sinkhorn_symmetric
-from .selection import score_select, svps_select
+from .selection import MethodSpec, select
 from .spectral import ClusterError, rsc_cluster, score_cluster
 
 __all__ = ["main"]
-
-_LIKELIHOODS = ("poisson", "binomial", "negbinom", "bernoulli")
 
 
 class UsageError(Exception):
@@ -77,7 +75,7 @@ def build_parser() -> _Parser:
     sel.add_argument("--cluster", choices=("score", "rsc"), default="score")
     sel.add_argument("--variance", choices=("identity", "bernoulli"), default="identity",
                      help="variance function for the svps profile (default identity)")
-    sel.add_argument("--likelihood", choices=_LIKELIHOODS, default=None,
+    sel.add_argument("--likelihood", choices=tuple(EDGE_LAWS), default=None,
                      help="edge law for cbic/icl (required for those methods)")
     sel.add_argument("--binarize", action="store_true",
                      help="replace positive weights with 1 before anything else")
@@ -102,7 +100,8 @@ def build_parser() -> _Parser:
     scale.set_defaults(func=cmd_scale)
 
     sim = subs.add_parser("simulate", help="sample one network from the simulation model")
-    sim.add_argument("--dist", choices=("poisson", "binomial", "negbinom"), default="poisson")
+    sim.add_argument("--dist", choices=tuple(law for law in EDGE_LAWS if law != "bernoulli"),
+                     default="poisson")
     sim.add_argument("--rho", type=float, required=True)
     sim.add_argument("--r", type=float, required=True)
     sim.add_argument("--k", type=int, required=True, help="number of communities")
@@ -168,30 +167,15 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_select(args) -> int:
-    adj = _load_network(args)
-    seed = _resolve_seed(args)
-    if args.method == "svps":
-        variance_fn = VarianceFunction(args.variance)
-        trace = svps_select(
-            adj,
-            variance_fn=variance_fn,
-            epsilon=args.epsilon,
-            m_max=args.kmax if args.kmax is not None else 12,
-            clusterer=args.cluster,
-            seed=seed,
-            restarts=args.kmeans_restarts,
-        )
-    else:
-        kmax = args.kmax if args.kmax is not None else 10
-        trace = score_select(
-            adj,
-            dist=args.likelihood,
-            method=args.method,
-            m_range=range(1, kmax + 1),
-            clusterer=args.cluster,
-            seed=seed,
-            restarts=args.kmeans_restarts,
-        )
+    trace = select(
+        _load_network(args),
+        MethodSpec(args.method, args.cluster, epsilon=args.epsilon),
+        dist=args.likelihood,
+        variance_fn=VarianceFunction(args.variance),
+        m_max=args.kmax,
+        seed=_resolve_seed(args),
+        restarts=args.kmeans_restarts,
+    )
     if args.out:
         _write_text(args.out, trace.to_csv())
     _say(args, f"K_hat={trace.k_hat if trace.k_hat is not None else 'none'}")
@@ -237,14 +221,12 @@ def cmd_scale(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     n_all = tuple(int(t) for t in args.n_all.split(","))
-    kind = "negative_binomial" if args.dist == "negbinom" else args.dist
     rng = make_rng(np.random.SeedSequence((seed, args.k, args.replicate)))
     model = simulation_params(args.k, args.rho, args.r, n_all, rng)
-    adj = sample_network(mean_matrix(model), EdgeDistribution(kind), rng,
+    adj = sample_network(mean_matrix(model), EDGE_LAWS[args.dist], rng,
                          zero_diagonal=args.zero_diagonal)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as stream:
-            write_edge_list(adj, stream)
+        write_edge_list(adj, args.out)
     nonzero = int(np.count_nonzero(np.triu(adj.weights)))
     _say(args, f"n={adj.n} k={args.k} nonzero_pairs={nonzero}")
     return 0

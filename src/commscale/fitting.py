@@ -22,16 +22,7 @@ from .model import VarianceFunction
 from .network import WeightedAdjacency
 from .spectral import Assignment
 
-__all__ = [
-    "FitError",
-    "FittedStep",
-    "block_sums",
-    "estimate_theta",
-    "estimate_block_matrix",
-    "estimate_mean",
-    "estimate_variance",
-    "fit_step",
-]
+__all__ = ["FitError", "FittedStep", "fit_step"]
 
 VARIANCE_FLOOR_SCALE = 1e-8
 
@@ -58,54 +49,6 @@ class FittedStep:
             object.__setattr__(self, name, arr)
 
 
-def _weights_of(adj) -> np.ndarray:
-    return adj.weights if isinstance(adj, WeightedAdjacency) else np.asarray(adj, dtype=float)
-
-
-def block_sums(adj, assignment: Assignment):
-    """Block weight sums S (m x m, symmetrized) and degree totals t (m,).
-
-    Raises FitError when any within-group weight S_kk or group total t_k
-    is not strictly positive; such a step cannot be fitted.
-    """
-    w = _weights_of(adj)
-    labels = assignment.labels
-    m = assignment.m
-    onehot = np.zeros((w.shape[0], m))
-    onehot[np.arange(w.shape[0]), labels] = 1.0
-    s = onehot.T @ w @ onehot
-    s = (s + s.T) / 2.0
-    totals = onehot.T @ w.sum(axis=1)
-    if (np.diag(s) <= 0).any():
-        k = int(np.flatnonzero(np.diag(s) <= 0)[0])
-        raise FitError(f"group {k} has zero within-group weight")
-    if (totals <= 0).any():
-        k = int(np.flatnonzero(totals <= 0)[0])
-        raise FitError(f"group {k} has zero total weight")
-    return s, totals
-
-
-def estimate_theta(adj, assignment: Assignment) -> np.ndarray:
-    s, totals = block_sums(adj, assignment)
-    d = _weights_of(adj).sum(axis=1)
-    labels = assignment.labels
-    return np.sqrt(np.diag(s))[labels] / totals[labels] * d
-
-
-def estimate_block_matrix(adj, assignment: Assignment) -> np.ndarray:
-    s, _ = block_sums(adj, assignment)
-    root = np.sqrt(np.diag(s))
-    return s / np.outer(root, root)
-
-
-def estimate_mean(adj, assignment: Assignment) -> np.ndarray:
-    s, totals = block_sums(adj, assignment)
-    d = _weights_of(adj).sum(axis=1)
-    labels = assignment.labels
-    coeff = s / np.outer(totals, totals)
-    return coeff[np.ix_(labels, labels)] * np.outer(d, d)
-
-
 def floor_positive(values: np.ndarray) -> np.ndarray:
     """Floor entries at 1e-8 times the mean positive entry."""
     pos = values[values > 0]
@@ -114,28 +57,40 @@ def floor_positive(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, VARIANCE_FLOOR_SCALE * pos.mean())
 
 
-def estimate_variance(mean: np.ndarray, variance_fn: VarianceFunction) -> np.ndarray:
-    """V = nu(M) entrywise, floored to be strictly positive.
+def fit_step(
+    adj: WeightedAdjacency, assignment: Assignment, variance_fn: VarianceFunction | None = None
+) -> FittedStep:
+    """Compute all plug-in estimates for one candidate group count.
 
-    The bernoulli kind requires every mean below 1; linear kinds accept
-    any mean and rely on the floor for nonpositive values.
+    The block sums S, the group totals t and the degrees d are formed
+    once. Raises FitError when some S_kk or t_k is not strictly
+    positive, or when a bernoulli variance meets a mean of 1 or more.
     """
-    mean = np.asarray(mean, dtype=float)
-    if variance_fn.kind == "bernoulli" and (mean >= 1.0).any():
-        raise FitError(f"bernoulli variance needs means < 1, got max {mean.max():.6g}")
-    return floor_positive(variance_fn(mean))
-
-
-def fit_step(adj, assignment: Assignment, variance_fn: VarianceFunction | None = None) -> FittedStep:
-    """Compute all plug-in estimates for one candidate group count."""
     if variance_fn is None:
         variance_fn = VarianceFunction.identity()
-    mean = estimate_mean(adj, assignment)
+    w = adj.weights
+    labels = assignment.labels
+    onehot = np.zeros((adj.n, assignment.m))
+    onehot[np.arange(adj.n), labels] = 1.0
+    s = onehot.T @ w @ onehot
+    s = (s + s.T) / 2.0
+    d = w.sum(axis=1)
+    totals = onehot.T @ d
+    if (np.diag(s) <= 0).any():
+        k = int(np.flatnonzero(np.diag(s) <= 0)[0])
+        raise FitError(f"group {k} has zero within-group weight")
+    if (totals <= 0).any():
+        k = int(np.flatnonzero(totals <= 0)[0])
+        raise FitError(f"group {k} has zero total weight")
+    root = np.sqrt(np.diag(s))
+    mean = (s / np.outer(totals, totals))[np.ix_(labels, labels)] * np.outer(d, d)
+    if variance_fn.kind == "bernoulli" and (mean >= 1.0).any():
+        raise FitError(f"bernoulli variance needs means < 1, got max {mean.max():.6g}")
     return FittedStep(
         m=assignment.m,
         assignment=assignment,
-        theta=estimate_theta(adj, assignment),
-        block_matrix=estimate_block_matrix(adj, assignment),
+        theta=root[labels] / totals[labels] * d,
+        block_matrix=s / np.outer(root, root),
         mean=mean,
-        variance=estimate_variance(mean, variance_fn),
+        variance=floor_positive(variance_fn(mean)),
     )

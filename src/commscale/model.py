@@ -8,7 +8,7 @@ leaves the mean matrix unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +94,23 @@ class EdgeDistribution:
             raise ValueError("trials must be >= 1")
 
 
+# The edge laws that can be named by a string, and the one place the
+# names are spelled; "bernoulli" is the binomial law with one trial.
+EDGE_LAWS = {
+    "poisson": EdgeDistribution("poisson"),
+    "binomial": EdgeDistribution("binomial"),
+    "negbinom": EdgeDistribution("negative_binomial"),
+    "bernoulli": EdgeDistribution("binomial", trials=1),
+}
+
+
+def edge_law(law) -> EdgeDistribution:
+    """The EdgeDistribution given as itself, by an EDGE_LAWS name or by its kind."""
+    if isinstance(law, EdgeDistribution):
+        return law
+    return EDGE_LAWS[law] if law in EDGE_LAWS else EdgeDistribution(law)
+
+
 @dataclass(frozen=True)
 class DcsbmModel:
     """Degree-corrected block model in identifiable form.
@@ -101,13 +118,11 @@ class DcsbmModel:
     theta : (n,) positive degree parameters.
     labels : (n,) community indices in 0..K-1, every community nonempty.
     connectivity : (K, K) symmetric, entries in (0, 1], unit diagonal.
-    variance_fn : VarianceFunction giving var(A_ij) = nu(M_ij).
     """
 
     theta: np.ndarray
     labels: np.ndarray
     connectivity: np.ndarray
-    variance_fn: VarianceFunction = field(default_factory=VarianceFunction.identity)
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -170,7 +185,6 @@ def simulation_params(
     r: float,
     block_sizes,
     rng: np.random.Generator,
-    variance_fn: VarianceFunction | None = None,
 ) -> DcsbmModel:
     """Build a simulation model for K communities.
 
@@ -195,7 +209,6 @@ def simulation_params(
         theta=theta * np.sqrt(scale),
         labels=labels,
         connectivity=connectivity,
-        variance_fn=variance_fn if variance_fn is not None else VarianceFunction.identity(),
     )
 
 

@@ -7,7 +7,7 @@ and faster than sparse.
 
 from __future__ import annotations
 
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,10 +83,21 @@ class EdgeListFormat:
             raise ValueError("indexing must be 0 or 1")
 
 
-def _open_text(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8"), True
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """Yield target if it is a stream, else the UTF-8 text file it names.
+
+    A file opened here is closed on exit, and written with "\\n" line
+    ends; a stream passed in stays open.
+    """
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+        return
+    stream = open(target, mode, encoding="utf-8", newline=None if mode == "r" else "")
+    try:
+        yield stream
+    finally:
+        stream.close()
 
 
 def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None = None) -> WeightedAdjacency:
@@ -99,9 +110,8 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
     double-counting). Pass ``n`` to declare the node count up front, in
     which case out-of-range ids are an error.
     """
-    stream, close = _open_text(source)
-    try:
-        records = []
+    records = []
+    with open_text(source) as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -119,9 +129,6 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
             if w < 0:
                 raise EdgeListError(f"line {lineno}: negative weight {w}")
             records.append((lineno, u - fmt.indexing, v - fmt.indexing, w))
-    finally:
-        if close:
-            stream.close()
     if not records:
         raise EdgeListError("empty edge list")
 
@@ -164,15 +171,11 @@ def write_edge_list(adj: WeightedAdjacency, sink, fmt: EdgeListFormat = EdgeList
     Weights are written with repr-roundtrip precision so that
     load(write(load(x))) is bit-identical to load(x).
     """
-    stream, close = (sink, False) if hasattr(sink, "write") else (open(sink, "w", encoding="utf-8"), True)
-    try:
-        w = adj.weights
-        iu, ju = np.nonzero(np.triu(w))
+    w = adj.weights
+    iu, ju = np.nonzero(np.triu(w))
+    with open_text(sink, "w") as stream:
         for i, j in zip(iu.tolist(), ju.tolist()):
             stream.write(f"{i + fmt.indexing} {j + fmt.indexing} {float(w[i, j])!r}\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def regularize(adj: WeightedAdjacency, tau: float) -> WeightedAdjacency:

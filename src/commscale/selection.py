@@ -5,24 +5,26 @@ fits m groups, scales the fitted variance profile to doubly stochastic
 form, and stops at the first m where the (m+1)-th largest eigenvalue
 magnitude of the scaled adjacency falls below 2 + epsilon. The
 penalized-likelihood baselines evaluate CBIC and ICL over a range of m
-and take the argmax.
+and take the argmax. select runs whichever of the two a MethodSpec
+names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .fitting import FitError, FittedStep, fit_step, floor_positive
-from .model import EdgeDistribution, VarianceFunction
+from .model import VarianceFunction, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
 from .spectral import Assignment, ClusterError, rsc_cluster, score_cluster
 
 __all__ = [
+    "MethodSpec",
     "StepRecord",
     "SelectionTrace",
     "svps_statistic",
@@ -32,10 +34,32 @@ __all__ = [
     "icl_score",
     "select_by_score",
     "score_select",
-    "EPSILON_PRESETS",
+    "select",
 ]
 
-EPSILON_PRESETS = (0.02, 0.05, 0.10)
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One selector variant: svps with an epsilon, or cbic/icl with lambda."""
+
+    selector: str
+    clusterer: str = "score"
+    epsilon: float = 0.05
+    lam: float = 1.0
+
+    def __post_init__(self):
+        if self.selector not in ("svps", "cbic", "icl"):
+            raise ValueError(f"unknown selector {self.selector!r}")
+        if self.clusterer not in ("score", "rsc"):
+            raise ValueError(f"unknown clusterer {self.clusterer!r}")
+
+    @property
+    def label(self) -> str:
+        if self.selector == "svps":
+            return f"svps-{self.clusterer}-eps{self.epsilon:g}"
+        if self.selector == "cbic" and self.lam != 1.0:
+            return f"cbic-{self.clusterer}-lam{self.lam:g}"
+        return f"{self.selector}-{self.clusterer}"
 
 
 @dataclass(frozen=True)
@@ -64,33 +88,25 @@ class SelectionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _as_weights(adj):
-    return adj.weights if isinstance(adj, WeightedAdjacency) else np.asarray(adj, dtype=float)
-
-
-def svps_statistic(adj, fitted: FittedStep, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """|lambda_{m+1}| of the scaled adjacency Psi^{1/2} A Psi^{1/2}.
 
     Psi solves the doubly-stochastic scaling of the step's fitted
     variance profile. Scaling failures propagate as ScalingError.
     """
-    w = _as_weights(adj)
-    n = w.shape[0]
-    if fitted.m + 1 > n:
-        raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={n}")
-    scaling = sinkhorn_symmetric(fitted.variance, tol=tol, max_iter=max_iter)
-    scaled = scaled_matrix(w, scaling.psi)
+    if fitted.m + 1 > adj.n:
+        raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")
+    scaling = sinkhorn_symmetric(fitted.variance)
+    scaled = scaled_matrix(adj.weights, scaling.psi)
     mags = np.sort(np.abs(np.linalg.eigvalsh(scaled)))[::-1]
     return float(mags[fitted.m])
 
 
-def _make_clusterer(clusterer, restarts, rsc_reg):
-    if callable(clusterer):
-        return clusterer
+def _make_clusterer(clusterer, restarts):
     if clusterer == "score":
         return lambda adj, m, seed: score_cluster(adj, m, seed=seed, restarts=restarts)
     if clusterer == "rsc":
-        return lambda adj, m, seed: rsc_cluster(adj, m, reg=rsc_reg, seed=seed, restarts=restarts)
+        return lambda adj, m, seed: rsc_cluster(adj, m, seed=seed, restarts=restarts)
     raise ValueError(f"unknown clusterer {clusterer!r}")
 
 
@@ -102,13 +118,13 @@ def svps_select(
     clusterer="score",
     seed=0,
     restarts: int = 50,
-    rsc_reg: float | None = None,
 ) -> SelectionTrace:
     """Sequential test: stop at the first m with statistic below 2 + epsilon.
 
-    For m = 1..m_max: cluster, fit, scale, evaluate. Steps with
-    degenerate fits or failed scalings are recorded with value +inf and
-    never stop the loop. If no step stops, k_hat is None.
+    For m = 1..min(m_max, n - 1): cluster, fit, scale, evaluate (the
+    statistic needs m + 1 <= n). Steps with degenerate fits or failed
+    scalings are recorded with value +inf and never stop the loop. If no
+    step stops, k_hat is None.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -116,12 +132,12 @@ def svps_select(
         raise ValueError("m_max must be >= 1")
     if variance_fn is None:
         variance_fn = VarianceFunction.identity()
-    cluster = _make_clusterer(clusterer, restarts, rsc_reg)
+    cluster = _make_clusterer(clusterer, restarts)
     threshold = 2.0 + epsilon
     steps = []
     k_hat = None
     stopped = False
-    for m in range(1, m_max + 1):
+    for m in range(1, min(m_max, adj.n - 1) + 1):
         try:
             assignment = cluster(adj, m, seed)
             fitted = fit_step(adj, assignment, variance_fn)
@@ -151,58 +167,52 @@ def _check_counts(values: np.ndarray, what: str, upper: int | None = None) -> np
     return counts
 
 
-def log_likelihood(adj, mean: np.ndarray, dist) -> float:
-    """Log mass of the network given entrywise mean parameters.
+def log_likelihood(adj: np.ndarray, mean: np.ndarray, dist) -> float:
+    """Log mass of the weight matrix adj (an array) given entrywise means.
 
     The sum runs over all ordered node pairs, so each off-diagonal pair
     contributes twice (once per direction) and each diagonal entry once.
-    dist is an EdgeDistribution or one of "poisson", "binomial",
-    "negbinom", "bernoulli". Mean entries are floored positive as in
-    fitting; probability-type parameters are additionally capped at
-    1 - 1e-8 so boundary fits keep a finite likelihood.
+    dist is an EdgeDistribution or a name that model.edge_law accepts;
+    "bernoulli" is the binomial law with one trial. Mean entries are
+    floored positive as in fitting; probability-type parameters are
+    additionally capped at 1 - 1e-8 so boundary fits keep a finite
+    likelihood.
     """
-    a = _as_weights(adj)
+    law = edge_law(dist)
+    a = np.asarray(adj, dtype=float)
     mu = floor_positive(np.asarray(mean, dtype=float))
-    kind = dist.kind if isinstance(dist, EdgeDistribution) else str(dist)
-    trials = dist.trials if isinstance(dist, EdgeDistribution) else 5
+    trials = law.trials
     cap = 1.0 - 1e-8
-    if kind == "poisson":
+    if law.kind == "poisson":
         counts = _check_counts(a, "poisson")
         terms = stats.poisson.logpmf(counts, mu)
-    elif kind == "binomial":
+    elif law.kind == "binomial":
         counts = _check_counts(a, "binomial", upper=trials)
         terms = stats.binom.logpmf(counts, trials, np.minimum(mu / trials, cap))
-    elif kind in ("negbinom", "negative_binomial"):
+    else:
         counts = _check_counts(a, "negative binomial")
         terms = stats.nbinom.logpmf(counts, trials, 1.0 - np.minimum(mu / trials, cap))
-    elif kind == "bernoulli":
-        counts = _check_counts(a, "bernoulli", upper=1)
-        terms = stats.bernoulli.logpmf(counts, np.minimum(mu, cap))
-    else:
-        raise ValueError(f"unknown likelihood {kind!r}")
     return float(terms.sum())
 
 
-def cbic_score(adj, fitted: FittedStep, dist, lam: float = 1.0) -> float:
+def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, dist, lam: float = 1.0) -> float:
     """log f(A | M) - [lam * n * log m + m(m+1)/2 * log n]."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    w = _as_weights(adj)
-    n = w.shape[0]
+    n = adj.n
     m = fitted.m
     penalty = lam * n * math.log(m) + m * (m + 1) / 2.0 * math.log(n)
-    return log_likelihood(w, fitted.mean, dist) - penalty
+    return log_likelihood(adj.weights, fitted.mean, dist) - penalty
 
 
-def icl_score(adj, fitted: FittedStep, dist) -> float:
+def icl_score(adj: WeightedAdjacency, fitted: FittedStep, dist) -> float:
     """log f(A | M) - [sum_k n_k log(n/n_k) + m(m+2)/2 * log n]."""
-    w = _as_weights(adj)
-    n = w.shape[0]
+    n = adj.n
     m = fitted.m
     sizes = fitted.assignment.sizes
     entropy = float((sizes * np.log(n / sizes)).sum())
     penalty = entropy + m * (m + 2) / 2.0 * math.log(n)
-    return log_likelihood(w, fitted.mean, dist) - penalty
+    return log_likelihood(adj.weights, fitted.mean, dist) - penalty
 
 
 def select_by_score(scores) -> int:
@@ -226,9 +236,8 @@ def score_select(
     seed=0,
     lam: float = 1.0,
     restarts: int = 50,
-    rsc_reg: float | None = None,
 ) -> SelectionTrace:
-    """Evaluate CBIC or ICL over m_range and pick the argmax.
+    """Evaluate CBIC or ICL over the m in m_range with m <= n; pick the argmax.
 
     Degenerate fits are recorded as failed and excluded from the argmax.
     The likelihood distribution is a required choice; there is no
@@ -236,10 +245,10 @@ def score_select(
     """
     if method not in ("cbic", "icl"):
         raise ValueError(f"method must be cbic or icl, got {method!r}")
-    cluster = _make_clusterer(clusterer, restarts, rsc_reg)
+    cluster = _make_clusterer(clusterer, restarts)
     steps = []
     usable = []
-    for m in m_range:
+    for m in [m for m in m_range if m <= adj.n]:
         try:
             assignment = cluster(adj, m, seed)
             fitted = fit_step(adj, assignment, VarianceFunction.identity())
@@ -254,3 +263,43 @@ def score_select(
         usable.append((m, value))
     k_hat = select_by_score(usable) if usable else None
     return SelectionTrace(method=method, steps=tuple(steps), k_hat=k_hat)
+
+
+def select(
+    adj: WeightedAdjacency,
+    spec: MethodSpec,
+    *,
+    dist=None,
+    variance_fn: VarianceFunction | None = None,
+    m_max: int | None = None,
+    seed=0,
+    restarts: int = 50,
+) -> SelectionTrace:
+    """Run the selector a MethodSpec names over the candidates m = 1..m_max.
+
+    m_max defaults to 12 for svps and 10 for cbic/icl. variance_fn is
+    used by svps only. dist, the likelihood law, is used by cbic/icl
+    only, and they require it.
+    """
+    if spec.selector == "svps":
+        return svps_select(
+            adj,
+            variance_fn=variance_fn,
+            epsilon=spec.epsilon,
+            m_max=12 if m_max is None else m_max,
+            clusterer=spec.clusterer,
+            seed=seed,
+            restarts=restarts,
+        )
+    if dist is None:
+        raise ValueError(f"{spec.selector} needs a likelihood law")
+    return score_select(
+        adj,
+        dist=dist,
+        method=spec.selector,
+        m_range=range(1, (10 if m_max is None else m_max) + 1),
+        clusterer=spec.clusterer,
+        seed=seed,
+        lam=spec.lam,
+        restarts=restarts,
+    )

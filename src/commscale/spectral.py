@@ -24,6 +24,11 @@ __all__ = [
     "rsc_cluster",
 ]
 
+# Lloyd iterations per k-means restart, and the relative WCSS decrease
+# below which a restart stops early
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-9
+
 
 class ClusterError(RuntimeError):
     """Clustering produced an empty cluster in every restart."""
@@ -121,12 +126,12 @@ def _plusplus_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _lloyd(x, m, rng, max_iter, tol):
+def _lloyd(x, m, rng):
     """One restart. Returns (wcss, labels) or None if a cluster emptied."""
     n = x.shape[0]
     centers = _plusplus_init(x, m, rng)
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_dists(x, centers)
         labels = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), labels]
@@ -142,7 +147,7 @@ def _lloyd(x, m, rng, max_iter, tol):
         wcss = point_d2.sum()
         for k in range(m):
             centers[k] = x[labels == k].mean(axis=0)
-        if prev - wcss <= tol * max(wcss, np.finfo(float).tiny):
+        if prev - wcss <= KMEANS_TOL * max(wcss, np.finfo(float).tiny):
             break
         prev = wcss
     d2 = _sq_dists(x, centers)
@@ -153,7 +158,7 @@ def _lloyd(x, m, rng, max_iter, tol):
     return wcss, labels
 
 
-def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50, max_iter: int = 100, tol: float = 1e-9) -> Assignment:
+def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     """k-means with k-means++ starts; best of ``restarts`` runs by WCSS.
 
     Deterministic given the seed; WCSS ties keep the lowest restart
@@ -172,7 +177,7 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50, max_iter: int =
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        result = _lloyd(x, m, rng, max_iter, tol)
+        result = _lloyd(x, m, rng)
         if result is None:
             continue
         if best is None or result[0] < best[0]:

@@ -4,6 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from commscale import bench
 from commscale.bench import (
     AccuracyTable,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from commscale.bench import (
     run_lesmis,
 )
 from commscale.datasets import load_lesmis
+from commscale.fitting import FitError
 from commscale.model import EdgeDistribution
 
 
@@ -148,3 +150,26 @@ def test_run_lesmis_grid_layout():
         ("score", "icl", "binarized"),
     ]
     assert table.rows[0][3] == 6
+
+
+def test_domain_errors_count_as_failures(monkeypatch):
+    def failing(*args, **kwargs):
+        raise FitError("forced failure")
+
+    monkeypatch.setattr(bench, "select", failing)
+    table = run_experiment(small_config(replicates=2))
+    assert table.rows == ((2, "svps-score-eps0.05", 0.0, 2, "", 2),)
+    table = run_lesmis(load_lesmis(), tau_list=(0.1,), score_m_range=range(1, 3))
+    assert len(table.rows) == 8
+    assert all(row[3] == "" for row in table.rows)
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("not a domain error")
+
+    monkeypatch.setattr(bench, "select", broken)
+    with pytest.raises(KeyError):
+        run_experiment(small_config(replicates=1))
+    with pytest.raises(KeyError):
+        run_lesmis(load_lesmis(), tau_list=(0.1,))

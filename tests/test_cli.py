@@ -156,3 +156,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "select" in proc.stdout
+
+
+def test_select_tiny_all_zero_network_reports_none(tmp_path, capsys):
+    # 10 isolated nodes: every step fails, which is an answer, not an error
+    path = tmp_path / "zeros.tsv"
+    path.write_text("".join(f"{i} {i} 0\n" for i in range(10)))
+    assert main(["select", "--input", str(path), "--kmeans-restarts", "3"]) == 0
+    assert capsys.readouterr().out == "K_hat=none\n"
+    code = main(["select", "--input", str(path), "--method", "cbic", "--likelihood", "poisson",
+                 "--kmax", "12", "--kmeans-restarts", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == "K_hat=none\n"

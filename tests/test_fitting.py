@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commscale.fitting import (
-    FitError,
-    block_sums,
-    estimate_block_matrix,
-    estimate_mean,
-    estimate_theta,
-    estimate_variance,
-    fit_step,
-    floor_positive,
-)
+from commscale.fitting import FitError, fit_step
 from commscale.model import (
     EdgeDistribution,
     VarianceFunction,
@@ -22,6 +13,7 @@ from commscale.model import (
     simulation_params,
 )
 from commscale.network import WeightedAdjacency
+from commscale.selection import log_likelihood
 from commscale.spectral import Assignment
 
 
@@ -60,15 +52,14 @@ def brute_force_plugin(w, labels, m):
 
 def test_four_node_hand_values():
     adj, assignment = four_node_example()
-    theta = estimate_theta(adj, assignment)
+    fitted = fit_step(adj, assignment)
     # block 0: within-weight 6, total 8, degrees 4 -> sqrt(6)/8*4
     # block 1: within-weight 4, total 6, degrees 3 -> sqrt(4)/6*3 = 1
-    assert np.allclose(theta, [np.sqrt(6) / 2, np.sqrt(6) / 2, 1.0, 1.0])
-    b = estimate_block_matrix(adj, assignment)
+    assert np.allclose(fitted.theta, [np.sqrt(6) / 2, np.sqrt(6) / 2, 1.0, 1.0])
+    b = fitted.block_matrix
     assert np.allclose(np.diag(b), 1.0)
     assert np.isclose(b[0, 1], 2 / np.sqrt(24))
-    mean = estimate_mean(adj, assignment)
-    assert np.isclose(mean[0, 1], 6 / 64 * 16)  # = 1.5
+    assert np.isclose(fitted.mean[0, 1], 6 / 64 * 16)  # = 1.5
 
 
 def test_matches_brute_force_oracle():
@@ -79,21 +70,22 @@ def test_matches_brute_force_oracle():
     labels = np.array([0, 1, 2] * 4)
     assignment = Assignment(labels, 3)
     theta_o, b_o, mean_o = brute_force_plugin(w, labels, 3)
-    assert np.allclose(estimate_theta(adj, assignment), theta_o, rtol=1e-12)
-    assert np.allclose(estimate_block_matrix(adj, assignment), b_o, rtol=1e-12)
-    assert np.allclose(estimate_mean(adj, assignment), mean_o, rtol=1e-12)
+    fitted = fit_step(adj, assignment)
+    assert np.allclose(fitted.theta, theta_o, rtol=1e-12)
+    assert np.allclose(fitted.block_matrix, b_o, rtol=1e-12)
+    assert np.allclose(fitted.mean, mean_o, rtol=1e-12)
 
 
 def test_m1_reduces_to_degree_normalization():
     adj, _ = four_node_example()
-    theta = estimate_theta(adj, Assignment(np.zeros(4, dtype=int), 1))
+    theta = fit_step(adj, Assignment(np.zeros(4, dtype=int), 1)).theta
     d = adj.weights.sum(axis=1)
     assert np.allclose(theta, d / np.sqrt(adj.weights.sum()))
 
 
 def test_homogeneous_all_ones():
     adj = WeightedAdjacency(np.ones((4, 4)))
-    theta = estimate_theta(adj, Assignment(np.array([0, 0, 1, 1]), 2))
+    theta = fit_step(adj, Assignment(np.array([0, 0, 1, 1]), 2)).theta
     assert np.allclose(theta, 1.0)
 
 
@@ -113,7 +105,7 @@ def test_block_sum_identity_on_noisy_sample():
     model = simulation_params(2, 0.3, 2, (20, 30), rng)
     adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
     assignment = Assignment(model.labels, 2)
-    mean = estimate_mean(adj, assignment)
+    mean = fit_step(adj, assignment).mean
     onehot = np.eye(2)[model.labels]
     assert np.allclose(onehot.T @ mean @ onehot, onehot.T @ adj.weights @ onehot, rtol=1e-10)
 
@@ -137,12 +129,10 @@ def test_scale_equivariance(scale, seed):
     w = np.triu(w) + np.triu(w, 1).T
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
     assignment = Assignment(labels, 3)
-    b1 = estimate_block_matrix(w, assignment)
-    b2 = estimate_block_matrix(scale * w, assignment)
-    m1 = estimate_mean(w, assignment)
-    m2 = estimate_mean(scale * w, assignment)
-    assert np.allclose(b1, b2, rtol=1e-12)
-    assert np.allclose(scale * m1, m2, rtol=1e-12)
+    f1 = fit_step(WeightedAdjacency(w), assignment)
+    f2 = fit_step(WeightedAdjacency(scale * w), assignment)
+    assert np.allclose(f1.block_matrix, f2.block_matrix, rtol=1e-12)
+    assert np.allclose(scale * f1.mean, f2.mean, rtol=1e-12)
 
 
 def test_theta_concentration_rate():
@@ -153,25 +143,37 @@ def test_theta_concentration_rate():
         rng = make_rng(np.random.SeedSequence((777, 3, rep)))
         model = simulation_params(3, 0.12, 2, (50, 100, 150), rng)
         adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
-        theta = estimate_theta(adj, Assignment(model.labels, 3))
+        theta = fit_step(adj, Assignment(model.labels, 3)).theta
         if np.max(np.abs(theta / model.theta - 1)) <= 0.8:
             hits += 1
     assert hits >= 95
 
 
 def test_variance_floor():
-    floored = floor_positive(np.array([[0.0, 2.0], [2.0, 2.0]]))
-    assert floored[0, 0] == pytest.approx(1e-8 * 2.0)
-    assert floored[0, 1] == 2.0
+    # node 2 is isolated, so its mean row and column are zero; the
+    # variance there is floored at 1e-8 times the mean positive entry
+    w = np.array([[0.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    fitted = fit_step(WeightedAdjacency(w), Assignment(np.zeros(3, dtype=int), 1))
+    mean = fitted.mean
+    positive = mean[mean > 0]
+    assert positive.size == 4 and (mean[2] == 0).all()
+    assert fitted.variance[2, 2] == pytest.approx(1e-8 * positive.mean())
+    assert np.array_equal(fitted.variance[:2, :2], mean[:2, :2])
     with pytest.raises(FitError):
-        floor_positive(np.zeros((2, 2)))
+        fit_step(WeightedAdjacency(np.zeros((2, 2))), Assignment(np.zeros(2, dtype=int), 1))
+    # the likelihood floors its means the same way, and cannot floor all zeros
+    with pytest.raises(FitError, match="no positive entries"):
+        log_likelihood(np.zeros((2, 2)), np.zeros((2, 2)), "poisson")
 
 
 def test_bernoulli_variance_domain():
+    adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
     with pytest.raises(FitError, match="bernoulli"):
-        estimate_variance(np.array([[0.5, 1.5], [1.5, 0.5]]), VarianceFunction.bernoulli())
-    v = estimate_variance(np.array([[0.5, 0.25], [0.25, 0.5]]), VarianceFunction.bernoulli())
-    assert np.allclose(v, [[0.25, 0.1875], [0.1875, 0.25]])
+        fit_step(adj, assignment, VarianceFunction.bernoulli())
+    small = WeightedAdjacency(adj.weights / 10)
+    fitted = fit_step(small, assignment, VarianceFunction.bernoulli())
+    assert fitted.mean.max() < 1
+    assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean), rtol=1e-12)
 
 
 def test_degenerate_partitions_raise():
@@ -179,5 +181,5 @@ def test_degenerate_partitions_raise():
     w[0, 1] = w[1, 0] = 1.0
     adj = WeightedAdjacency(w)
     # group {2,3} has zero weight everywhere
-    with pytest.raises(FitError):
-        block_sums(adj, Assignment(np.array([0, 0, 1, 1]), 2))
+    with pytest.raises(FitError, match="zero within-group weight"):
+        fit_step(adj, Assignment(np.array([0, 0, 1, 1]), 2))

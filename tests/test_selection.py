@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from commscale import selection
+from commscale.datasets import load_lesmis
 from commscale.fitting import fit_step
 from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
-from commscale.network import WeightedAdjacency
+from commscale.network import WeightedAdjacency, binarize, regularize
 from commscale.selection import (
-    EPSILON_PRESETS,
+    MethodSpec,
     cbic_score,
     icl_score,
     log_likelihood,
     score_select,
+    select,
     select_by_score,
     svps_select,
     svps_statistic,
@@ -35,10 +38,6 @@ def sampled_counts(sizes, seed=8):
     model = simulation_params(len(sizes), 0.3, 3, sizes, rng)
     adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
     return adj, model.labels
-
-
-def test_epsilon_presets():
-    assert EPSILON_PRESETS == (0.02, 0.05, 0.10)
 
 
 def test_likelihood_trivial_contributions():
@@ -93,7 +92,7 @@ def test_penalties_match_closed_form():
     adj, labels = sampled_counts((5, 7, 9))
     n = adj.n
     fitted = fitted_for(adj, labels, 3)
-    ll = log_likelihood(adj, fitted.mean, "poisson")
+    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
     expected_pen = n * math.log(3) + 3 * 4 / 2 * math.log(n)
     assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - expected_pen, rel=1e-12)
     sizes = fitted.assignment.sizes
@@ -106,7 +105,7 @@ def test_penalty_m1_special_cases():
     adj, labels = sampled_counts((6, 6))
     n = adj.n
     fitted = fitted_for(adj, np.zeros(n, dtype=int), 1)
-    ll = log_likelihood(adj, fitted.mean, "poisson")
+    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
     # cbic: n log 1 + log n = log n; icl: zero entropy + (3/2) log n
     assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - math.log(n))
     assert icl_score(adj, fitted, "poisson") == pytest.approx(ll - 1.5 * math.log(n))
@@ -116,7 +115,7 @@ def test_icl_entropy_equal_blocks():
     adj, labels = sampled_counts((10, 10))
     fitted = fitted_for(adj, labels, 2)
     n = adj.n
-    ll = log_likelihood(adj, fitted.mean, "poisson")
+    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
     expected = ll - (n * math.log(2) + 2 * 4 / 2 * math.log(n))
     assert icl_score(adj, fitted, "poisson") == pytest.approx(expected)
 
@@ -156,17 +155,17 @@ def test_svps_no_stop_returns_none():
     assert len(trace.steps) == 1
 
 
-def test_svps_failed_steps_never_stop():
+def test_svps_failed_steps_never_stop(monkeypatch):
     adj, labels = noiseless_adjacency((15, 25))
+    score_cluster = selection.score_cluster
 
-    def clusterer(a, m, seed):
+    def failing_at_1(a, m, **kwargs):
         if m == 1:
             raise ClusterError("forced failure")
-        from commscale.spectral import score_cluster
+        return score_cluster(a, m, **kwargs)
 
-        return score_cluster(a, m, seed=seed)
-
-    trace = svps_select(adj, clusterer=clusterer, epsilon=0.05, seed=0)
+    monkeypatch.setattr(selection, "score_cluster", failing_at_1)
+    trace = svps_select(adj, epsilon=0.05, seed=0)
     assert trace.steps[0].status == "failed"
     assert trace.steps[0].value == math.inf
     assert trace.k_hat == 2
@@ -176,7 +175,10 @@ def test_svps_statistic_requires_room():
     adj, labels = noiseless_adjacency((3, 3))
     fitted = fitted_for(adj, labels, 2)
     with pytest.raises(ValueError):
-        svps_statistic(np.eye(6), fit_step(np.ones((6, 6)), Assignment(np.arange(6), 6)))
+        svps_statistic(
+            WeightedAdjacency(np.eye(6)),
+            fit_step(WeightedAdjacency(np.ones((6, 6))), Assignment(np.arange(6), 6)),
+        )
 
 
 def test_trace_csv_deterministic():
@@ -197,17 +199,17 @@ def test_score_select_noiseless():
     assert trace.k_hat == 3
 
 
-def test_score_select_excludes_failed_steps():
+def test_score_select_excludes_failed_steps(monkeypatch):
     adj, _ = sampled_counts((15, 25))
+    score_cluster = selection.score_cluster
 
-    def clusterer(a, m, seed):
-        from commscale.spectral import score_cluster
-
+    def failing_at_2(a, m, **kwargs):
         if m == 2:
             raise ClusterError("forced failure")
-        return score_cluster(a, m, seed=seed)
+        return score_cluster(a, m, **kwargs)
 
-    trace = score_select(adj, dist="poisson", method="cbic", m_range=range(1, 4), clusterer=clusterer)
+    monkeypatch.setattr(selection, "score_cluster", failing_at_2)
+    trace = score_select(adj, dist="poisson", method="cbic", m_range=range(1, 4))
     failed = [s for s in trace.steps if s.status == "failed"]
     assert [s.m for s in failed] == [2]
     assert trace.k_hat in (1, 3)
@@ -217,3 +219,66 @@ def test_score_select_requires_known_method():
     adj, _ = noiseless_adjacency((6, 6))
     with pytest.raises(ValueError):
         score_select(adj, dist="poisson", method="aic")
+
+
+def test_svps_small_network_clamps_to_n_minus_1():
+    # the statistic needs m + 1 <= n, so a 10-node network is tested at m <= 9
+    trace = svps_select(WeightedAdjacency(np.zeros((10, 10))), restarts=3)
+    assert [s.m for s in trace.steps] == list(range(1, 10))
+    assert all(s.status == "failed" for s in trace.steps)
+    assert trace.k_hat is None and not trace.stopped
+
+
+def test_score_select_small_network_clamps_to_n():
+    adj = WeightedAdjacency(np.zeros((10, 10)))
+    for method in ("cbic", "icl"):
+        trace = score_select(adj, dist="poisson", method=method, m_range=range(1, 13), restarts=3)
+        assert [s.m for s in trace.steps] == list(range(1, 11))
+        assert trace.k_hat is None
+
+
+def test_select_requires_a_law_for_likelihood_selectors():
+    adj, _ = sampled_counts((6, 6))
+    with pytest.raises(ValueError, match="likelihood"):
+        select(adj, MethodSpec("cbic"))
+
+
+def test_select_matches_direct_calls():
+    # select adds no behaviour of its own: every cell of the Les Miserables
+    # grid and every method of the simulation panel gives the same trace
+    # as the selector called directly with the same arguments
+    restarts = 5
+    lesmis = load_lesmis()
+    flat = binarize(lesmis)
+    for clusterer in ("score", "rsc"):
+        for tau in (0.05, 0.1, 0.25, 0.5):
+            adj = regularize(lesmis, tau)
+            got = select(adj, MethodSpec("svps", clusterer), seed=1, restarts=restarts)
+            want = svps_select(adj, epsilon=0.05, m_max=12, clusterer=clusterer, seed=1, restarts=restarts)
+            assert got.to_csv() == want.to_csv()
+        grid = [(lesmis, "poisson")] + ([(flat, "bernoulli")] if clusterer == "score" else [])
+        for adj, dist in grid:
+            for method in ("cbic", "icl"):
+                got = select(adj, MethodSpec(method, clusterer), dist=dist, seed=1, restarts=restarts)
+                want = score_select(
+                    adj, dist=dist, method=method, m_range=range(1, 11),
+                    clusterer=clusterer, seed=1, restarts=restarts,
+                )
+                assert got.to_csv() == want.to_csv()
+
+    k = 3
+    adj, _ = sampled_counts((20, 30, 25))
+    dist = EdgeDistribution("poisson")
+    for selector in ("svps", "cbic", "icl"):
+        for clusterer in ("score", "rsc"):
+            spec = MethodSpec(selector, clusterer)
+            if selector == "svps":
+                m_max = max(12, k + 4)
+                want = svps_select(adj, epsilon=spec.epsilon, m_max=m_max, clusterer=clusterer,
+                                   seed=2, restarts=restarts)
+            else:
+                m_max = k + 4
+                want = score_select(adj, dist=dist, method=selector, m_range=range(1, m_max + 1),
+                                    clusterer=clusterer, seed=2, lam=spec.lam, restarts=restarts)
+            got = select(adj, spec, dist=dist, m_max=m_max, seed=2, restarts=restarts)
+            assert got.to_csv() == want.to_csv()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -165,7 +166,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AccuracyTable:
     tasks = [(k, rep) for k in config.k_list for rep in range(config.replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate_star, [(config, k, rep) for k, rep in tasks], chunksize=4))
+            ks, reps = zip(*tasks)
+            results = list(pool.map(_replicate, repeat(config), ks, reps, chunksize=4))
     else:
         results = [_replicate(config, k, rep) for k, rep in tasks]
     by_key = dict(zip(tasks, results))
@@ -181,29 +183,21 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AccuracyTable:
     return AccuracyTable(rows=tuple(rows))
 
 
-def _replicate_star(args):
-    return _replicate(*args)
-
-
 def run_lesmis(
     adj: WeightedAdjacency,
     tau_list=(0.05, 0.1, 0.25, 0.5),
     seed: int = 0,
     epsilon: float = 0.05,
-    score_m_range=range(1, 11),
+    score_m_max: int = 10,
 ) -> LesmisTable:
     """The weighted-network study grid.
 
     For each clusterer: the sequential test on the regularized matrix at
     every tau, then CBIC and ICL on the raw weighted matrix with poisson
     likelihood, then CBIC and ICL on the binarized matrix with bernoulli
-    likelihood. CBIC and ICL evaluate m = 1..max(score_m_range), so
-    score_m_range must start at 1 and be contiguous. Cells that fail
-    record an empty estimate.
+    likelihood. CBIC and ICL evaluate m = 1..score_m_max. Cells that
+    fail record an empty estimate.
     """
-    score_m_max = max(score_m_range)
-    if list(score_m_range) != list(range(1, score_m_max + 1)):
-        raise ValueError(f"score_m_range must be 1..m, got {score_m_range!r}")
     grid = []  # (network, spec, likelihood, m_max, variant); m_max None is svps's 12
     for clusterer in ("score", "rsc"):
         svps = MethodSpec("svps", clusterer, epsilon=epsilon)

@@ -16,12 +16,14 @@ import numpy as np
 
 from . import bench as bench_mod
 from .datasets import load_lesmis
-from .fitting import FitError, fit_step
+from .fitting import FitError
 from .model import EDGE_LAWS, VarianceFunction, make_rng, mean_matrix, sample_network, simulation_params
-from .network import EdgeListError, EdgeListFormat, binarize, load_edge_list, regularize, write_edge_list
+from .network import (
+    EdgeListError, EdgeListFormat, binarize, load_edge_list, open_text, regularize, write_edge_list,
+)
 from .scaling import ScalingError, sinkhorn_symmetric
-from .selection import MethodSpec, select
-from .spectral import ClusterError, rsc_cluster, score_cluster
+from .selection import MethodSpec, _cluster_and_fit, select
+from .spectral import ClusterError
 
 __all__ = ["main"]
 
@@ -145,6 +147,8 @@ def _validate(args) -> None:
             raise UsageError("commscale select: --epsilon must be positive")
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         raise UsageError("commscale select: --kmax must be >= 1")
+    if getattr(args, "command", None) == "fit" and args.m < 1:
+        raise UsageError("commscale fit: --m must be >= 1")
 
 
 def _load_network(args):
@@ -162,7 +166,7 @@ def _say(args, message: str) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
+    with open_text(path, "w") as stream:
         stream.write(text)
 
 
@@ -183,15 +187,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    adj = _load_network(args)
-    seed = _resolve_seed(args)
-    if args.m < 1:
-        raise UsageError("commscale fit: --m must be >= 1")
-    if args.cluster == "score":
-        assignment = score_cluster(adj, args.m, seed=seed, restarts=args.kmeans_restarts)
-    else:
-        assignment = rsc_cluster(adj, args.m, seed=seed, restarts=args.kmeans_restarts)
-    fitted = fit_step(adj, assignment)
+    fitted = _cluster_and_fit(
+        _load_network(args), args.m, args.cluster, _resolve_seed(args), args.kmeans_restarts
+    )
     if args.out:
         lines = ["quantity,i,j,value"]
         for i, value in enumerate(fitted.theta):
@@ -267,9 +265,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (EdgeListError, FitError, ClusterError, ScalingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

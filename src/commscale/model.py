@@ -22,7 +22,6 @@ __all__ = [
     "simulation_params",
     "sample_network",
     "make_rng",
-    "THETA_MIXTURE",
 ]
 
 # theta mixture of the simulation recipe: Uniform(0.6, 1.4) w.p. 0.8,
@@ -76,10 +75,11 @@ class EdgeDistribution:
     """Edge-weight law used for sampling and likelihoods.
 
     kind is "poisson", "binomial" or "negative_binomial"; the latter two
-    use a fixed trial count of 5 as in the simulation recipes. The
-    negative binomial with mean parameter mu counts failures before the
-    5th success with success probability 1 - mu/5, so its actual mean is
-    mu / (1 - mu/5): a deliberate mean mismatch.
+    use the trial count trials (default 5, as in the simulation
+    recipes). The negative binomial with mean parameter mu counts
+    failures before the trials-th success with success probability
+    1 - mu/trials, so its actual mean is mu / (1 - mu/trials): a
+    deliberate mean mismatch.
     """
 
     kind: str
@@ -220,10 +220,10 @@ def sample_network(
 ) -> WeightedAdjacency:
     """Sample the upper triangle (incl. diagonal) and mirror it.
 
-    poisson draws Poisson(M_ij); binomial draws Binom(5, M_ij/5) and
-    requires max M <= 5; negative_binomial counts failures before the
-    5th success with success probability 1 - M_ij/5 and requires
-    max M < 5.
+    poisson draws Poisson(M_ij); binomial draws Binom(t, M_ij/t) and
+    requires max M <= t; negative_binomial counts failures before the
+    t-th success with success probability 1 - M_ij/t and requires
+    max M < t, where t is dist.trials (default 5).
     """
     mean = np.asarray(mean, dtype=float)
     n = mean.shape[0]

@@ -142,9 +142,8 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
     else:
         if ids[0] < 0:
             raise EdgeListError(f"node id {ids[0] + fmt.indexing} below indexing base {fmt.indexing}")
-        contiguous = ids == list(range(ids[-1] + 1))
-        index = {orig: k for k, orig in enumerate(ids)} if not contiguous else {i: i for i in range(ids[-1] + 1)}
-        size = ids[-1] + 1 if contiguous else len(ids)
+        index = {orig: k for k, orig in enumerate(ids)}
+        size = len(ids)
     if size < 2:
         raise EdgeListError("need at least 2 nodes")
 

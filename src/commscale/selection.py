@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .fitting import FitError, FittedStep, fit_step, floor_positive
-from .model import VarianceFunction, edge_law
+from .model import EdgeDistribution, VarianceFunction, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
 from .spectral import Assignment, ClusterError, rsc_cluster, score_cluster
@@ -32,7 +32,6 @@ __all__ = [
     "log_likelihood",
     "cbic_score",
     "icl_score",
-    "select_by_score",
     "score_select",
     "select",
 ]
@@ -78,7 +77,11 @@ class SelectionTrace:
     steps: tuple[StepRecord, ...]
     k_hat: int | None
     threshold: float | None = None  # svps only
-    stopped: bool = False  # svps: threshold crossed before m_max
+
+    @property
+    def stopped(self) -> bool:
+        """svps: the threshold was crossed at some m <= m_max."""
+        return self.threshold is not None and self.k_hat is not None
 
     def to_csv(self) -> str:
         lines = ["method,m,value,status,selected"]
@@ -102,12 +105,21 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     return float(mags[fitted.m])
 
 
-def _make_clusterer(clusterer, restarts):
+def _cluster_and_fit(
+    adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, variance_fn=None
+) -> FittedStep:
+    """Cluster adj into m groups with the named spectral method, then fit.
+
+    The clusterers and fit_step are looked up in this module at call
+    time, so a wrapper installed on these attributes sees every step.
+    """
     if clusterer == "score":
-        return lambda adj, m, seed: score_cluster(adj, m, seed=seed, restarts=restarts)
-    if clusterer == "rsc":
-        return lambda adj, m, seed: rsc_cluster(adj, m, seed=seed, restarts=restarts)
-    raise ValueError(f"unknown clusterer {clusterer!r}")
+        cluster = score_cluster
+    elif clusterer == "rsc":
+        cluster = rsc_cluster
+    else:
+        raise ValueError(f"unknown clusterer {clusterer!r}")
+    return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
 
 
 def svps_select(
@@ -130,17 +142,12 @@ def svps_select(
         raise ValueError("epsilon must be positive")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if variance_fn is None:
-        variance_fn = VarianceFunction.identity()
-    cluster = _make_clusterer(clusterer, restarts)
     threshold = 2.0 + epsilon
     steps = []
     k_hat = None
-    stopped = False
     for m in range(1, min(m_max, adj.n - 1) + 1):
         try:
-            assignment = cluster(adj, m, seed)
-            fitted = fit_step(adj, assignment, variance_fn)
+            fitted = _cluster_and_fit(adj, m, clusterer, seed, restarts, variance_fn)
             value = svps_statistic(adj, fitted)
         except (FitError, ClusterError, ScalingError) as exc:
             steps.append(StepRecord(m=m, value=math.inf, status="failed", note=str(exc)))
@@ -148,22 +155,21 @@ def svps_select(
         steps.append(StepRecord(m=m, value=value, status="ok"))
         if value < threshold:
             k_hat = m
-            stopped = True
             break
-    return SelectionTrace(
-        method="svps", steps=tuple(steps), k_hat=k_hat, threshold=threshold, stopped=stopped
-    )
+    return SelectionTrace(method="svps", steps=tuple(steps), k_hat=k_hat, threshold=threshold)
 
 
-def _check_counts(values: np.ndarray, what: str, upper: int | None = None) -> np.ndarray:
+def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
+    """values as integer counts, or ValueError when they leave law's support."""
+    what = law.kind.replace("_", " ")
     rounded = np.round(values)
     if not np.allclose(values, rounded, rtol=0, atol=1e-9):
         raise ValueError(f"{what} likelihood needs integer weights")
     counts = rounded.astype(int)
     if (counts < 0).any():
         raise ValueError(f"{what} likelihood needs nonnegative weights")
-    if upper is not None and (counts > upper).any():
-        raise ValueError(f"{what} likelihood needs weights <= {upper}")
+    if law.kind == "binomial" and (counts > law.trials).any():
+        raise ValueError(f"{what} likelihood needs weights <= {law.trials}")
     return counts
 
 
@@ -179,18 +185,15 @@ def log_likelihood(adj: np.ndarray, mean: np.ndarray, dist) -> float:
     likelihood.
     """
     law = edge_law(dist)
-    a = np.asarray(adj, dtype=float)
+    counts = _support_counts(np.asarray(adj, dtype=float), law)
     mu = floor_positive(np.asarray(mean, dtype=float))
     trials = law.trials
     cap = 1.0 - 1e-8
     if law.kind == "poisson":
-        counts = _check_counts(a, "poisson")
         terms = stats.poisson.logpmf(counts, mu)
     elif law.kind == "binomial":
-        counts = _check_counts(a, "binomial", upper=trials)
         terms = stats.binom.logpmf(counts, trials, np.minimum(mu / trials, cap))
     else:
-        counts = _check_counts(a, "negative binomial")
         terms = stats.nbinom.logpmf(counts, trials, 1.0 - np.minimum(mu / trials, cap))
     return float(terms.sum())
 
@@ -241,17 +244,21 @@ def score_select(
 
     Degenerate fits are recorded as failed and excluded from the argmax.
     The likelihood distribution is a required choice; there is no
-    default law.
+    default law. Weights outside the law's support raise FitError
+    before any clustering.
     """
     if method not in ("cbic", "icl"):
         raise ValueError(f"method must be cbic or icl, got {method!r}")
-    cluster = _make_clusterer(clusterer, restarts)
+    dist = edge_law(dist)
+    try:
+        _support_counts(adj.weights, dist)
+    except ValueError as exc:
+        raise FitError(str(exc)) from None
     steps = []
     usable = []
     for m in [m for m in m_range if m <= adj.n]:
         try:
-            assignment = cluster(adj, m, seed)
-            fitted = fit_step(adj, assignment, VarianceFunction.identity())
+            fitted = _cluster_and_fit(adj, m, clusterer, seed, restarts)
             if method == "cbic":
                 value = cbic_score(adj, fitted, dist, lam=lam)
             else:

@@ -19,7 +19,6 @@ __all__ = [
     "ClusterError",
     "leading_eigpairs",
     "kmeans",
-    "score_ratios",
     "score_cluster",
     "rsc_cluster",
 ]

@@ -17,6 +17,7 @@ from commscale.bench import (
 from commscale.datasets import load_lesmis
 from commscale.fitting import FitError
 from commscale.model import EdgeDistribution
+from commscale.network import WeightedAdjacency
 
 
 def small_config(**overrides):
@@ -137,7 +138,7 @@ def test_emit_csv_shape_and_determinism(tmp_path):
 
 
 def test_run_lesmis_grid_layout():
-    table = run_lesmis(load_lesmis(), tau_list=(0.1,), seed=0, score_m_range=range(1, 5))
+    table = run_lesmis(load_lesmis(), tau_list=(0.1,), seed=0, score_m_max=4)
     keys = [(r[0], r[1], r[2]) for r in table.rows]
     assert keys == [
         ("score", "svps", "tau=0.1"),
@@ -152,6 +153,17 @@ def test_run_lesmis_grid_layout():
     assert table.rows[0][3] == 6
 
 
+def test_run_lesmis_non_integer_weights_empty_only_the_weighted_likelihood_cells():
+    half = WeightedAdjacency(load_lesmis().weights / 2)
+    table = run_lesmis(half, tau_list=(0.1,), score_m_max=3)
+    assert len(table.rows) == 8
+    for clusterer, selector, variant, k_hat in table.rows:
+        if variant == "weighted":
+            assert k_hat == "", (clusterer, selector)
+        else:
+            assert isinstance(k_hat, int), (clusterer, selector, variant)
+
+
 def test_domain_errors_count_as_failures(monkeypatch):
     def failing(*args, **kwargs):
         raise FitError("forced failure")
@@ -159,7 +171,7 @@ def test_domain_errors_count_as_failures(monkeypatch):
     monkeypatch.setattr(bench, "select", failing)
     table = run_experiment(small_config(replicates=2))
     assert table.rows == ((2, "svps-score-eps0.05", 0.0, 2, "", 2),)
-    table = run_lesmis(load_lesmis(), tau_list=(0.1,), score_m_range=range(1, 3))
+    table = run_lesmis(load_lesmis(), tau_list=(0.1,), score_m_max=2)
     assert len(table.rows) == 8
     assert all(row[3] == "" for row in table.rows)
 

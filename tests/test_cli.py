@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from commscale.cli import main
-from commscale.datasets import lesmis_path
+from commscale.datasets import lesmis_path, load_lesmis
+from commscale.network import WeightedAdjacency, write_edge_list
 
 
 @pytest.fixture()
@@ -85,6 +86,36 @@ def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
     assert sum(1 for l in lines if l.startswith("theta,")) == 77
     assert sum(1 for l in lines if l.startswith("block_matrix,")) == 9
     assert sum(1 for l in lines if l.startswith("block_size,")) == 3
+
+
+@pytest.fixture()
+def half_weights_file(tmp_path):
+    # Les Miserables with every weight halved: outside the poisson support
+    dest = tmp_path / "half.tsv"
+    write_edge_list(WeightedAdjacency(load_lesmis().weights / 2), str(dest))
+    return str(dest)
+
+
+def test_select_likelihood_outside_support_is_data_error(half_weights_file, capsys):
+    code = main(["select", "--method", "cbic", "--input", half_weights_file, "--likelihood", "poisson"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: poisson likelihood needs integer weights\n"
+
+
+def test_bench_lesmis_non_integer_weights_keeps_other_cells(half_weights_file, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code = main(["bench", "lesmis", "--input", half_weights_file, "--tau", "0.1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "cells=8\n"
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    for clusterer, selector, variant, k_hat in rows:
+        assert (k_hat == "") == (variant == "weighted"), (clusterer, selector, variant)
+
+
+def test_fit_m_below_one_is_usage_error(lesmis_file, capsys):
+    assert main(["fit", "--input", lesmis_file, "--m", "0"]) == 1
+    assert capsys.readouterr().err == "commscale fit: --m must be >= 1\n"
 
 
 def test_simulate_round_trip(tmp_path, capsys):

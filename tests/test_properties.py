@@ -1,0 +1,94 @@
+"""Property tests: edge-list round trips, relabelling invariance, isolated nodes."""
+
+import io
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commscale.datasets import load_lesmis
+from commscale.fitting import fit_step
+from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
+from commscale.network import EdgeListFormat, WeightedAdjacency, load_edge_list, write_edge_list
+from commscale.selection import score_select, svps_select, svps_statistic
+from commscale.spectral import Assignment
+
+weights = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
+# the chain's weights are positive: an all-zero network writes an empty file
+positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def edge_lists(draw):
+    """(indexing, ids, records): a chain through every id plus extra records."""
+    indexing = draw(st.sampled_from([0, 1]))
+    ids = sorted(draw(st.sets(st.integers(indexing, indexing + 30), min_size=2, max_size=8)))
+    records = [(u, v, draw(positive)) for u, v in zip(ids, ids[1:])]
+    records += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), weights), max_size=12))
+    return indexing, ids, draw(st.permutations(records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_edge_list_write_then_load_is_exact(case):
+    indexing, ids, records = case
+    fmt = EdgeListFormat(indexing=indexing)
+    text = "".join(f"{u} {v} {w!r}\n" for u, v, w in records)
+    adj = load_edge_list(io.StringIO(text), fmt)
+    # ids are relabelled 0..n-1 in numeric order, gaps or not
+    index = {orig: k for k, orig in enumerate(ids)}
+    expected = np.zeros((len(ids), len(ids)))
+    for u, v, w in records:
+        i, j = index[u], index[v]
+        expected[i, j] += w
+        if i != j:
+            expected[j, i] += w
+    assert adj.node_names == tuple(str(i) for i in ids)
+    assert np.array_equal(adj.weights, expected)
+    buf = io.StringIO()
+    write_edge_list(adj, buf, fmt)
+    again = load_edge_list(io.StringIO(buf.getvalue()), fmt, n=adj.n)
+    assert np.array_equal(again.weights, adj.weights)
+
+
+def sampled_network(seed, k):
+    rng = make_rng(np.random.SeedSequence((seed, k)))
+    model = simulation_params(k, 0.3, 3, (12, 15, 18), rng)
+    adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
+    return adj, Assignment(model.labels, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from([2, 3]), data=st.data())
+def test_fit_and_statistic_invariant_under_relabelling(seed, k, data):
+    adj, assignment = sampled_network(seed, k)
+    perm = np.array(data.draw(st.permutations(range(adj.n))))
+    moved = WeightedAdjacency(adj.weights[np.ix_(perm, perm)])
+    moved_assignment = Assignment(assignment.labels[perm], k)
+    fitted = fit_step(adj, assignment)
+    refit = fit_step(moved, moved_assignment)
+    np.testing.assert_allclose(refit.theta, fitted.theta[perm], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(refit.block_matrix, fitted.block_matrix, rtol=1e-12, atol=0)
+    for name in ("mean", "variance"):
+        np.testing.assert_allclose(
+            getattr(refit, name), getattr(fitted, name)[np.ix_(perm, perm)], rtol=1e-12, atol=0
+        )
+    value = svps_statistic(adj, fitted)
+    assert abs(svps_statistic(moved, refit) - value) <= 1e-8 * abs(value)
+
+
+@settings(max_examples=6, deadline=None)
+@given(pad=st.integers(1, 3), clusterer=st.sampled_from(["score", "rsc"]), seed=st.integers(0, 100))
+def test_isolated_nodes_never_raise(pad, clusterer, seed):
+    w = load_lesmis().weights
+    n = w.shape[0] + pad
+    padded = np.zeros((n, n))
+    padded[: w.shape[0], : w.shape[0]] = w
+    adj = WeightedAdjacency(padded)
+    # degenerate steps are recorded as typed failures, never raised
+    for trace in (
+        svps_select(adj, clusterer=clusterer, seed=seed, restarts=3),
+        score_select(adj, "poisson", clusterer=clusterer, seed=seed, restarts=3),
+    ):
+        assert trace.steps
+        assert all(step.status == "ok" or step.note for step in trace.steps)

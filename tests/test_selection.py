@@ -5,7 +5,7 @@ import pytest
 
 from commscale import selection
 from commscale.datasets import load_lesmis
-from commscale.fitting import fit_step
+from commscale.fitting import FitError, fit_step
 from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
 from commscale.network import WeightedAdjacency, binarize, regularize
 from commscale.selection import (
@@ -74,6 +74,20 @@ def test_likelihood_support_errors():
         log_likelihood(np.array([[2.0]]), np.array([[0.5]]), "bernoulli")
     with pytest.raises(ValueError, match="unknown"):
         log_likelihood(np.array([[1.0]]), np.array([[1.0]]), "gamma")
+
+
+def test_score_select_checks_the_law_before_clustering(monkeypatch):
+    # weights outside the law's support are a typed failure of the whole
+    # selection, raised before any step is clustered
+    def unreachable(*args, **kwargs):
+        raise AssertionError("clustered despite weights outside the law")
+
+    monkeypatch.setattr(selection, "score_cluster", unreachable)
+    half = WeightedAdjacency(load_lesmis().weights / 2)
+    with pytest.raises(FitError, match="poisson likelihood needs integer weights"):
+        score_select(half, dist="poisson")
+    with pytest.raises(FitError, match="binomial likelihood needs weights <= 1"):
+        score_select(load_lesmis(), dist="bernoulli", method="icl")
 
 
 def test_likelihood_caps_boundary_means():

@@ -2,14 +2,23 @@
 
 perfbench/tracer.py wraps module attributes by name and skips a name it
 cannot find, so a rename in the package would silently shrink the
-benchmark's layer coverage. This test fails on such a rename instead.
+benchmark's layer coverage. The first test fails on such a rename
+instead; the second checks that every caller of the cluster-and-fit
+step still reaches the wrapped attributes at call time.
 """
 
 import importlib.util
+import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import commscale
+from commscale import selection
+from commscale.cli import main
+from commscale.datasets import lesmis_path, load_lesmis
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +44,44 @@ def test_every_trace_target_resolves():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"commscale.{module}.{attr}" if module else f"commscale.{attr}")
     assert missing == []
+
+
+# the layers the benchmark's "spectral.cluster" and "fitting.fit" spans wrap
+STEP_LAYERS = ("score_cluster", "rsc_cluster", "fit_step")
+
+
+@pytest.mark.parametrize("clusterer", ["score", "rsc"])
+def test_every_caller_goes_through_the_wrapped_step_layers(clusterer, monkeypatch, tmp_path):
+    # a name bound at import time would keep resolving in the test above
+    # while calls bypassed the wrapper; count what the wrappers really see
+    wrapped = {(module, attr) for module, attr, _ in load_tracer().TARGETS}
+    assert {("selection", attr) for attr in STEP_LAYERS} <= wrapped
+    calls = Counter()
+    for attr in STEP_LAYERS:
+        original = getattr(selection, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(selection, attr, counting)
+    adj = load_lesmis()
+    path = tmp_path / "lesmis.tsv"
+    shutil.copy(lesmis_path(), path)
+    callers = {
+        "svps_select": lambda: selection.svps_select(adj, m_max=2, clusterer=clusterer, restarts=2),
+        "score_select": lambda: selection.score_select(
+            adj, "poisson", m_range=range(1, 3), clusterer=clusterer, restarts=2
+        ),
+        "fit": lambda: main(
+            ["fit", "--input", str(path), "--m", "2", "--cluster", clusterer,
+             "--kmeans-restarts", "2", "--quiet"]
+        ),
+    }
+    other = "rsc_cluster" if clusterer == "score" else "score_cluster"
+    for caller, run in callers.items():
+        calls.clear()
+        run()
+        assert calls[f"{clusterer}_cluster"] >= 1, caller
+        assert calls["fit_step"] == calls[f"{clusterer}_cluster"], caller
+        assert calls[other] == 0, caller

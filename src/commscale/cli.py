@@ -149,6 +149,8 @@ def _validate(args) -> None:
         raise UsageError("commscale select: --kmax must be >= 1")
     if getattr(args, "command", None) == "fit" and args.m < 1:
         raise UsageError("commscale fit: --m must be >= 1")
+    if getattr(args, "kmeans_restarts", 1) < 1:
+        raise UsageError(f"commscale {args.command}: --kmeans-restarts must be >= 1")
 
 
 def _load_network(args):

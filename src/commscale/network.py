@@ -108,7 +108,8 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
     preserving numeric order, and the original ids are kept as node
     names. Self-loop records set the diagonal once (no mirror
     double-counting). Pass ``n`` to declare the node count up front, in
-    which case out-of-range ids are an error.
+    which case out-of-range ids are an error and a list with no records
+    is the all-zero network on n nodes; without ``n`` it is an error.
     """
     records = []
     with open_text(source) as stream:
@@ -129,7 +130,7 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
             if w < 0:
                 raise EdgeListError(f"line {lineno}: negative weight {w}")
             records.append((lineno, u - fmt.indexing, v - fmt.indexing, w))
-    if not records:
+    if not records and n is None:
         raise EdgeListError("empty edge list")
 
     ids = sorted({u for _, u, _, _ in records} | {v for _, _, v, _ in records})

@@ -3,6 +3,11 @@
 Eigendecompositions are full dense symmetric solves; at the network
 sizes handled here that is cheaper and more robust near eigenvalue
 multiplicities than iterative solvers.
+
+k-means runs all of its k-means++ restarts together as (restarts, n, m)
+array operations. Each restart still draws from its own generator
+spawned from the seed and stops at its own convergence test, so its
+labels are those it would reach alone.
 """
 
 from __future__ import annotations
@@ -104,66 +109,99 @@ def leading_eigpairs(matrix: np.ndarray, m: int) -> EigPairs:
     return EigPairs(vals, vecs)
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2
+def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(r, m, d) k-means++ starts, one restart per generator.
 
-
-def _plusplus_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    Each generator draws what Generator.choice(n, p=d2 / total) would:
+    one random() mapped through the normalized cumulative sum, or
+    integers(n) when every row sits on a centre already.
+    """
     n = x.shape[0]
-    centers = np.empty((m, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), m, x.shape[1]))
+    centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    d2 = ((x - centers[:, 0, None, :]) ** 2).sum(axis=2)
     for k in range(1, m):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers[k] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[k]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        spread = total > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        draws = np.array([rng.random() if s else rng.integers(n) for rng, s in zip(rngs, spread)])
+        # a uniform draw u picks cdf.searchsorted(u, side="right"), the
+        # count of entries <= u; an integer draw is the index itself
+        idx = np.where(spread, (cdf <= draws[:, None]).sum(axis=1), draws.astype(np.intp))
+        centers[:, k] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[:, k, None, :]) ** 2).sum(axis=2))
     return centers
 
 
-def _lloyd(x, m, rng):
-    """One restart. Returns (wcss, labels) or None if a cluster emptied."""
-    n = x.shape[0]
-    centers = _plusplus_init(x, m, rng)
-    prev = np.inf
+def _assign(x: np.ndarray, centers: np.ndarray):
+    """Per restart: nearest-centre labels (r, n), their squared distances
+    (r, n) and the cluster sizes (r, m). Distance ties go to the lower
+    centre index.
+
+    Distances are built one (r, n, d) slab per centre, so each is summed
+    over the coordinates exactly as ((x - c) ** 2).sum() of one row is.
+    """
+    r, m, _ = centers.shape
+    d2 = np.empty((r, x.shape[0], m))
+    for k in range(m):
+        d2[:, :, k] = ((x - centers[:, k, None, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=2)
+    point_d2 = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+    bins = labels + m * np.arange(r)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=r * m).reshape(r, m)
+    return labels, point_d2, counts
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
+    """Lloyd's algorithm on every restart at once, updating centers in place.
+
+    A restart leaves the batch at its own convergence test and its
+    centres are not touched again. A restart whose assignment empties a
+    cluster reseeds each empty one at its farthest remaining point and
+    spends the iteration on that, as a single run would.
+    """
+    n, d = x.shape
+    r, m, _ = centers.shape
+    prev = np.full(r, np.inf)
+    active = np.arange(r)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists(x, centers)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), labels]
-        counts = np.bincount(labels, minlength=m)
-        if (counts == 0).any():
-            # reseed each empty cluster at the point farthest from its center
-            pd = point_d2.copy()
-            for k in np.flatnonzero(counts == 0):
-                far = int(pd.argmax())
-                centers[k] = x[far]
-                pd[far] = -1.0
-            continue
-        wcss = point_d2.sum()
-        for k in range(m):
-            centers[k] = x[labels == k].mean(axis=0)
-        if prev - wcss <= KMEANS_TOL * max(wcss, np.finfo(float).tiny):
+        if active.size == 0:
             break
-        prev = wcss
-    d2 = _sq_dists(x, centers)
-    labels = d2.argmin(axis=1)
-    if (np.bincount(labels, minlength=m) == 0).any():
-        return None
-    wcss = d2[np.arange(n), labels].sum()
-    return wcss, labels
+        batch = centers[active]
+        labels, point_d2, counts = _assign(x, batch)
+        empty = (counts == 0).any(axis=1)
+        # reseed each empty cluster at the point farthest from its centre
+        for i in np.flatnonzero(empty):
+            pd = point_d2[i].copy()
+            for k in np.flatnonzero(counts[i] == 0):
+                far = int(pd.argmax())
+                batch[i, k] = x[far]
+                pd[far] = -1.0
+        full = ~empty
+        # one bin per (restart, cluster, coordinate); bincount adds the rows
+        # in order, as x[labels == k].sum(axis=0) does
+        a = len(active)
+        cells = (labels + m * np.arange(a)[:, None])[:, :, None] * d + np.arange(d)
+        sums = np.bincount(cells.ravel(), np.broadcast_to(x, (a, n, d)).ravel(), a * m * d)
+        batch[full] = sums.reshape(a, m, d)[full] / counts[full][:, :, None]
+        wcss = point_d2.sum(axis=1)
+        converged = full & (prev[active] - wcss <= KMEANS_TOL * np.maximum(wcss, np.finfo(float).tiny))
+        prev[active[full]] = wcss[full]
+        centers[active] = batch
+        active = active[~converged]
 
 
 def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     """k-means with k-means++ starts; best of ``restarts`` runs by WCSS.
 
-    Deterministic given the seed; WCSS ties keep the lowest restart
-    index. Raises ClusterError if every restart ends with an empty
-    cluster, which can only happen when m exceeds the number of distinct
-    rows.
+    The restarts run as one batch, each drawing from its own generator
+    spawned from ``SeedSequence(seed)``, so the result does not depend on
+    the batching. Deterministic given the seed; WCSS ties keep the lowest
+    restart index. Raises ClusterError if every restart ends with an
+    empty cluster, which can only happen when m exceeds the number of
+    distinct rows.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
@@ -171,19 +209,20 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        result = _lloyd(x, m, rng)
-        if result is None:
-            continue
-        if best is None or result[0] < best[0]:
-            best = result
-    if best is None:
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    centers = _plusplus_init(x, m, rngs)
+    _lloyd(x, centers)
+    labels, point_d2, counts = _assign(x, centers)
+    valid = np.flatnonzero((counts > 0).all(axis=1))
+    if valid.size == 0:
         raise ClusterError(f"every k-means restart left one of {m} clusters empty")
-    return Assignment(best[1], m)
+    wcss = point_d2[valid].sum(axis=1)
+    best = valid[wcss.argmin()]
+    return Assignment(labels[best], m)
 
 
 def score_ratios(matrix: np.ndarray, m: int) -> np.ndarray:

@@ -118,6 +118,16 @@ def test_fit_m_below_one_is_usage_error(lesmis_file, capsys):
     assert capsys.readouterr().err == "commscale fit: --m must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", [["select"], ["fit", "--m", "3"]])
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_kmeans_restarts_below_one_is_usage_error(lesmis_file, capsys, command, restarts):
+    args = [*command, "--input", lesmis_file, "--kmeans-restarts", restarts]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"commscale {command[0]}: --kmeans-restarts must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     out = tmp_path / "sim.tsv"
     args = [

@@ -70,6 +70,25 @@ def test_declared_n_range_check():
         load_edge_list(io.StringIO("0 3 1\n"), n=2)
 
 
+def test_empty_list_needs_declared_n():
+    adj = load_edge_list(io.StringIO("# no records\n\n"), EdgeListFormat(indexing=1), n=3)
+    assert np.array_equal(adj.weights, np.zeros((3, 3)))
+    assert adj.node_names == ("1", "2", "3")
+    with pytest.raises(EdgeListError, match="empty edge list"):
+        load_edge_list(io.StringIO("# no records\n"))
+    with pytest.raises(EdgeListError, match="at least 2 nodes"):
+        load_edge_list(io.StringIO(""), n=1)
+
+
+def test_all_zero_network_round_trips():
+    adj = WeightedAdjacency(np.zeros((4, 4)))
+    buf = io.StringIO()
+    write_edge_list(adj, buf)
+    assert buf.getvalue() == ""
+    again = load_edge_list(io.StringIO(buf.getvalue()), n=4)
+    assert np.array_equal(again.weights, adj.weights)
+
+
 def test_noncontiguous_ids_relabel_and_keep_names():
     adj = load_edge_list(io.StringIO("10 30 1\n30 20 2\n"))
     assert adj.n == 3

@@ -3,7 +3,7 @@
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale.datasets import load_lesmis
@@ -14,22 +14,26 @@ from commscale.selection import score_select, svps_select, svps_statistic
 from commscale.spectral import Assignment
 
 weights = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
-# the chain's weights are positive: an all-zero network writes an empty file
-positive = st.floats(min_value=1e-6, max_value=1e6)
 
 
 @st.composite
 def edge_lists(draw):
-    """(indexing, ids, records): a chain through every id plus extra records."""
+    """(indexing, ids, records): a chain through every id plus extra records.
+
+    Any weight may be zero, all of them included: the written list of an
+    all-zero network is empty and loads back through the declared n.
+    """
     indexing = draw(st.sampled_from([0, 1]))
     ids = sorted(draw(st.sets(st.integers(indexing, indexing + 30), min_size=2, max_size=8)))
-    records = [(u, v, draw(positive)) for u, v in zip(ids, ids[1:])]
+    records = [(u, v, draw(weights)) for u, v in zip(ids, ids[1:])]
     records += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), weights), max_size=12))
     return indexing, ids, draw(st.permutations(records))
 
 
 @settings(max_examples=60, deadline=None)
 @given(edge_lists())
+@example((0, [0, 1], [(0, 1, 0.0)]))
+@example((1, [2, 5, 9], [(5, 9, 0.0), (2, 5, 0.0), (9, 9, 0.0)]))
 def test_edge_list_write_then_load_is_exact(case):
     indexing, ids, records = case
     fmt = EdgeListFormat(indexing=indexing)

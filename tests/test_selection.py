@@ -251,6 +251,15 @@ def test_score_select_small_network_clamps_to_n():
         assert trace.k_hat is None
 
 
+def test_selectors_reject_fewer_than_one_restart():
+    # a bad argument, not a failed step at every m
+    adj = load_lesmis()
+    with pytest.raises(ValueError, match="restarts"):
+        svps_select(adj, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        score_select(adj, dist="poisson", method="cbic", clusterer="rsc", restarts=0)
+
+
 def test_select_requires_a_law_for_likelihood_selectors():
     adj, _ = sampled_counts((6, 6))
     with pytest.raises(ValueError, match="likelihood"):

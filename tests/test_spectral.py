@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from commscale import spectral
+from commscale.datasets import load_lesmis
 from commscale.model import make_rng
 from commscale.network import WeightedAdjacency
 from commscale.spectral import (
@@ -187,3 +189,143 @@ def test_cluster_seed_changes_are_contained():
     adj, labels = block_adjacency((10, 14))
     for seed in range(4):
         assert same_partition(labels, score_cluster(adj, 2, seed=seed).labels)
+
+
+def test_kmeans_rejects_fewer_than_one_restart():
+    pts = np.arange(8.0).reshape(4, 2)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, 2, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, 1, restarts=restarts)
+
+
+# Sequential k-means, one restart at a time, drawing k-means++ centres with
+# Generator.choice: the reference the batched kmeans must reproduce label
+# for label.
+
+def reference_plusplus_init(x, m, rng):
+    n = x.shape[0]
+    centers = np.empty((m, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, m):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[k] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[k]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_lloyd(x, m, rng, reseeds):
+    """One restart: (wcss, labels), or None if a cluster emptied."""
+    n = x.shape[0]
+    centers = reference_plusplus_init(x, m, rng)
+    prev = np.inf
+    for _ in range(spectral.KMEANS_MAX_ITER):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=m)
+        if (counts == 0).any():
+            reseeds.append(m)
+            pd = point_d2.copy()
+            for k in np.flatnonzero(counts == 0):
+                far = int(pd.argmax())
+                centers[k] = x[far]
+                pd[far] = -1.0
+            continue
+        wcss = point_d2.sum()
+        for k in range(m):
+            centers[k] = x[labels == k].mean(axis=0)
+        if prev - wcss <= spectral.KMEANS_TOL * max(wcss, np.finfo(float).tiny):
+            break
+        prev = wcss
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    if (np.bincount(labels, minlength=m) == 0).any():
+        return None
+    return d2[np.arange(n), labels].sum(), labels
+
+
+def assert_kmeans_matches_reference(rows, m, seed=0, restarts=50):
+    """Same labels in every restart and the same chosen Assignment.
+
+    Returns the number of empty-cluster reseeds the reference made.
+    """
+    x = np.asarray(rows, dtype=float)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    reseeds = []
+    ref = [reference_lloyd(x, m, np.random.default_rng(c), reseeds) for c in children]
+
+    centers = spectral._plusplus_init(x, m, [np.random.default_rng(c) for c in children])
+    spectral._lloyd(x, centers)
+    labels, _, counts = spectral._assign(x, centers)
+    for i, result in enumerate(ref):
+        assert (result is None) == (counts[i] == 0).any(), f"restart {i}"
+        if result is not None:
+            assert np.array_equal(labels[i], result[1]), f"restart {i}"
+
+    best = None
+    for result in ref:
+        if result is not None and (best is None or result[0] < best[0]):
+            best = result
+    if best is None:
+        with pytest.raises(ClusterError):
+            kmeans(rows, m, seed=seed, restarts=restarts)
+    else:
+        assert np.array_equal(kmeans(rows, m, seed=seed, restarts=restarts).labels, best[1])
+    return len(reseeds)
+
+
+@pytest.mark.parametrize("clusterer", [score_cluster, rsc_cluster])
+def test_kmeans_matches_sequential_reference_on_lesmis(clusterer, monkeypatch):
+    calls = []
+    batched = spectral.kmeans
+
+    def recording(rows, m, seed=0, restarts=50):
+        calls.append((np.array(rows), m, seed, restarts))
+        return batched(rows, m, seed=seed, restarts=restarts)
+
+    monkeypatch.setattr(spectral, "kmeans", recording)
+    adj = load_lesmis()
+    for m in range(2, 11):
+        clusterer(adj, m, seed=m)
+    assert [c[1] for c in calls] == list(range(2, 11))
+    # SCORE at m = 2 clusters one column of ratios (d = 1)
+    assert calls[0][0].shape[1] == (1 if clusterer is score_cluster else 2)
+    for rows, m, seed, restarts in calls:
+        assert_kmeans_matches_reference(rows, m, seed=seed, restarts=restarts)
+
+
+def test_kmeans_matches_sequential_reference_in_one_dimension():
+    pts = np.random.default_rng(5).normal(size=(40, 1)) * [[3.0]]
+    for m in (2, 3, 5):
+        assert_kmeans_matches_reference(pts, m, seed=1)
+
+
+def test_kmeans_matches_sequential_reference_through_empty_cluster_reseed():
+    # 27 rows resampled with replacement from 27 points in the plane; at
+    # m = 7 and 8 one restart's Lloyd step empties a cluster
+    rng = np.random.default_rng(18)
+    n, d = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+    pts = rng.standard_normal((n, d))
+    rows = pts[rng.integers(0, n, size=n)]
+    assert len(np.unique(rows, axis=0)) < n
+    assert sum(assert_kmeans_matches_reference(rows, m) for m in (7, 8)) > 0
+
+
+def test_kmeans_matches_sequential_reference_one_row_per_cluster():
+    rows = np.random.default_rng(3).normal(size=(9, 2))
+    assert_kmeans_matches_reference(rows, 9, seed=2, restarts=7)
+    assert sorted(kmeans(rows, 9, seed=2, restarts=7).sizes) == [1] * 9
+
+
+def test_kmeans_matches_sequential_reference_when_every_restart_empties():
+    # three distinct rows cannot fill four clusters
+    rows = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), [4, 3, 5], axis=0)
+    assert assert_kmeans_matches_reference(rows, 4, restarts=5) > 0
+    assert_kmeans_matches_reference(rows, 3, restarts=5)

@@ -1,10 +1,11 @@
 """Estimating the number of communities in weighted networks.
 
-The main entry points are svps_select (sequential spectral test on the
-variance-profile-scaled adjacency) and score_select (penalized
-likelihood baselines), both operating on WeightedAdjacency networks;
-select runs whichever one a MethodSpec names. Each module's __all__ is
-the one list of its public names; the package re-exports them all.
+The entry point is select, which runs the selector a MethodSpec names
+on a WeightedAdjacency network: the sequential spectral test on the
+variance-profile-scaled adjacency (svps) or a penalized-likelihood
+baseline (cbic, icl). svps_select and score_select are shorthands for
+it. Each module's __all__ is the one list of its public names; the
+package re-exports them all.
 """
 
 from . import bench, datasets, fitting, model, network, scaling, selection, spectral

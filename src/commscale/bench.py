@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -24,8 +24,7 @@ from .spectral import ClusterError
 
 __all__ = [
     "ExperimentConfig",
-    "AccuracyTable",
-    "LesmisTable",
+    "Table",
     "parse_config",
     "run_experiment",
     "run_lesmis",
@@ -52,38 +51,39 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if max(self.k_list) > len(self.n_all):
             raise ValueError("k_list exceeds available block sizes")
-        if self.distribution.kind == "binomial":
-            # crude mean cap check: max theta in the mixture is 1.5
-            peak = self.rho * (1 + self.r) * 1.5 * 1.5
-            if peak > self.distribution.trials:
-                raise ValueError(f"binomial mean cap violated: peak mean {peak:g}")
+        # crude mean cap check, as max theta in the mixture is 1.5: sampling
+        # needs max M <= trials (binomial) or max M < trials (negative binomial)
+        law, peak = self.distribution, self.rho * (1 + self.r) * 1.5 * 1.5
+        capped = {"binomial": peak <= law.trials, "negative_binomial": peak < law.trials}
+        if not capped.get(law.kind, True):
+            raise ValueError(f"{law.kind} mean cap violated: peak mean {peak:g}")
+        labels = [spec.label for spec in self.methods]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"methods must have distinct labels, got {labels}")
 
 
 @dataclass(frozen=True)
-class AccuracyTable:
-    header = ("K", "method", "accuracy", "replicates", "mean_khat", "failures")
-    rows: tuple[tuple, ...] = field(default_factory=tuple)
+class Table:
+    """A result table: column names and rows in a stable order."""
 
-
-@dataclass(frozen=True)
-class LesmisTable:
-    header = ("clusterer", "selector", "variant", "k_hat")
-    rows: tuple[tuple, ...] = field(default_factory=tuple)
+    header: tuple[str, ...]
+    rows: tuple[tuple, ...]
 
 
 def _parse_method(tokens, lineno) -> MethodSpec:
     if len(tokens) < 2:
         raise ValueError(f"line {lineno}: method needs 'selector clusterer [key=value]'")
     kwargs = {"selector": tokens[0], "clusterer": tokens[1]}
-    for tok in tokens[2:]:
-        key, _, value = tok.partition("=")
-        if key == "epsilon":
-            kwargs["epsilon"] = float(value)
-        elif key == "lambda":
-            kwargs["lam"] = float(value)
-        else:
-            raise ValueError(f"line {lineno}: unknown method option {tok!r}")
-    return MethodSpec(**kwargs)
+    options = {"epsilon": "epsilon", "lambda": "lam"}
+    try:
+        for tok in tokens[2:]:
+            key, _, value = tok.partition("=")
+            if key not in options:
+                raise ValueError(f"unknown method option {tok!r}")
+            kwargs[options[key]] = float(value)
+        return MethodSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -157,7 +157,7 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AccuracyTable:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Table:
     """Accuracy of every method at every K over seeded replicates.
 
     Parallel and serial execution give identical tables; results are
@@ -180,7 +180,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> AccuracyTable:
             failures = config.replicates - len(got)
             mean_khat = f"{np.mean(got):.6g}" if got else ""
             rows.append((k, spec.label, hits / config.replicates, config.replicates, mean_khat, failures))
-    return AccuracyTable(rows=tuple(rows))
+    header = ("K", "method", "accuracy", "replicates", "mean_khat", "failures")
+    return Table(header, tuple(rows))
 
 
 def run_lesmis(
@@ -189,7 +190,7 @@ def run_lesmis(
     seed: int = 0,
     epsilon: float = 0.05,
     score_m_max: int = 10,
-) -> LesmisTable:
+) -> Table:
     """The weighted-network study grid.
 
     For each clusterer: the sequential test on the regularized matrix at
@@ -209,7 +210,7 @@ def run_lesmis(
     for network, spec, dist, m_max, variant in grid:
         k_hat = _k_hat(network, spec, dist=dist, m_max=m_max, seed=seed)
         rows.append((spec.clusterer, spec.selector, variant, "" if k_hat is None else k_hat))
-    return LesmisTable(rows=tuple(rows))
+    return Table(("clusterer", "selector", "variant", "k_hat"), tuple(rows))
 
 
 def emit_csv(table, sink) -> None:

@@ -18,9 +18,7 @@ from . import bench as bench_mod
 from .datasets import load_lesmis
 from .fitting import FitError
 from .model import EDGE_LAWS, VarianceFunction, make_rng, mean_matrix, sample_network, simulation_params
-from .network import (
-    EdgeListError, EdgeListFormat, binarize, load_edge_list, open_text, regularize, write_edge_list,
-)
+from .network import EdgeListError, binarize, load_edge_list, open_text, regularize, write_edge_list
 from .scaling import ScalingError, sinkhorn_symmetric
 from .selection import MethodSpec, _cluster_and_fit, select
 from .spectral import ClusterError
@@ -151,10 +149,14 @@ def _validate(args) -> None:
         raise UsageError("commscale fit: --m must be >= 1")
     if getattr(args, "kmeans_restarts", 1) < 1:
         raise UsageError(f"commscale {args.command}: --kmeans-restarts must be >= 1")
+    if getattr(args, "tol", 1.0) <= 0:
+        raise UsageError("commscale scale: --tol must be positive")
+    if getattr(args, "max_iter", 0) < 0:
+        raise UsageError("commscale scale: --max-iter must be >= 0")
 
 
 def _load_network(args):
-    adj = load_edge_list(args.input, EdgeListFormat(indexing=args.indexing))
+    adj = load_edge_list(args.input, indexing=args.indexing)
     if getattr(args, "binarize", False):
         adj = binarize(adj)
     if getattr(args, "tau", 0.0):
@@ -245,7 +247,7 @@ def cmd_bench_lesmis(args) -> int:
     if args.input is None:
         adj = load_lesmis()
     else:
-        adj = load_edge_list(args.input, EdgeListFormat(indexing=args.indexing))
+        adj = load_edge_list(args.input, indexing=args.indexing)
     seed = _resolve_seed(args)
     tau_list = tuple(float(t) for t in args.tau.split(","))
     table = bench_mod.run_lesmis(adj, tau_list=tau_list, seed=seed, epsilon=args.epsilon)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .network import EdgeListFormat, WeightedAdjacency, load_edge_list
+from .network import WeightedAdjacency, load_edge_list
 
 __all__ = ["lesmis_path", "load_lesmis"]
 
@@ -33,5 +33,5 @@ def load_lesmis() -> WeightedAdjacency:
     """The Les Miserables network with character names attached."""
     path = lesmis_path()
     with path.open("r", encoding="utf-8") as handle:
-        adj = load_edge_list(handle, EdgeListFormat(indexing=0))
+        adj = load_edge_list(handle)
     return WeightedAdjacency(adj.weights, node_names=_names_from_comments(path))

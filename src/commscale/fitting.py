@@ -67,7 +67,7 @@ def fit_step(
     positive, or when a bernoulli variance meets a mean of 1 or more.
     """
     if variance_fn is None:
-        variance_fn = VarianceFunction.identity()
+        variance_fn = VarianceFunction("identity")
     w = adj.weights
     labels = assignment.labels
     onehot = np.zeros((adj.n, assignment.m))

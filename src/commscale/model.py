@@ -57,18 +57,6 @@ class VarianceFunction:
             return mu * (1.0 - mu)
         return self.c * mu
 
-    @classmethod
-    def identity(cls) -> "VarianceFunction":
-        return cls("identity")
-
-    @classmethod
-    def bernoulli(cls) -> "VarianceFunction":
-        return cls("bernoulli")
-
-    @classmethod
-    def scaled_linear(cls, c: float) -> "VarianceFunction":
-        return cls("scaled_linear", c=c)
-
 
 @dataclass(frozen=True)
 class EdgeDistribution:

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "WeightedAdjacency",
-    "EdgeListFormat",
     "EdgeListError",
     "load_edge_list",
     "write_edge_list",
@@ -66,23 +65,6 @@ class WeightedAdjacency:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class EdgeListFormat:
-    """Edge-list conventions: node-id base and duplicate handling.
-
-    indexing : 0 or 1, the base of node ids in the file.
-    accumulate : duplicate records sum their weights when True, are
-        rejected when False.
-    """
-
-    indexing: int = 0
-    accumulate: bool = True
-
-    def __post_init__(self):
-        if self.indexing not in (0, 1):
-            raise ValueError("indexing must be 0 or 1")
-
-
 @contextmanager
 def open_text(target, mode: str = "r"):
     """Yield target if it is a stream, else the UTF-8 text file it names.
@@ -100,17 +82,20 @@ def open_text(target, mode: str = "r"):
         stream.close()
 
 
-def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None = None) -> WeightedAdjacency:
+def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> WeightedAdjacency:
     """Read a whitespace-separated "u v w" edge list into a matrix.
 
     Lines starting with '#' and blank lines are skipped. Node ids must be
-    integers in the file's declared base; they are relabeled to 0..n-1
+    integers in base ``indexing`` (0 or 1); they are relabeled to 0..n-1
     preserving numeric order, and the original ids are kept as node
-    names. Self-loop records set the diagonal once (no mirror
-    double-counting). Pass ``n`` to declare the node count up front, in
-    which case out-of-range ids are an error and a list with no records
-    is the all-zero network on n nodes; without ``n`` it is an error.
+    names. Duplicate records add their weights. Self-loop records set
+    the diagonal once (no mirror double-counting). Pass ``n`` to declare
+    the node count up front, in which case out-of-range ids are an error
+    and a list with no records is the all-zero network on n nodes;
+    without ``n`` it is an error.
     """
+    if indexing not in (0, 1):
+        raise ValueError("indexing must be 0 or 1")
     records = []
     with open_text(source) as stream:
         for lineno, raw in enumerate(stream, start=1):
@@ -129,53 +114,51 @@ def load_edge_list(source, fmt: EdgeListFormat = EdgeListFormat(), n: int | None
                 raise EdgeListError(f"line {lineno}: non-finite weight")
             if w < 0:
                 raise EdgeListError(f"line {lineno}: negative weight {w}")
-            records.append((lineno, u - fmt.indexing, v - fmt.indexing, w))
+            records.append((u - indexing, v - indexing, w))
     if not records and n is None:
         raise EdgeListError("empty edge list")
 
-    ids = sorted({u for _, u, _, _ in records} | {v for _, _, v, _ in records})
+    ids = sorted({u for u, _, _ in records} | {v for _, v, _ in records})
     if n is not None:
         bad = [i for i in ids if not 0 <= i < n]
         if bad:
-            raise EdgeListError(f"node id {bad[0] + fmt.indexing} out of declared range")
+            raise EdgeListError(f"node id {bad[0] + indexing} out of declared range")
         index = {i: i for i in range(n)}
         size = n
     else:
         if ids[0] < 0:
-            raise EdgeListError(f"node id {ids[0] + fmt.indexing} below indexing base {fmt.indexing}")
+            raise EdgeListError(f"node id {ids[0] + indexing} below indexing base {indexing}")
         index = {orig: k for k, orig in enumerate(ids)}
         size = len(ids)
     if size < 2:
         raise EdgeListError("need at least 2 nodes")
 
     w = np.zeros((size, size))
-    seen = set()
-    for lineno, u, v, val in records:
+    for u, v, val in records:
         i, j = index[u], index[v]
-        key = (min(i, j), max(i, j))
-        if not fmt.accumulate and key in seen:
-            raise EdgeListError(f"line {lineno}: duplicate edge {u + fmt.indexing} {v + fmt.indexing}")
-        seen.add(key)
         if i == j:
             w[i, i] += val
         else:
             w[i, j] += val
             w[j, i] += val
-    names = tuple(str(orig + fmt.indexing) for orig in sorted(index, key=index.get))
+    names = tuple(str(orig + indexing) for orig in sorted(index, key=index.get))
     return WeightedAdjacency(w, node_names=names)
 
 
-def write_edge_list(adj: WeightedAdjacency, sink, fmt: EdgeListFormat = EdgeListFormat()) -> None:
+def write_edge_list(adj: WeightedAdjacency, sink, *, indexing: int = 0) -> None:
     """Write the nonzero upper triangle (incl. diagonal) as "u v w" lines.
 
-    Weights are written with repr-roundtrip precision so that
-    load(write(load(x))) is bit-identical to load(x).
+    Node ids are written in base ``indexing`` (0 or 1). Weights are
+    written with repr-roundtrip precision so that load(write(load(x)))
+    is bit-identical to load(x).
     """
+    if indexing not in (0, 1):
+        raise ValueError("indexing must be 0 or 1")
     w = adj.weights
     iu, ju = np.nonzero(np.triu(w))
     with open_text(sink, "w") as stream:
         for i, j in zip(iu.tolist(), ju.tolist()):
-            stream.write(f"{i + fmt.indexing} {j + fmt.indexing} {float(w[i, j])!r}\n")
+            stream.write(f"{i + indexing} {j + indexing} {float(w[i, j])!r}\n")
 
 
 def regularize(adj: WeightedAdjacency, tau: float) -> WeightedAdjacency:

@@ -64,6 +64,8 @@ def sinkhorn_symmetric(
         raise ValueError("matrix must be symmetric")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     v = (v + v.T) / 2.0
     if initial is None:
         psi = 1.0 / np.sqrt(v.sum(axis=1))

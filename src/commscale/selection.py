@@ -1,12 +1,11 @@
 """Selecting the number of communities.
 
-Two families are implemented. The sequential variance-profile test
-fits m groups, scales the fitted variance profile to doubly stochastic
-form, and stops at the first m where the (m+1)-th largest eigenvalue
-magnitude of the scaled adjacency falls below 2 + epsilon. The
-penalized-likelihood baselines evaluate CBIC and ICL over a range of m
-and take the argmax. select runs whichever of the two a MethodSpec
-names.
+select is the one stepwise driver: for m = 1, 2, ... it clusters and
+fits m groups, evaluates the step, then stops or goes on. The sequential
+variance-profile test (svps) stops at the first m where the (m+1)-th
+largest eigenvalue magnitude of the adjacency, scaled by the fitted
+variance profile, falls below 2 + epsilon. The penalized-likelihood
+baselines (CBIC, ICL) score every m and take the argmax.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .fitting import FitError, FittedStep, fit_step, floor_positive
 from .model import EdgeDistribution, VarianceFunction, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import Assignment, ClusterError, rsc_cluster, score_cluster
+from .spectral import ClusterError, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -51,6 +50,10 @@ class MethodSpec:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.clusterer not in ("score", "rsc"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
 
     @property
     def label(self) -> str:
@@ -76,12 +79,7 @@ class SelectionTrace:
     method: str  # "svps", "cbic" or "icl"
     steps: tuple[StepRecord, ...]
     k_hat: int | None
-    threshold: float | None = None  # svps only
-
-    @property
-    def stopped(self) -> bool:
-        """svps: the threshold was crossed at some m <= m_max."""
-        return self.threshold is not None and self.k_hat is not None
+    threshold: float | None = None  # svps only; k_hat is None when no step crossed it
 
     def to_csv(self) -> str:
         lines = ["method,m,value,status,selected"]
@@ -108,55 +106,13 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
 def _cluster_and_fit(
     adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, variance_fn=None
 ) -> FittedStep:
-    """Cluster adj into m groups with the named spectral method, then fit.
+    """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
 
     The clusterers and fit_step are looked up in this module at call
     time, so a wrapper installed on these attributes sees every step.
     """
-    if clusterer == "score":
-        cluster = score_cluster
-    elif clusterer == "rsc":
-        cluster = rsc_cluster
-    else:
-        raise ValueError(f"unknown clusterer {clusterer!r}")
+    cluster = score_cluster if clusterer == "score" else rsc_cluster
     return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
-
-
-def svps_select(
-    adj: WeightedAdjacency,
-    variance_fn: VarianceFunction | None = None,
-    epsilon: float = 0.05,
-    m_max: int = 12,
-    clusterer="score",
-    seed=0,
-    restarts: int = 50,
-) -> SelectionTrace:
-    """Sequential test: stop at the first m with statistic below 2 + epsilon.
-
-    For m = 1..min(m_max, n - 1): cluster, fit, scale, evaluate (the
-    statistic needs m + 1 <= n). Steps with degenerate fits or failed
-    scalings are recorded with value +inf and never stop the loop. If no
-    step stops, k_hat is None.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    threshold = 2.0 + epsilon
-    steps = []
-    k_hat = None
-    for m in range(1, min(m_max, adj.n - 1) + 1):
-        try:
-            fitted = _cluster_and_fit(adj, m, clusterer, seed, restarts, variance_fn)
-            value = svps_statistic(adj, fitted)
-        except (FitError, ClusterError, ScalingError) as exc:
-            steps.append(StepRecord(m=m, value=math.inf, status="failed", note=str(exc)))
-            continue
-        steps.append(StepRecord(m=m, value=value, status="ok"))
-        if value < threshold:
-            k_hat = m
-            break
-    return SelectionTrace(method="svps", steps=tuple(steps), k_hat=k_hat, threshold=threshold)
 
 
 def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
@@ -218,16 +174,78 @@ def icl_score(adj: WeightedAdjacency, fitted: FittedStep, dist) -> float:
     return log_likelihood(adj.weights, fitted.mean, dist) - penalty
 
 
-def select_by_score(scores) -> int:
-    """argmax m over (m, score) pairs; ties go to the smallest m."""
-    items = sorted(scores, key=lambda pair: pair[0])
-    if not items:
-        raise ValueError("no scores to select from")
-    best_m, best = items[0]
-    for m, value in items[1:]:
-        if value > best:
-            best_m, best = m, value
-    return best_m
+def select(
+    adj: WeightedAdjacency,
+    spec: MethodSpec,
+    *,
+    dist=None,
+    variance_fn: VarianceFunction | None = None,
+    m_max: int | None = None,
+    seed=0,
+    restarts: int = 50,
+) -> SelectionTrace:
+    """Run the selector a MethodSpec names over m = 1..m_max (12 for svps, 10 else).
+
+    svps tests m <= n - 1 and k_hat is the first m whose statistic is
+    below 2 + epsilon; cbic/icl score m <= n and k_hat is the argmax,
+    ties to the smallest m. Failed steps record +inf (svps) or -inf and
+    are never selected. variance_fn is for svps only; cbic/icl need dist,
+    the likelihood law, and raise FitError before any clustering when the
+    weights leave its support.
+    """
+    svps = spec.selector == "svps"
+    if m_max is None:
+        m_max = 12 if svps else 10
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    if svps:
+        last, failed, threshold = adj.n - 1, math.inf, 2.0 + spec.epsilon
+    else:
+        if dist is None:
+            raise ValueError(f"{spec.selector} needs a likelihood law")
+        law = edge_law(dist)
+        try:
+            _support_counts(adj.weights, law)
+        except ValueError as exc:
+            raise FitError(str(exc)) from None
+        last, failed, threshold = adj.n, -math.inf, None
+        variance_fn = None  # the scores use the fitted mean only
+    steps = []
+    for m in range(1, min(m_max, last) + 1):
+        try:
+            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, variance_fn)
+            if svps:
+                value = svps_statistic(adj, fitted)
+            elif spec.selector == "cbic":
+                value = cbic_score(adj, fitted, law, lam=spec.lam)
+            else:
+                value = icl_score(adj, fitted, law)
+        except (FitError, ClusterError, ScalingError) as exc:
+            steps.append(StepRecord(m=m, value=failed, status="failed", note=str(exc)))
+            continue
+        steps.append(StepRecord(m=m, value=value, status="ok"))
+        if svps and value < threshold:
+            break
+    ok = [step for step in steps if step.status == "ok"]
+    if svps:
+        k_hat = ok[-1].m if ok and ok[-1].value < threshold else None
+    else:
+        k_hat = max(ok, key=lambda step: (step.value, -step.m)).m if ok else None
+    return SelectionTrace(method=spec.selector, steps=tuple(steps), k_hat=k_hat, threshold=threshold)
+
+
+def svps_select(
+    adj: WeightedAdjacency,
+    variance_fn: VarianceFunction | None = None,
+    epsilon: float = 0.05,
+    m_max: int = 12,
+    clusterer="score",
+    seed=0,
+    restarts: int = 50,
+) -> SelectionTrace:
+    """select with MethodSpec("svps", clusterer, epsilon=epsilon)."""
+    spec = MethodSpec("svps", clusterer, epsilon=epsilon)
+    return select(adj, spec, variance_fn=variance_fn, m_max=m_max, seed=seed, restarts=restarts)
 
 
 def score_select(
@@ -240,73 +258,11 @@ def score_select(
     lam: float = 1.0,
     restarts: int = 50,
 ) -> SelectionTrace:
-    """Evaluate CBIC or ICL over the m in m_range with m <= n; pick the argmax.
-
-    Degenerate fits are recorded as failed and excluded from the argmax.
-    The likelihood distribution is a required choice; there is no
-    default law. Weights outside the law's support raise FitError
-    before any clustering.
-    """
+    """select with MethodSpec(method, clusterer, lam=lam) and m_range = range(1, m_max + 1)."""
     if method not in ("cbic", "icl"):
         raise ValueError(f"method must be cbic or icl, got {method!r}")
-    dist = edge_law(dist)
-    try:
-        _support_counts(adj.weights, dist)
-    except ValueError as exc:
-        raise FitError(str(exc)) from None
-    steps = []
-    usable = []
-    for m in [m for m in m_range if m <= adj.n]:
-        try:
-            fitted = _cluster_and_fit(adj, m, clusterer, seed, restarts)
-            if method == "cbic":
-                value = cbic_score(adj, fitted, dist, lam=lam)
-            else:
-                value = icl_score(adj, fitted, dist)
-        except (FitError, ClusterError) as exc:
-            steps.append(StepRecord(m=m, value=-math.inf, status="failed", note=str(exc)))
-            continue
-        steps.append(StepRecord(m=m, value=value, status="ok"))
-        usable.append((m, value))
-    k_hat = select_by_score(usable) if usable else None
-    return SelectionTrace(method=method, steps=tuple(steps), k_hat=k_hat)
-
-
-def select(
-    adj: WeightedAdjacency,
-    spec: MethodSpec,
-    *,
-    dist=None,
-    variance_fn: VarianceFunction | None = None,
-    m_max: int | None = None,
-    seed=0,
-    restarts: int = 50,
-) -> SelectionTrace:
-    """Run the selector a MethodSpec names over the candidates m = 1..m_max.
-
-    m_max defaults to 12 for svps and 10 for cbic/icl. variance_fn is
-    used by svps only. dist, the likelihood law, is used by cbic/icl
-    only, and they require it.
-    """
-    if spec.selector == "svps":
-        return svps_select(
-            adj,
-            variance_fn=variance_fn,
-            epsilon=spec.epsilon,
-            m_max=12 if m_max is None else m_max,
-            clusterer=spec.clusterer,
-            seed=seed,
-            restarts=restarts,
-        )
-    if dist is None:
-        raise ValueError(f"{spec.selector} needs a likelihood law")
-    return score_select(
-        adj,
-        dist=dist,
-        method=spec.selector,
-        m_range=range(1, (10 if m_max is None else m_max) + 1),
-        clusterer=spec.clusterer,
-        seed=seed,
-        lam=spec.lam,
-        restarts=restarts,
-    )
+    m_max = len(m_range)
+    if m_range != range(1, m_max + 1):
+        raise ValueError(f"m_range must be range(1, m_max + 1), got {m_range!r}")
+    spec = MethodSpec(method, clusterer, lam=lam)
+    return select(adj, spec, dist=dist, m_max=m_max, seed=seed, restarts=restarts)

@@ -258,30 +258,20 @@ def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) ->
     return kmeans(score_ratios(adj.weights, m), m, seed=seed, restarts=restarts)
 
 
-def rsc_cluster(
-    adj: WeightedAdjacency,
-    m: int,
-    reg: float | None = None,
-    seed=0,
-    restarts: int = 50,
-) -> Assignment:
+def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> Assignment:
     """Regularized spectral clustering.
 
-    Adds reg to every entry (default 0.25 * mean degree / n), forms the
-    normalized adjacency D^{-1/2} A_reg D^{-1/2}, takes the top-m
-    eigenvectors by magnitude, l2-normalizes the rows (zero rows stay
-    zero) and k-means them.
+    Adds 0.25 * mean degree / n to every entry, forms the normalized
+    adjacency D^{-1/2} A_reg D^{-1/2} (zero-degree rows stay zero),
+    takes the top-m eigenvectors by magnitude, l2-normalizes the rows
+    (zero rows stay zero) and k-means them.
     """
     n = adj.n
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
-    if reg is None:
-        reg = 0.25 * degrees(adj).mean() / n
-    if reg < 0:
-        raise ValueError("reg must be nonnegative")
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
-    a_reg = adj.weights + reg
+    a_reg = adj.weights + 0.25 * degrees(adj).mean() / n
     dsum = a_reg.sum(axis=1)
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)

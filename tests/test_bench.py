@@ -1,14 +1,15 @@
 import io
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from commscale import bench
 from commscale.bench import (
-    AccuracyTable,
     ExperimentConfig,
     MethodSpec,
+    Table,
     emit_csv,
     parse_config,
     run_experiment,
@@ -74,6 +75,11 @@ def test_method_spec_validation_and_labels():
         MethodSpec("other", "score")
     with pytest.raises(ValueError):
         MethodSpec("svps", "dbscan")
+    for epsilon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            MethodSpec("svps", epsilon=epsilon)
+    with pytest.raises(ValueError, match="lam"):
+        MethodSpec("cbic", lam=-0.5)
 
 
 def test_config_validation():
@@ -83,6 +89,52 @@ def test_config_validation():
         small_config(distribution=EdgeDistribution("binomial"), rho=1.0, r=4.0)
     with pytest.raises(ValueError, match="block sizes"):
         small_config(k_list=(5,))
+
+
+def test_negative_binomial_cap_checked_up_front():
+    # the sampler needs max M < trials; peak mean rho (1 + r) 1.5^2 = 9 here
+    with pytest.raises(ValueError, match="negative_binomial mean cap violated: peak mean 9"):
+        small_config(distribution=EdgeDistribution("negative_binomial"), rho=1.0, r=3.0)
+    # at peak == trials the binomial is allowed and the negative binomial is not
+    small_config(distribution=EdgeDistribution("binomial", trials=9), rho=1.0, r=3.0)
+    with pytest.raises(ValueError, match="mean cap"):
+        small_config(distribution=EdgeDistribution("negative_binomial", trials=9), rho=1.0, r=3.0)
+    # every shipped config stays valid
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert len(configs) == 15
+    for path in configs:
+        parse_config(path)
+
+
+def test_method_labels_must_be_distinct():
+    # run_experiment keys results by label, so two specs sharing one
+    # would both report one spec's estimates
+    twins = (MethodSpec("svps", epsilon=0.05), MethodSpec("svps", epsilon=0.0500000001))
+    assert twins[0] != twins[1] and twins[0].label == twins[1].label
+    with pytest.raises(ValueError, match="distinct labels"):
+        small_config(methods=twins)
+    text = "distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\n"
+    text += "method = cbic score\nmethod = cbic score lambda=1\n"
+    with pytest.raises(ValueError, match="distinct labels"):
+        parse_config(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("svps score epsilon=-1", "line 3: epsilon must be positive"),
+        ("svps score epsilon=0", "line 3: epsilon must be positive"),
+        ("cbic rsc lambda=-1", "line 3: lam must be nonnegative"),
+        ("aic score", "line 3: unknown selector 'aic'"),
+        ("svps dbscan", "line 3: unknown clusterer 'dbscan'"),
+        ("svps score epsilon=abc", "line 3: could not convert"),
+        ("svps score tau=1", "line 3: unknown method option 'tau=1'"),
+    ],
+)
+def test_parse_config_reports_method_errors_by_line(method, message):
+    text = f"distribution = poisson\nrho = 0.3\nmethod = {method}\nr = 3\nk_list = 2\nn_all = 20,30\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(io.StringIO(text))
 
 
 def test_run_experiment_accounting():
@@ -121,7 +173,8 @@ def test_adding_methods_keeps_sampled_networks():
 
 
 def test_emit_csv_shape_and_determinism(tmp_path):
-    table = AccuracyTable(rows=((2, "svps-score-eps0.05", 1.0, 4, "2", 0),))
+    header = ("K", "method", "accuracy", "replicates", "mean_khat", "failures")
+    table = Table(header, ((2, "svps-score-eps0.05", 1.0, 4, "2", 0),))
     buf1, buf2 = io.StringIO(), io.StringIO()
     emit_csv(table, buf1)
     emit_csv(table, buf2)
@@ -130,7 +183,7 @@ def test_emit_csv_shape_and_determinism(tmp_path):
     assert lines[0] == "K,method,accuracy,replicates,mean_khat,failures"
     assert len(lines) == 2
     empty = io.StringIO()
-    emit_csv(AccuracyTable(), empty)
+    emit_csv(Table(header, ()), empty)
     assert empty.getvalue().splitlines() == ["K,method,accuracy,replicates,mean_khat,failures"]
     path = tmp_path / "out.csv"
     emit_csv(table, str(path))

@@ -76,6 +76,21 @@ def test_scale_convergence_failure(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-iter", "-1"], "--max-iter must be >= 0"),
+        (["--tol", "0"], "--tol must be positive"),
+        (["--tol", "-0.001"], "--tol must be positive"),
+    ],
+)
+def test_scale_bad_budget_is_usage_error(flags, message, tmp_path, capsys):
+    path = tmp_path / "v.csv"
+    path.write_text("1,2\n2,5\n")
+    assert main(["scale", "--input", str(path), *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["fit", "--input", lesmis_file, "--m", "3", "--seed", "0", "--out", str(out)])

@@ -169,9 +169,9 @@ def test_variance_floor():
 def test_bernoulli_variance_domain():
     adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
     with pytest.raises(FitError, match="bernoulli"):
-        fit_step(adj, assignment, VarianceFunction.bernoulli())
+        fit_step(adj, assignment, VarianceFunction("bernoulli"))
     small = WeightedAdjacency(adj.weights / 10)
-    fitted = fit_step(small, assignment, VarianceFunction.bernoulli())
+    fitted = fit_step(small, assignment, VarianceFunction("bernoulli"))
     assert fitted.mean.max() < 1
     assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean), rtol=1e-12)
 

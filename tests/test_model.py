@@ -23,13 +23,13 @@ def two_block_example():
 
 def test_variance_functions():
     mu = np.array([[0.5, 1.5], [1.5, 0.5]])
-    assert np.array_equal(VarianceFunction.identity()(mu), mu)
-    assert np.allclose(VarianceFunction.bernoulli()(np.array([0.5])), [0.25])
-    assert np.allclose(VarianceFunction.scaled_linear(2.0)(mu), 2 * mu)
+    assert np.array_equal(VarianceFunction("identity")(mu), mu)
+    assert np.allclose(VarianceFunction("bernoulli")(np.array([0.5])), [0.25])
+    assert np.allclose(VarianceFunction("scaled_linear", 2.0)(mu), 2 * mu)
     with pytest.raises(ValueError):
         VarianceFunction("cubic")
     with pytest.raises(ValueError):
-        VarianceFunction.scaled_linear(0.0)
+        VarianceFunction("scaled_linear", 0.0)
 
 
 def test_edge_distribution_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from commscale.network import (
     EdgeListError,
-    EdgeListFormat,
     WeightedAdjacency,
     binarize,
     degrees,
@@ -31,17 +30,23 @@ def test_load_skips_comments_blanks_and_crlf():
 
 
 def test_load_one_indexed():
-    adj = load_edge_list(io.StringIO("1 2 7\n"), EdgeListFormat(indexing=1))
+    adj = load_edge_list(io.StringIO("1 2 7\n"), indexing=1)
     assert adj.n == 2
     assert adj.weights[0, 1] == 7
+    buf = io.StringIO()
+    write_edge_list(adj, buf, indexing=1)
+    assert buf.getvalue() == "1 2 7.0\n"
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="indexing must be 0 or 1"):
+            load_edge_list(io.StringIO("1 2 7\n"), indexing=bad)
+        with pytest.raises(ValueError, match="indexing must be 0 or 1"):
+            write_edge_list(adj, io.StringIO(), indexing=bad)
 
 
-def test_duplicate_edges_accumulate_or_reject():
-    text = "0 1 1\n1 0 2\n"
-    acc = load_edge_list(io.StringIO(text), EdgeListFormat(accumulate=True))
-    assert acc.weights[0, 1] == 3
-    with pytest.raises(EdgeListError, match="duplicate"):
-        load_edge_list(io.StringIO(text), EdgeListFormat(accumulate=False))
+def test_duplicate_edges_accumulate():
+    adj = load_edge_list(io.StringIO("0 1 1\n1 0 2\n0 0 1\n0 0 4\n"))
+    assert adj.weights[0, 1] == adj.weights[1, 0] == 3
+    assert adj.weights[0, 0] == 5
 
 
 def test_self_loop_set_once():
@@ -71,7 +76,7 @@ def test_declared_n_range_check():
 
 
 def test_empty_list_needs_declared_n():
-    adj = load_edge_list(io.StringIO("# no records\n\n"), EdgeListFormat(indexing=1), n=3)
+    adj = load_edge_list(io.StringIO("# no records\n\n"), indexing=1, n=3)
     assert np.array_equal(adj.weights, np.zeros((3, 3)))
     assert adj.node_names == ("1", "2", "3")
     with pytest.raises(EdgeListError, match="empty edge list"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from commscale.datasets import load_lesmis
 from commscale.fitting import fit_step
 from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
-from commscale.network import EdgeListFormat, WeightedAdjacency, load_edge_list, write_edge_list
+from commscale.network import WeightedAdjacency, load_edge_list, write_edge_list
 from commscale.selection import score_select, svps_select, svps_statistic
 from commscale.spectral import Assignment
 
@@ -36,9 +36,8 @@ def edge_lists(draw):
 @example((1, [2, 5, 9], [(5, 9, 0.0), (2, 5, 0.0), (9, 9, 0.0)]))
 def test_edge_list_write_then_load_is_exact(case):
     indexing, ids, records = case
-    fmt = EdgeListFormat(indexing=indexing)
     text = "".join(f"{u} {v} {w!r}\n" for u, v, w in records)
-    adj = load_edge_list(io.StringIO(text), fmt)
+    adj = load_edge_list(io.StringIO(text), indexing=indexing)
     # ids are relabelled 0..n-1 in numeric order, gaps or not
     index = {orig: k for k, orig in enumerate(ids)}
     expected = np.zeros((len(ids), len(ids)))
@@ -50,8 +49,8 @@ def test_edge_list_write_then_load_is_exact(case):
     assert adj.node_names == tuple(str(i) for i in ids)
     assert np.array_equal(adj.weights, expected)
     buf = io.StringIO()
-    write_edge_list(adj, buf, fmt)
-    again = load_edge_list(io.StringIO(buf.getvalue()), fmt, n=adj.n)
+    write_edge_list(adj, buf, indexing=indexing)
+    again = load_edge_list(io.StringIO(buf.getvalue()), indexing=indexing, n=adj.n)
     assert np.array_equal(again.weights, adj.weights)
 
 

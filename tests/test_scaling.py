@@ -95,6 +95,9 @@ def test_rejects_bad_inputs():
         sinkhorn_symmetric(np.array([[1.0, 2.0], [3.0, 1.0]]))
     with pytest.raises(ValueError):
         sinkhorn_symmetric(np.ones((2, 3)))
+    # a negative budget is a bad argument, not a scaling that failed to converge
+    with pytest.raises(ValueError, match="max_iter"):
+        sinkhorn_symmetric(np.ones((2, 2)), max_iter=-1)
 
 
 def test_iteration_budget_error_carries_diagnostics():

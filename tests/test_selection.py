@@ -15,7 +15,6 @@ from commscale.selection import (
     log_likelihood,
     score_select,
     select,
-    select_by_score,
     svps_select,
     svps_statistic,
 )
@@ -134,19 +133,36 @@ def test_icl_entropy_equal_blocks():
     assert icl_score(adj, fitted, "poisson") == pytest.approx(expected)
 
 
-def test_select_by_score_rules():
-    assert select_by_score([(1, -5.0), (2, -3.0), (3, -4.0)]) == 2
-    assert select_by_score([(1, -3.0), (2, -3.0)]) == 1
-    assert select_by_score([(4, 0.0)]) == 4
-    with pytest.raises(ValueError):
-        select_by_score([])
+def test_select_score_argmax_rules(monkeypatch):
+    # cbic/icl take the argmax over the ok steps, ties going to the smallest m;
+    # every step m <= 4 of this network fits, so the script decides each one
+    adj, _ = sampled_counts((10, 12, 14))
+    scores = {}
+
+    def scripted(a, fitted, dist, lam=1.0):
+        if scores.get(fitted.m) is None:
+            raise FitError("scripted failure")
+        return scores[fitted.m]
+
+    monkeypatch.setattr(selection, "cbic_score", scripted)
+
+    def k_hat(table, m_max):
+        scores.clear()
+        scores.update(table)
+        return select(adj, MethodSpec("cbic"), dist="poisson", m_max=m_max, restarts=2).k_hat
+
+    assert k_hat({1: -5.0, 2: -3.0, 3: -4.0}, 3) == 2
+    assert k_hat({1: -3.0, 2: -3.0}, 2) == 1
+    assert k_hat({1: -1.0, 2: -2.0, 3: -1.0}, 3) == 1
+    assert k_hat({1: -2.0, 2: -1.0, 3: -1.0, 4: -1.0}, 4) == 2
+    assert k_hat({4: 0.0}, 4) == 4
+    assert k_hat({}, 3) is None
 
 
 def test_svps_noiseless_trace_shape():
     adj, _ = noiseless_adjacency((12, 18, 20))
     trace = svps_select(adj, epsilon=0.05, seed=0)
     assert trace.k_hat == 3
-    assert trace.stopped
     values = [s.value for s in trace.steps]
     assert all(v > trace.threshold for v in values[:-1])
     scaled_norm = np.abs(np.linalg.eigvalsh(adj.weights)).max()
@@ -165,7 +181,6 @@ def test_svps_no_stop_returns_none():
     adj, _ = noiseless_adjacency((15, 25))
     trace = svps_select(adj, epsilon=0.05, m_max=1, seed=0)
     assert trace.k_hat is None
-    assert not trace.stopped
     assert len(trace.steps) == 1
 
 
@@ -240,7 +255,7 @@ def test_svps_small_network_clamps_to_n_minus_1():
     trace = svps_select(WeightedAdjacency(np.zeros((10, 10))), restarts=3)
     assert [s.m for s in trace.steps] == list(range(1, 10))
     assert all(s.status == "failed" for s in trace.steps)
-    assert trace.k_hat is None and not trace.stopped
+    assert trace.k_hat is None
 
 
 def test_score_select_small_network_clamps_to_n():
@@ -258,6 +273,24 @@ def test_selectors_reject_fewer_than_one_restart():
         svps_select(adj, restarts=0)
     with pytest.raises(ValueError, match="restarts"):
         score_select(adj, dist="poisson", method="cbic", clusterer="rsc", restarts=0)
+
+
+def test_select_rejects_m_max_below_one():
+    adj, _ = sampled_counts((6, 6))
+    for selector in ("svps", "cbic", "icl"):
+        with pytest.raises(ValueError, match="m_max"):
+            select(adj, MethodSpec(selector), dist="poisson", m_max=0)
+    with pytest.raises(ValueError, match="m_max"):
+        svps_select(adj, m_max=0)
+
+
+def test_score_select_takes_only_cbic_icl_from_m_1():
+    adj, _ = sampled_counts((6, 6))
+    for m_range in (range(2, 5), range(1, 5, 2), [1, 2, 3], range(1, 1)):
+        with pytest.raises(ValueError, match="m_range|m_max"):
+            score_select(adj, dist="poisson", m_range=m_range)
+    with pytest.raises(ValueError, match="cbic or icl"):
+        score_select(adj, dist="poisson", method="svps")
 
 
 def test_select_requires_a_law_for_likelihood_selectors():

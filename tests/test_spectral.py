@@ -169,8 +169,17 @@ def test_rsc_handles_isolated_node():
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0
     adj = WeightedAdjacency(w)
-    out = rsc_cluster(adj, 2, seed=0, reg=0.0)
+    out = rsc_cluster(adj, 2, seed=0)
     assert out.labels.shape == (5,)
+
+
+def test_rsc_all_zero_network():
+    # zero mean degree adds no regularization, so every degree is zero and
+    # the normalized adjacency is zero rather than a division by zero
+    for m in (2, 3):
+        out = rsc_cluster(WeightedAdjacency(np.zeros((6, 6))), m, seed=0, restarts=3)
+        assert out.labels.shape == (6,)
+        assert out.m == m
 
 
 def test_clustering_permutation_equivariance():

@@ -1,28 +1,45 @@
-"""Write the selection traces of a fixed set of runs, one CSV per run.
+"""Write the outputs of a fixed set of runs, one file per run.
 
-The set is the Les Miserables grid at k-means seeds 0 and 3 with both
-clusterers, and replicate 0 of configs/sim1_rho006.cfg at K = 2..6 with
-all six of its methods, each run as bench.run_lesmis and
-bench.run_experiment would. Each file holds SelectionTrace.to_csv(), or
-the message of the domain error the run raised. Dumping two checkouts
-and comparing the directories shows whether a change moved any output:
+The set covers:
+
+- selection traces: the Les Miserables grid at k-means seeds 0 and 3
+  with both clusterers, and replicate 0 of configs/sim1_rho006.cfg at
+  K = 2..6 with all six of its methods, each run through select as
+  bench.run_lesmis and bench.run_experiment would, and again through
+  svps_select and score_select as perfbench calls them (shorthand-*);
+- tables: run_lesmis at seeds 0 and 3, and run_experiment on two
+  replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as emit_csv
+  writes them;
+- CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
+  each with its exit code, stdout, stderr and --out file, error cases
+  included;
+- library calls with bad arguments.
+
+A trace file holds SelectionTrace.to_csv(), or the message of the error
+the run raised. Dumping two checkouts and comparing the directories
+shows whether a change moved any output:
 
     python3 tools/dump_outputs.py /tmp/parent-out --root ../parent
     python3 tools/dump_outputs.py /tmp/change-out
     diff -r /tmp/parent-out /tmp/change-out
 
 --root names the checkout whose src/commscale is imported (default:
-this one). The grid and panel definitions come from this file, so the
-two dumps cover the same runs. BLAS and OpenMP are pinned to one thread,
-as in the benchmark.
+this one). The runs are defined in this file and use names that exist
+at both checkouts, so the two dumps cover the same runs. BLAS and
+OpenMP are pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import io
 import os
 import sys
+import tempfile
 import zlib
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -30,11 +47,24 @@ LESMIS_SEEDS = (0, 3)
 TAUS = (0.05, 0.1, 0.25, 0.5)
 PANEL_CONFIG = HERE / "configs" / "sim1_rho006.cfg"
 PANEL_KS = (2, 3, 4, 5, 6)
+EXPERIMENT_REPLICATES = 2
+RESTARTS = 50
+
+# small bench-run configs: three head lines, one method line, CONFIG_TAIL
+RUN_CONFIGS = {
+    "negbinom-over-cap": ("distribution = negative_binomial\nrho = 1\nr = 3\n", "svps score"),
+    "shared-label": ("distribution = poisson\nrho = 0.3\nr = 3\n",
+                     "svps score epsilon=0.05\nmethod = svps score epsilon=0.0500000001"),
+    "negative-epsilon": ("distribution = poisson\nrho = 0.3\nr = 3\n", "svps score epsilon=-1"),
+    "negative-lambda": ("distribution = poisson\nrho = 0.3\nr = 3\n", "cbic score lambda=-1"),
+}
+CONFIG_TAIL = "k_list = 2\nn_all = 12,14\nreplicates = 1\nseed = 0\n"
 
 
 def import_commscale(root: Path):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    os.environ.pop("COMMSCALE_SEED", None)
     init = root / "src" / "commscale" / "__init__.py"
     sys.path.insert(0, str(root / "src"))
     import commscale
@@ -52,7 +82,7 @@ def lesmis_runs(cs):
         for clusterer in ("score", "rsc"):
             svps = cs.MethodSpec("svps", clusterer, epsilon=0.05)
             for tau in TAUS:
-                yield f"lesmis-seed{seed}-{svps.label}-tau{tau:g}", cs.regularize(adj, tau), svps, None, None, seed
+                yield f"lesmis-seed{seed}-{svps.label}-tau{tau:g}", cs.regularize(adj, tau), svps, None, 12, seed
             for selector in ("cbic", "icl"):
                 spec = cs.MethodSpec(selector, clusterer)
                 yield f"lesmis-seed{seed}-{spec.label}-weighted", adj, spec, "poisson", 10, seed
@@ -78,24 +108,143 @@ def panel_runs(cs):
             yield f"panel-K{k}-rep{rep}-{spec.label}", adj, spec, config.distribution, m_max, seed
 
 
+def trace_runs(cs):
+    """(file name, call) for every trace, through select and through the shorthands."""
+    for runs in (lesmis_runs(cs), panel_runs(cs)):
+        for name, adj, spec, law, m_max, seed in runs:
+            yield f"{name}.csv", partial(cs.select, adj, spec, dist=law, m_max=m_max, seed=seed, restarts=RESTARTS)
+            common = dict(clusterer=spec.clusterer, seed=seed, restarts=RESTARTS)
+            if spec.selector == "svps":
+                call = partial(cs.svps_select, adj, m_max=m_max, epsilon=spec.epsilon, **common)
+            else:
+                call = partial(cs.score_select, adj, method=spec.selector, m_range=range(1, m_max + 1),
+                               dist=law, lam=spec.lam, **common)
+            yield f"shorthand-{name}.csv", call
+
+
+def table_runs(cs):
+    """(file name, call returning a table) for run_lesmis and run_experiment."""
+    for seed in LESMIS_SEEDS:
+        yield f"table-lesmis-seed{seed}.csv", partial(cs.run_lesmis, cs.load_lesmis(), seed=seed)
+    config = dataclasses.replace(cs.parse_config(PANEL_CONFIG), replicates=EXPERIMENT_REPLICATES)
+    for jobs in (1, 2):
+        name = f"table-{PANEL_CONFIG.stem}-reps{EXPERIMENT_REPLICATES}-jobs{jobs}.csv"
+        yield name, partial(cs.run_experiment, config, jobs=jobs)
+
+
+def api_error_runs(cs):
+    """(file name, call) for library calls with arguments at or past their bounds."""
+    import numpy as np
+
+    adj = cs.load_lesmis()
+    yield "api-svps-m_max0.txt", partial(cs.svps_select, adj, m_max=0, restarts=2)
+    for selector in ("cbic", "icl"):
+        spec = cs.MethodSpec(selector)
+        yield f"api-{selector}-m_max0.txt", partial(cs.select, adj, spec, dist="poisson", m_max=0, restarts=2)
+    yield "api-score_select-range2.txt", partial(cs.score_select, adj, "poisson", m_range=range(2, 5), restarts=2)
+    yield "api-score_select-svps.txt", partial(cs.score_select, adj, "poisson", method="svps", restarts=2)
+    yield "api-svps-epsilon0.txt", partial(cs.svps_select, adj, epsilon=0.0, restarts=2)
+    yield "api-cbic-lam-negative.txt", partial(cs.score_select, adj, "poisson", lam=-1.0, restarts=2)
+    v = np.array([[1.0, 2.0], [2.0, 5.0]])
+    for max_iter in (-1, 0, 100):
+        yield f"api-sinkhorn-max_iter{max_iter}.txt", partial(cs.sinkhorn_symmetric, v, max_iter=max_iter)
+
+
+def cli_runs(cs, tmp: Path):
+    """(file name, argv) for the CLI; OUT in argv stands for a fresh --out path."""
+    lesmis = str(cs.lesmis_path())
+    matrix = tmp / "matrix.csv"
+    matrix.write_text("1,2\n2,5\n", encoding="utf-8")
+    yield "cli-select-svps.txt", ["select", "--input", lesmis, "--tau", "0.1", "--seed", "1", "--out", "OUT"]
+    yield "cli-select-svps-rsc-bernoulli.txt", [
+        "select", "--input", lesmis, "--binarize", "--cluster", "rsc", "--variance", "bernoulli",
+        "--kmax", "5", "--seed", "2", "--out", "OUT"]
+    yield "cli-select-cbic-binarized.txt", [
+        "select", "--method", "cbic", "--input", lesmis, "--binarize", "--likelihood", "bernoulli",
+        "--seed", "0", "--out", "OUT"]
+    yield "cli-select-cbic-variance-ignored.txt", [
+        "select", "--method", "cbic", "--input", lesmis, "--likelihood", "poisson", "--variance",
+        "bernoulli", "--kmax", "5", "--seed", "0", "--out", "OUT"]
+    yield "cli-select-icl-rsc.txt", [
+        "select", "--method", "icl", "--cluster", "rsc", "--input", lesmis, "--likelihood", "poisson",
+        "--kmax", "6", "--seed", "4", "--out", "OUT"]
+    yield "cli-select-icl-outside-support.txt", [
+        "select", "--method", "icl", "--input", lesmis, "--tau", "0.1", "--likelihood", "poisson", "--out", "OUT"]
+    yield "cli-select-kmax0.txt", ["select", "--input", lesmis, "--kmax", "0", "--out", "OUT"]
+    yield "cli-select-epsilon0.txt", ["select", "--input", lesmis, "--epsilon", "0", "--out", "OUT"]
+    yield "cli-fit-score.txt", ["fit", "--input", lesmis, "--m", "3", "--seed", "0", "--out", "OUT"]
+    yield "cli-fit-rsc.txt", ["fit", "--input", lesmis, "--m", "4", "--cluster", "rsc", "--seed", "1", "--out", "OUT"]
+    yield "cli-scale.txt", ["scale", "--input", str(matrix), "--out", "OUT"]
+    yield "cli-scale-max-iter0.txt", ["scale", "--input", str(matrix), "--max-iter", "0", "--out", "OUT"]
+    yield "cli-scale-max-iter-negative.txt", ["scale", "--input", str(matrix), "--max-iter", "-1", "--out", "OUT"]
+    yield "cli-scale-tol0.txt", ["scale", "--input", str(matrix), "--tol", "0", "--out", "OUT"]
+    yield "cli-simulate.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "3", "--seed", "0", "--out", "OUT"]
+    yield "cli-simulate-negbinom.txt", [
+        "simulate", "--dist", "negbinom", "--rho", "0.2", "--r", "3", "--k", "2", "--n-all", "20,30",
+        "--seed", "5", "--out", "OUT"]
+    yield "cli-simulate-negbinom-over-cap.txt", [
+        "simulate", "--dist", "negbinom", "--rho", "1", "--r", "3", "--k", "2", "--out", "OUT"]
+    yield "cli-bench-lesmis-seed3.txt", ["bench", "lesmis", "--seed", "3", "--out", "OUT"]
+    for name, (head, method) in RUN_CONFIGS.items():
+        config = tmp / f"{name}.cfg"
+        config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
+        yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
+
+
+def run_cli(main, argv, out: Path) -> str:
+    """Exit code, stdout, stderr and the --out file of one CLI run."""
+    if out.exists():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(out) if arg == "OUT" else arg for arg in argv])
+    written = out.read_text(encoding="utf-8") if out.exists() else "(not written)\n"
+    return f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}--- out\n{written}"
+
+
+def describe(result) -> str:
+    if hasattr(result, "to_csv"):
+        return result.to_csv()
+    if hasattr(result, "psi"):
+        return f"psi {[float(p) for p in result.psi]!r}\niterations {result.iterations}\n"
+    return f"{result!r}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--root", type=Path, default=HERE, help="checkout to import commscale from")
     args = parser.parse_args(argv)
     cs = import_commscale(args.root.resolve())
+    from commscale.cli import main as cli_main
+
     domain_errors = (cs.FitError, cs.ClusterError, cs.ScalingError)
     args.outdir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for runs in (lesmis_runs(cs), panel_runs(cs)):
-        for name, adj, spec, law, m_max, seed in runs:
-            try:
-                text = cs.select(adj, spec, dist=law, m_max=m_max, seed=seed).to_csv()
-            except domain_errors as exc:
-                text = f"{type(exc).__name__}: {exc}\n"
-            (args.outdir / f"{name}.csv").write_text(text, encoding="utf-8")
-            count += 1
-    print(f"wrote {count} traces to {args.outdir}")
+
+    def write(name: str, text: str) -> None:
+        nonlocal count
+        (args.outdir / name).write_text(text, encoding="utf-8")
+        count += 1
+
+    def outcome(call, errors) -> str:
+        try:
+            return describe(call())
+        except errors as exc:
+            return f"{type(exc).__name__}: {exc}\n"
+
+    for name, call in trace_runs(cs):
+        write(name, outcome(call, domain_errors))
+    for name, call in api_error_runs(cs):
+        write(name, outcome(call, (*domain_errors, ValueError)))
+    for name, call in table_runs(cs):
+        buf = io.StringIO()
+        cs.emit_csv(call(), buf)
+        write(name, buf.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cli_argv in cli_runs(cs, Path(tmp)):
+            write(name, run_cli(cli_main, cli_argv, Path(tmp) / "out"))
+    print(f"wrote {count} files to {args.outdir}")
     return 0
 
 

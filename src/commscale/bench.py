@@ -163,6 +163,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Table:
     Parallel and serial execution give identical tables; results are
     aggregated in (K, replicate) order regardless of completion order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be >= 1")
     tasks = [(k, rep) for k in config.k_list for rep in range(config.replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -141,7 +141,7 @@ def _validate(args) -> None:
     if getattr(args, "command", None) == "select":
         if args.method in ("cbic", "icl") and args.likelihood is None:
             raise UsageError(f"commscale select: --likelihood is required for --method {args.method}")
-        if args.epsilon <= 0:
+        if not args.epsilon > 0:
             raise UsageError("commscale select: --epsilon must be positive")
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         raise UsageError("commscale select: --kmax must be >= 1")
@@ -149,10 +149,12 @@ def _validate(args) -> None:
         raise UsageError("commscale fit: --m must be >= 1")
     if getattr(args, "kmeans_restarts", 1) < 1:
         raise UsageError(f"commscale {args.command}: --kmeans-restarts must be >= 1")
-    if getattr(args, "tol", 1.0) <= 0:
+    if not getattr(args, "tol", 1.0) > 0:
         raise UsageError("commscale scale: --tol must be positive")
     if getattr(args, "max_iter", 0) < 0:
         raise UsageError("commscale scale: --max-iter must be >= 0")
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError("commscale bench run: --jobs must be >= 1")
 
 
 def _load_network(args):

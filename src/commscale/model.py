@@ -46,7 +46,7 @@ class VarianceFunction:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown variance kind {self.kind!r}")
-        if self.kind == "scaled_linear" and self.c <= 0:
+        if self.kind == "scaled_linear" and not self.c > 0:
             raise ValueError("scaled_linear needs c > 0")
 
     def __call__(self, mu: np.ndarray) -> np.ndarray:
@@ -185,7 +185,7 @@ def simulation_params(
         raise ValueError("need k >= 1")
     if k > len(block_sizes):
         raise ValueError(f"k={k} exceeds the {len(block_sizes)} available block sizes")
-    if rho <= 0 or r <= 0:
+    if not (rho > 0 and r > 0):
         raise ValueError("rho and r must be positive")
     sizes = [int(s) for s in block_sizes[:k]]
     n = int(sum(sizes))

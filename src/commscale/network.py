@@ -18,7 +18,6 @@ __all__ = [
     "load_edge_list",
     "write_edge_list",
     "regularize",
-    "degrees",
     "binarize",
 ]
 
@@ -163,16 +162,11 @@ def write_edge_list(adj: WeightedAdjacency, sink, *, indexing: int = 0) -> None:
 
 def regularize(adj: WeightedAdjacency, tau: float) -> WeightedAdjacency:
     """Add tau to every entry (tau * all-ones matrix), tau >= 0."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if tau == 0:
         return adj
     return WeightedAdjacency(adj.weights + tau, node_names=adj.node_names)
-
-
-def degrees(adj: WeightedAdjacency) -> np.ndarray:
-    """Row sums of the weight matrix, diagonal included."""
-    return adj.weights.sum(axis=1)
 
 
 def binarize(adj: WeightedAdjacency) -> WeightedAdjacency:

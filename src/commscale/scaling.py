@@ -62,7 +62,7 @@ def sinkhorn_symmetric(
         raise ValueError("matrix must have strictly positive entries")
     if not np.allclose(v, v.T, rtol=1e-12, atol=0):
         raise ValueError("matrix must be symmetric")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")

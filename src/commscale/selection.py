@@ -10,6 +10,7 @@ baselines (CBIC, ICL) score every m and take the argmax.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -50,9 +51,9 @@ class MethodSpec:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.clusterer not in ("score", "rsc"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
 
     @property
@@ -156,7 +157,7 @@ def log_likelihood(adj: np.ndarray, mean: np.ndarray, dist) -> float:
 
 def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, dist, lam: float = 1.0) -> float:
     """log f(A | M) - [lam * n * log m + m(m+1)/2 * log n]."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     n = adj.n
     m = fitted.m
@@ -192,7 +193,11 @@ def select(
     are never selected. variance_fn is for svps only; cbic/icl need dist,
     the likelihood law, and raise FitError before any clustering when the
     weights leave its support.
+
+    The steps run on a shallow copy of adj, which shares its weights, so
+    the clusterers' eigenvector memo lasts for this selection only.
     """
+    adj = copy.copy(adj)
     svps = spec.selector == "svps"
     if m_max is None:
         m_max = 12 if svps else 10

@@ -2,7 +2,9 @@
 
 Eigendecompositions are full dense symmetric solves; at the network
 sizes handled here that is cheaper and more robust near eigenvalue
-multiplicities than iterative solvers.
+multiplicities than iterative solvers. SCORE and RSC decompose their
+clustering matrix once per network object and take the first m columns
+of that basis at every m, so a selection decomposes it once.
 
 k-means runs all of its k-means++ restarts together as (restarts, n, m)
 array operations. Each restart still draws from its own generator
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import WeightedAdjacency, degrees
+from .network import WeightedAdjacency
 
 __all__ = [
-    "EigPairs",
     "Assignment",
     "ClusterError",
     "leading_eigpairs",
@@ -36,22 +37,6 @@ KMEANS_TOL = 1e-9
 
 class ClusterError(RuntimeError):
     """Clustering produced an empty cluster in every restart."""
-
-
-@dataclass(frozen=True)
-class EigPairs:
-    """values sorted by descending magnitude; vectors column-aligned."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        vectors = np.array(self.vectors, dtype=float)
-        values.flags.writeable = False
-        vectors.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
 
 
 @dataclass(frozen=True)
@@ -79,26 +64,27 @@ class Assignment:
         return np.bincount(self.labels, minlength=self.m)
 
 
-def leading_eigpairs(matrix: np.ndarray, m: int) -> EigPairs:
-    """The m eigenpairs of largest magnitude of a symmetric matrix.
+def leading_eigpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a symmetric matrix as read-only (values, vectors).
 
     Ordered by descending |lambda|; for tied magnitudes the positive
-    eigenvalue comes first. Each vector's sign is fixed so its entry sum
-    is positive (largest-magnitude entry made positive when the sum is
-    exactly zero).
+    eigenvalue comes first. Column j of vectors belongs to values[j], so
+    the first m columns are the m leading pairs. Each vector's sign is
+    fixed so its entry sum is positive (largest-magnitude entry made
+    positive when the sum is exactly zero).
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range 1..{n}")
     vals, vecs = np.linalg.eigh(a)
     # primary key |lambda| descending, secondary key lambda descending
-    order = np.lexsort((-vals, -np.abs(vals)))[:m]
+    order = np.lexsort((-vals, -np.abs(vals)))
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(m):
+    # one column sum at a time: a single vecs.sum(axis=0) adds in another
+    # order, and its last-ulp differences can move a sum across zero
+    for j in range(n):
         s = vecs[:, j].sum()
         if s < 0:
             vecs[:, j] = -vecs[:, j]
@@ -106,7 +92,9 @@ def leading_eigpairs(matrix: np.ndarray, m: int) -> EigPairs:
             i = int(np.abs(vecs[:, j]).argmax())
             if vecs[i, j] < 0:
                 vecs[:, j] = -vecs[:, j]
-    return EigPairs(vals, vecs)
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
 
 
 def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -225,37 +213,45 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     return Assignment(labels[best], m)
 
 
-def score_ratios(matrix: np.ndarray, m: int) -> np.ndarray:
-    """The n x (m-1) matrix of eigenvector ratios used by SCORE.
+def _basis(adj: WeightedAdjacency, clusterer: str) -> np.ndarray:
+    """The eigenvectors of the clusterer's matrix, computed once per network object.
 
-    Column k holds u_{k+1}(i) / u_1(i), clamped to [-log n, log n].
-    Entries where u_1(i) = 0 are mapped to the clamp bound (0 when the
-    numerator is also 0).
+    The memo lives in the network's instance dict, so it goes when the
+    network does; select runs on a shallow copy to keep it per selection.
     """
-    n = matrix.shape[0]
-    if m < 2:
-        raise ValueError("ratios need m >= 2")
-    pairs = leading_eigpairs(matrix, m)
-    lead = pairs.vectors[:, :1]
-    rest = pairs.vectors[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = rest / lead
-    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf, neginf=-np.inf)
-    clamp = np.log(n)
-    return np.clip(ratios, -clamp, clamp)
+    key = f"_{clusterer}_basis"
+    memo = vars(adj)
+    if key not in memo:
+        if clusterer == "score":
+            matrix = adj.weights
+        else:
+            a_reg = adj.weights + 0.25 * adj.weights.sum(axis=1).mean() / adj.n
+            dsum = a_reg.sum(axis=1)
+            with np.errstate(divide="ignore"):
+                inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)
+            matrix = a_reg * np.outer(inv_sqrt, inv_sqrt)
+        memo[key] = leading_eigpairs(matrix)[1]
+    return memo[key]
 
 
 def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> Assignment:
-    """SCORE: k-means on eigenvector ratios.
+    """SCORE: k-means on the n x (m-1) eigenvector ratios of the adjacency.
 
-    m = 1 returns the single-cluster assignment.
+    Column k holds u_{k+1}(i) / u_1(i), clamped to [-log n, log n].
+    Entries where u_1(i) = 0 are mapped to the clamp bound (0 when the
+    numerator is also 0). m = 1 returns the single-cluster assignment.
     """
     n = adj.n
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
-    return kmeans(score_ratios(adj.weights, m), m, seed=seed, restarts=restarts)
+    vectors = _basis(adj, "score")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = vectors[:, 1:m] / vectors[:, :1]
+    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf, neginf=-np.inf)
+    clamp = np.log(n)
+    return kmeans(np.clip(ratios, -clamp, clamp), m, seed=seed, restarts=restarts)
 
 
 def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> Assignment:
@@ -271,13 +267,7 @@ def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> A
         raise ValueError(f"m={m} out of range 1..{n}")
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
-    a_reg = adj.weights + 0.25 * degrees(adj).mean() / n
-    dsum = a_reg.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)
-    lap = a_reg * np.outer(inv_sqrt, inv_sqrt)
-    pairs = leading_eigpairs(lap, m)
-    rows = pairs.vectors.copy()
+    rows = _basis(adj, "rsc")[:, :m].copy()
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 0
     rows[keep] /= norms[keep, None]

@@ -156,6 +156,12 @@ def test_run_experiment_reproducible_and_parallel_equal():
     assert a == b == c
 
 
+def test_run_experiment_rejects_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(small_config(replicates=1), jobs=jobs)
+
+
 def test_adding_methods_keeps_sampled_networks():
     # replicate streams depend only on (seed, K, rep), so per-method
     # results are unchanged when another method joins the config

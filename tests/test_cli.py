@@ -82,6 +82,7 @@ def test_scale_convergence_failure(tmp_path, capsys):
         (["--max-iter", "-1"], "--max-iter must be >= 0"),
         (["--tol", "0"], "--tol must be positive"),
         (["--tol", "-0.001"], "--tol must be positive"),
+        (["--tol", "nan"], "--tol must be positive"),
     ],
 )
 def test_scale_bad_budget_is_usage_error(flags, message, tmp_path, capsys):
@@ -89,6 +90,11 @@ def test_scale_bad_budget_is_usage_error(flags, message, tmp_path, capsys):
     path.write_text("1,2\n2,5\n")
     assert main(["scale", "--input", str(path), *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_select_nan_epsilon_is_usage_error(lesmis_file, capsys):
+    assert main(["select", "--input", lesmis_file, "--epsilon", "nan"]) == 1
+    assert "--epsilon must be positive" in capsys.readouterr().err
 
 
 def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
@@ -184,6 +190,16 @@ def test_bench_run_config(tmp_path, capsys):
     assert first.splitlines()[0] == "K,method,accuracy,replicates,mean_khat,failures"
     assert main(["bench", "run", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert out.read_text() == first
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_run_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\n")
+    out = tmp_path / "table.csv"
+    assert main(["bench", "run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,16 +1,26 @@
-"""Property tests: edge-list round trips, relabelling invariance, isolated nodes."""
+"""Property tests: edge-list round trips, relabelling invariance, isolated nodes,
+and NaN at every positivity guard."""
 
 import io
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscale.datasets import load_lesmis
 from commscale.fitting import fit_step
-from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
-from commscale.network import WeightedAdjacency, load_edge_list, write_edge_list
-from commscale.selection import score_select, svps_select, svps_statistic
+from commscale.model import (
+    EdgeDistribution,
+    VarianceFunction,
+    make_rng,
+    mean_matrix,
+    sample_network,
+    simulation_params,
+)
+from commscale.network import WeightedAdjacency, load_edge_list, regularize, write_edge_list
+from commscale.scaling import sinkhorn_symmetric
+from commscale.selection import MethodSpec, cbic_score, score_select, svps_select, svps_statistic
 from commscale.spectral import Assignment
 
 weights = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -95,3 +105,30 @@ def test_isolated_nodes_never_raise(pad, clusterer, seed):
     ):
         assert trace.steps
         assert all(step.status == "ok" or step.note for step in trace.steps)
+
+
+NAN = float("nan")
+PAIR = WeightedAdjacency(np.array([[1.0, 2.0], [2.0, 0.0]]))
+
+
+# NaN compares false both ways, so each guard is written to reject what
+# is not positive (or not nonnegative) rather than to accept what is not
+# below its bound
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MethodSpec("svps", epsilon=NAN), "epsilon"),
+        (lambda: MethodSpec("cbic", lam=NAN), "lam"),
+        (lambda: cbic_score(PAIR, fit_step(PAIR, Assignment(np.zeros(2, dtype=int), 1)), "poisson", lam=NAN), "lam"),
+        (lambda: sinkhorn_symmetric(np.array([[1.0, 2.0], [2.0, 5.0]]), tol=NAN), "tol"),
+        (lambda: regularize(PAIR, NAN), "tau"),
+        (lambda: simulation_params(2, NAN, 3.0, (10, 10), make_rng(0)), "rho"),
+        (lambda: simulation_params(2, 0.3, NAN, (10, 10), make_rng(0)), "rho and r"),
+        (lambda: VarianceFunction("scaled_linear", c=NAN), "c > 0"),
+    ],
+    ids=["MethodSpec-epsilon", "MethodSpec-lam", "cbic_score-lam", "sinkhorn-tol", "regularize-tau",
+         "simulation_params-rho", "simulation_params-r", "VarianceFunction-c"],
+)
+def test_positivity_guards_reject_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

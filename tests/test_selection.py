@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from commscale import selection
+from commscale import selection, spectral
 from commscale.datasets import load_lesmis
 from commscale.fitting import FitError, fit_step
 from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
@@ -338,3 +338,36 @@ def test_select_matches_direct_calls():
                                     clusterer=clusterer, seed=2, lam=spec.lam, restarts=restarts)
             got = select(adj, spec, dist=dist, m_max=m_max, seed=2, restarts=restarts)
             assert got.to_csv() == want.to_csv()
+
+
+@pytest.mark.parametrize("clusterer", ["score", "rsc"])
+def test_each_selection_decomposes_its_clustering_matrix_once(clusterer, monkeypatch):
+    calls = []
+    decompose = spectral.leading_eigpairs
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return decompose(matrix)
+
+    monkeypatch.setattr(spectral, "leading_eigpairs", counting)
+    adj, _ = sampled_counts((12, 14, 16))
+    fields = dict(vars(adj))
+    for spec, dist in ((MethodSpec("svps", clusterer), None),
+                       (MethodSpec("cbic", clusterer), "poisson"),
+                       (MethodSpec("icl", clusterer), "poisson")):
+        calls.clear()
+        trace = select(adj, spec, dist=dist, m_max=6, restarts=2)
+        assert len(trace.steps) > 1
+        assert calls == [(adj.n, adj.n)], spec.label
+    # the memo went with the selection's copy of the network
+    assert vars(adj).keys() == fields.keys()
+    assert all(vars(adj)[key] is value for key, value in fields.items())
+
+    # a Poisson sample with no community structure: svps stops at m = 1
+    rng = make_rng(0)
+    model = simulation_params(1, 0.5, 1.0, (40,), rng)
+    adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
+    calls.clear()
+    trace = select(adj, MethodSpec("svps", clusterer), restarts=2)
+    assert [step.m for step in trace.steps] == [1] and trace.k_hat == 1
+    assert calls == []

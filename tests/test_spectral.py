@@ -12,7 +12,6 @@ from commscale.spectral import (
     leading_eigpairs,
     rsc_cluster,
     score_cluster,
-    score_ratios,
 )
 
 
@@ -41,42 +40,42 @@ def block_adjacency(sizes, rng=None, theta=None):
 def test_leading_eigpairs_quadratic_oracle():
     # eigenvalues of [[4,1],[1,1]] solve t^2 - 5t + 3 = 0
     a = np.array([[4.0, 1.0], [1.0, 1.0]])
-    pairs = leading_eigpairs(a, 2)
+    values, _ = leading_eigpairs(a)
     expected = np.array([(5 + np.sqrt(13)) / 2, (5 - np.sqrt(13)) / 2])
-    assert np.allclose(pairs.values, expected, atol=1e-12)
+    assert np.allclose(values[:2], expected, atol=1e-12)
 
 
 def test_leading_eigpairs_rank_one():
     theta = np.array([1.0, 2.0, 2.0])
-    pairs = leading_eigpairs(np.outer(theta, theta), 1)
-    assert np.isclose(pairs.values[0], 9.0)
-    assert np.allclose(pairs.vectors[:, 0], theta / 3.0)
+    values, vectors = leading_eigpairs(np.outer(theta, theta))
+    assert np.isclose(values[0], 9.0)
+    assert np.allclose(vectors[:, 0], theta / 3.0)
 
 
 def test_leading_eigpairs_identity_ties():
-    pairs = leading_eigpairs(np.eye(4), 2)
-    assert np.allclose(pairs.values, [1.0, 1.0])
+    values, _ = leading_eigpairs(np.eye(4))
+    assert np.allclose(values[:2], [1.0, 1.0])
 
 
 def test_magnitude_order_mixes_signs():
     a = np.diag([1.0, -3.0, 2.0])
-    pairs = leading_eigpairs(a, 3)
-    assert np.allclose(pairs.values, [-3.0, 2.0, 1.0])
+    values, _ = leading_eigpairs(a)
+    assert np.allclose(values[:3], [-3.0, 2.0, 1.0])
 
 
 def test_positive_before_negative_on_magnitude_tie():
-    pairs = leading_eigpairs(np.diag([-2.0, 2.0]), 2)
-    assert np.allclose(pairs.values, [2.0, -2.0])
+    values, _ = leading_eigpairs(np.diag([-2.0, 2.0]))
+    assert np.allclose(values[:2], [2.0, -2.0])
 
 
 def test_sign_convention():
     theta = np.array([1.0, 2.0, 2.0])
-    pairs = leading_eigpairs(np.outer(theta, theta), 1)
-    assert pairs.vectors[:, 0].sum() > 0
+    _, vectors = leading_eigpairs(np.outer(theta, theta))
+    assert vectors[:, 0].sum() > 0
     # zero-sum eigenvector: make the largest-magnitude entry positive
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pairs = leading_eigpairs(a, 2)
-    second = pairs.vectors[:, 1]
+    _, vectors = leading_eigpairs(a)
+    second = vectors[:, 1]
     assert np.isclose(second.sum(), 0.0, atol=1e-12)
     assert second[np.argmax(np.abs(second))] > 0
 
@@ -85,19 +84,22 @@ def test_eigpair_residual_and_orthonormality():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(30, 30))
     a = a + a.T
-    pairs = leading_eigpairs(a, 7)
+    values, vectors = leading_eigpairs(a)
     norm = np.linalg.norm(a, 2)
     for k in range(7):
-        v = pairs.vectors[:, k]
-        assert np.linalg.norm(a @ v - pairs.values[k] * v) <= 1e-6 * norm
-    assert np.allclose(pairs.vectors.T @ pairs.vectors, np.eye(7), atol=1e-8)
+        v = vectors[:, k]
+        assert np.linalg.norm(a @ v - values[k] * v) <= 1e-6 * norm
+    assert np.allclose(vectors[:, :7].T @ vectors[:, :7], np.eye(7), atol=1e-8)
 
 
-def test_leading_eigpairs_m_out_of_range():
-    with pytest.raises(ValueError):
-        leading_eigpairs(np.eye(3), 4)
-    with pytest.raises(ValueError):
-        leading_eigpairs(np.eye(3), 0)
+def test_leading_eigpairs_returns_every_pair_read_only():
+    values, vectors = leading_eigpairs(np.diag([1.0, -3.0, 2.0]))
+    assert values.shape == (3,) and vectors.shape == (3, 3)
+    for array in (values, vectors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    with pytest.raises(ValueError, match="square"):
+        leading_eigpairs(np.ones((2, 3)))
 
 
 def test_kmeans_recovers_separated_clusters():
@@ -131,15 +133,32 @@ def test_assignment_requires_every_cluster_nonempty():
         Assignment(np.array([0, 0, 2, 2]), 3)
 
 
-def test_score_ratios_clamped_and_finite():
+def kmeans_rows(monkeypatch, cluster, adj, m):
+    """The rows cluster(adj, m) hands to spectral.kmeans."""
+    calls = []
+
+    def recording(rows, m, seed=0, restarts=50):
+        calls.append(np.array(rows))
+        return Assignment(np.arange(len(rows)) % m, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "kmeans", recording)
+        cluster(adj, m)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def test_score_cluster_ratios_clamped_and_finite(monkeypatch):
     adj, _ = block_adjacency((5, 5))
-    ratios = score_ratios(adj.weights, 2)
+    ratios = kmeans_rows(monkeypatch, score_cluster, adj, 2)
     assert ratios.shape == (10, 1)
     assert np.all(np.abs(ratios) <= np.log(10) + 1e-12)
-    # a zero leading-eigenvector entry must not produce nan
-    a = np.diag([3.0, 2.0, 1.0])
-    ratios = np.asarray(score_ratios(a, 2))
+    # a zero leading-eigenvector entry must not produce nan: u_1 = e_1,
+    # so row 1 is 1/0 (clamped to log 3) and row 2 is 0/0 (mapped to 0)
+    adj = WeightedAdjacency(np.diag([3.0, 2.0, 1.0]))
+    ratios = kmeans_rows(monkeypatch, score_cluster, adj, 2)
     assert np.all(np.isfinite(ratios))
+    assert np.array_equal(ratios[:, 0], [0.0, np.log(3), 0.0])
 
 
 def test_score_cluster_noiseless_exact_recovery():
@@ -338,3 +357,75 @@ def test_kmeans_matches_sequential_reference_when_every_restart_empties():
     rows = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), [4, 3, 5], axis=0)
     assert assert_kmeans_matches_reference(rows, 4, restarts=5) > 0
     assert_kmeans_matches_reference(rows, 3, restarts=5)
+
+
+# The eigenpairs and SCORE ratios as they were computed before the basis
+# was shared across m: one full decomposition per (matrix, m), cut to m
+# pairs. The shared basis must reproduce them bit for bit.
+
+def reference_leading_eigpairs(matrix, m):
+    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    order = np.lexsort((-vals, -np.abs(vals)))[:m]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for j in range(m):
+        s = vecs[:, j].sum()
+        if s < 0:
+            vecs[:, j] = -vecs[:, j]
+        elif s == 0:
+            i = int(np.abs(vecs[:, j]).argmax())
+            if vecs[i, j] < 0:
+                vecs[:, j] = -vecs[:, j]
+    return vals, vecs
+
+
+def reference_score_ratios(matrix, m):
+    n = matrix.shape[0]
+    _, vecs = reference_leading_eigpairs(matrix, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = vecs[:, 1:] / vecs[:, :1]
+    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf, neginf=-np.inf)
+    clamp = np.log(n)
+    return np.clip(ratios, -clamp, clamp)
+
+
+def reference_rsc_matrix(adj):
+    n = adj.n
+    a_reg = adj.weights + 0.25 * adj.weights.sum(axis=1).mean() / n
+    dsum = a_reg.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)
+    return a_reg * np.outer(inv_sqrt, inv_sqrt)
+
+
+def reference_rsc_rows(adj, m):
+    rows = reference_leading_eigpairs(reference_rsc_matrix(adj), m)[1].copy()
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 0
+    rows[keep] /= norms[keep, None]
+    return rows
+
+
+# a nonnegative matrix whose eigenvector for lambda = 1, (1, 0, -1) / sqrt 2,
+# sums to exactly zero in floating point
+ZERO_SUM = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "adj, ms",
+    [(load_lesmis(), range(2, 11)), (WeightedAdjacency(ZERO_SUM), range(2, 4))],
+    ids=["lesmis", "zero-sum-eigenvector"],
+)
+def test_shared_basis_matches_per_m_decomposition(adj, ms, monkeypatch):
+    raw = np.linalg.eigh(ZERO_SUM)[1]
+    assert any(raw[:, j].sum() == 0 for j in range(3))
+    for matrix in (adj.weights, reference_rsc_matrix(adj)):
+        values, vectors = leading_eigpairs(matrix)
+        for m in (1, *ms):
+            ref_values, ref_vectors = reference_leading_eigpairs(matrix, m)
+            assert np.array_equal(values[:m], ref_values)
+            assert np.array_equal(vectors[:, :m], ref_vectors)
+    for m in ms:
+        score_rows = kmeans_rows(monkeypatch, score_cluster, adj, m)
+        assert np.array_equal(score_rows, reference_score_ratios(adj.weights, m))
+        assert np.array_equal(kmeans_rows(monkeypatch, rsc_cluster, adj, m), reference_rsc_rows(adj, m))

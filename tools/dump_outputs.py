@@ -57,8 +57,13 @@ RUN_CONFIGS = {
                      "svps score epsilon=0.05\nmethod = svps score epsilon=0.0500000001"),
     "negative-epsilon": ("distribution = poisson\nrho = 0.3\nr = 3\n", "svps score epsilon=-1"),
     "negative-lambda": ("distribution = poisson\nrho = 0.3\nr = 3\n", "cbic score lambda=-1"),
+    "nan-epsilon": ("distribution = poisson\nrho = 0.3\nr = 3\n", "svps score epsilon=nan"),
+    "nan-lambda": ("distribution = poisson\nrho = 0.3\nr = 3\n", "cbic score lambda=nan"),
+    "nan-rho": ("distribution = poisson\nrho = nan\nr = 3\n", "svps score"),
 }
 CONFIG_TAIL = "k_list = 2\nn_all = 12,14\nreplicates = 1\nseed = 0\n"
+# a config that runs, for the --jobs cases
+VALID_CONFIG = f"distribution = poisson\nrho = 0.3\nr = 3\nmethod = svps score\n{CONFIG_TAIL}"
 
 
 def import_commscale(root: Path):
@@ -148,6 +153,17 @@ def api_error_runs(cs):
     v = np.array([[1.0, 2.0], [2.0, 5.0]])
     for max_iter in (-1, 0, 100):
         yield f"api-sinkhorn-max_iter{max_iter}.txt", partial(cs.sinkhorn_symmetric, v, max_iter=max_iter)
+    nan = float("nan")
+    yield "api-svps-epsilon-nan.txt", partial(cs.svps_select, adj, epsilon=nan, m_max=3, restarts=2)
+    yield "api-cbic-lam-nan.txt", partial(cs.score_select, adj, "poisson", lam=nan, m_range=range(1, 4), restarts=2)
+    yield "api-sinkhorn-tol-nan.txt", partial(cs.sinkhorn_symmetric, v, tol=nan, max_iter=100)
+    yield "api-regularize-tau-nan.txt", partial(cs.regularize, adj, nan)
+    yield "api-simulation_params-rho-nan.txt", partial(cs.simulation_params, 2, nan, 3.0, (10, 10), cs.make_rng(0))
+    yield "api-simulation_params-r-nan.txt", partial(cs.simulation_params, 2, 0.3, nan, (10, 10), cs.make_rng(0))
+    yield "api-variance-c-nan.txt", partial(cs.VarianceFunction, "scaled_linear", c=nan)
+    config = cs.parse_config(io.StringIO(VALID_CONFIG))
+    for jobs in (0, -3):
+        yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
 
 
 def cli_runs(cs, tmp: Path):
@@ -172,23 +188,31 @@ def cli_runs(cs, tmp: Path):
         "select", "--method", "icl", "--input", lesmis, "--tau", "0.1", "--likelihood", "poisson", "--out", "OUT"]
     yield "cli-select-kmax0.txt", ["select", "--input", lesmis, "--kmax", "0", "--out", "OUT"]
     yield "cli-select-epsilon0.txt", ["select", "--input", lesmis, "--epsilon", "0", "--out", "OUT"]
+    yield "cli-select-epsilon-nan.txt", ["select", "--input", lesmis, "--epsilon", "nan", "--out", "OUT"]
     yield "cli-fit-score.txt", ["fit", "--input", lesmis, "--m", "3", "--seed", "0", "--out", "OUT"]
     yield "cli-fit-rsc.txt", ["fit", "--input", lesmis, "--m", "4", "--cluster", "rsc", "--seed", "1", "--out", "OUT"]
     yield "cli-scale.txt", ["scale", "--input", str(matrix), "--out", "OUT"]
     yield "cli-scale-max-iter0.txt", ["scale", "--input", str(matrix), "--max-iter", "0", "--out", "OUT"]
     yield "cli-scale-max-iter-negative.txt", ["scale", "--input", str(matrix), "--max-iter", "-1", "--out", "OUT"]
     yield "cli-scale-tol0.txt", ["scale", "--input", str(matrix), "--tol", "0", "--out", "OUT"]
+    yield "cli-scale-tol-nan.txt", ["scale", "--input", str(matrix), "--tol", "nan", "--out", "OUT"]
     yield "cli-simulate.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "3", "--seed", "0", "--out", "OUT"]
     yield "cli-simulate-negbinom.txt", [
         "simulate", "--dist", "negbinom", "--rho", "0.2", "--r", "3", "--k", "2", "--n-all", "20,30",
         "--seed", "5", "--out", "OUT"]
     yield "cli-simulate-negbinom-over-cap.txt", [
         "simulate", "--dist", "negbinom", "--rho", "1", "--r", "3", "--k", "2", "--out", "OUT"]
+    yield "cli-simulate-rho-nan.txt", ["simulate", "--rho", "nan", "--r", "2", "--k", "2", "--out", "OUT"]
     yield "cli-bench-lesmis-seed3.txt", ["bench", "lesmis", "--seed", "3", "--out", "OUT"]
+    yield "cli-bench-lesmis-epsilon-nan.txt", ["bench", "lesmis", "--epsilon", "nan", "--out", "OUT"]
     for name, (head, method) in RUN_CONFIGS.items():
         config = tmp / f"{name}.cfg"
         config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
         yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
+    valid = tmp / "valid.cfg"
+    valid.write_text(VALID_CONFIG, encoding="utf-8")
+    for jobs in ("0", "-3"):
+        yield f"cli-bench-run-jobs{jobs}.txt", ["bench", "run", "--config", str(valid), "--jobs", jobs, "--out", "OUT"]
 
 
 def run_cli(main, argv, out: Path) -> str:

@@ -138,19 +138,19 @@ def build_parser() -> _Parser:
 def _validate(args) -> None:
     if getattr(args, "func", None) is None:
         raise UsageError("commscale: a subcommand is required (see --help)")
-    if getattr(args, "command", None) == "select":
-        if args.method in ("cbic", "icl") and args.likelihood is None:
-            raise UsageError(f"commscale select: --likelihood is required for --method {args.method}")
-        if not args.epsilon > 0:
-            raise UsageError("commscale select: --epsilon must be positive")
+    command = " ".join(filter(None, (args.command, getattr(args, "bench_command", None))))
+    if command == "select" and args.method in ("cbic", "icl") and args.likelihood is None:
+        raise UsageError(f"commscale select: --likelihood is required for --method {args.method}")
+    # NaN fails every comparison, so "not > 0" rejects it too
+    for flag in ("epsilon", "tol", "rho", "r"):
+        if not getattr(args, flag, 1.0) > 0:
+            raise UsageError(f"commscale {command}: --{flag} must be positive")
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         raise UsageError("commscale select: --kmax must be >= 1")
-    if getattr(args, "command", None) == "fit" and args.m < 1:
+    if command == "fit" and args.m < 1:
         raise UsageError("commscale fit: --m must be >= 1")
     if getattr(args, "kmeans_restarts", 1) < 1:
         raise UsageError(f"commscale {args.command}: --kmeans-restarts must be >= 1")
-    if not getattr(args, "tol", 1.0) > 0:
-        raise UsageError("commscale scale: --tol must be positive")
     if getattr(args, "max_iter", 0) < 0:
         raise UsageError("commscale scale: --max-iter must be >= 0")
     if getattr(args, "jobs", 1) < 1:

@@ -6,10 +6,14 @@ multiplicities than iterative solvers. SCORE and RSC decompose their
 clustering matrix once per network object and take the first m columns
 of that basis at every m, so a selection decomposes it once.
 
-k-means runs all of its k-means++ restarts together as (restarts, n, m)
-array operations. Each restart still draws from its own generator
-spawned from the seed and stops at its own convergence test, so its
-labels are those it would reach alone.
+k-means runs all of its k-means++ restarts together. One matmul gives
+each point's candidate centre in every restart; a forward-error bound
+certifies it, and points it cannot certify (ties, near ties) are labelled
+from the distances ((x - c) ** 2).sum() itself gives, so the labels do
+not depend on the BLAS. Distances and WCSS are summed in numpy's own
+order. Each restart draws from its own generator and stops at its own
+convergence test (or when its labels repeat), so its labels are those it
+would reach alone.
 """
 
 from __future__ import annotations
@@ -97,6 +101,30 @@ def leading_eigpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _sq_dist(xt: np.ndarray, coord) -> np.ndarray:
+    """((x - c) ** 2).sum(axis=-1) bit for bit, one coordinate at a time from
+    xt = x.T and coord(j), coordinate j of each centre broadcast to (r, n).
+
+    The terms are added as numpy's pairwise sum adds a contiguous row: in
+    turn below 8; else in 8 interleaved accumulators joined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in turn; past 128,
+    as two halves split at a multiple of 8.
+    """
+    d = len(xt)
+    if d > 128:
+        mid = d // 16 * 8
+        return _sq_dist(xt[:mid], coord) + _sq_dist(xt[mid:], lambda j: coord(mid + j))
+    terms = ((coord(j) - xt[j]) ** 2 for j in range(d))
+    width = 8 if d >= 8 else 1
+    acc = [next(terms) for _ in range(width)]
+    for i in range(d // width * width - width):
+        acc[i % width] += next(terms)
+    total = acc[0] if width == 1 else ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for term in terms:
+        total += term
+    return total
+
+
 def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """(r, m, d) k-means++ starts, one restart per generator.
 
@@ -105,9 +133,10 @@ def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np
     integers(n) when every row sits on a centre already.
     """
     n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
     centers = np.empty((len(rngs), m, x.shape[1]))
     centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
-    d2 = ((x - centers[:, 0, None, :]) ** 2).sum(axis=2)
+    d2 = _sq_dist(xt, lambda j: centers[:, 0, j, None])
     for k in range(1, m):
         total = d2.sum(axis=1)
         spread = total > 0
@@ -119,40 +148,73 @@ def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np
         # count of entries <= u; an integer draw is the index itself
         idx = np.where(spread, (cdf <= draws[:, None]).sum(axis=1), draws.astype(np.intp))
         centers[:, k] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[:, k, None, :]) ** 2).sum(axis=2))
+        d2 = np.minimum(d2, _sq_dist(xt, lambda j: centers[:, k, j, None]))
     return centers
+
+
+def _exact_nearest(x: np.ndarray, centers: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Nearest of centers[rows] to x[points] by ((x - c) ** 2).sum(), ties to the lower index."""
+    d2 = [((x[points] - centers[rows, k]) ** 2).sum(axis=1) for k in range(centers.shape[1])]
+    return np.argmin(d2, axis=0)
 
 
 def _assign(x: np.ndarray, centers: np.ndarray):
     """Per restart: nearest-centre labels (r, n), their squared distances
-    (r, n) and the cluster sizes (r, m). Distance ties go to the lower
-    centre index.
+    (r, n) and the cluster sizes (r, m), those of ((x - c) ** 2).sum() per
+    row and centre with ties to the lower centre, whatever the BLAS.
 
-    Distances are built one (r, n, d) slab per centre, so each is summed
-    over the coordinates exactly as ((x - c) ** 2).sum() of one row is.
+    One matmul gives every h_k = |c_k|^2 - 2 c_k.x (|x|^2 is common to all
+    k), the least naming the candidate. Let u = 2**-53, g_j = ju / (1 - ju),
+    M = max_k |c_k|^2 and s = 2 (M + |x|^2) >= (|c_k| + |x|)^2. h_k, a
+    rounded |c_k|^2 added by a length-(d + 1) dot product in any order,
+    fused or not, is within g_(2d+1) s of its exact value; the reference
+    distance is within g_(d+2) s of |x - c_k|^2. A gap from the least h to
+    the next above 2 (g_(2d+1) + g_(d+2)) s <= 24 (d + 1) u (M + |x|^2)
+    thus leaves every other reference distance strictly larger. The bound
+    doubles that, for the rounding of M, |x|^2, the bound and the gap, and
+    adds the least normal number for underflow; points that miss it (ties,
+    near ties, inf, NaN) are labelled by _exact_nearest.
     """
-    r, m, _ = centers.shape
-    d2 = np.empty((r, x.shape[0], m))
-    for k in range(m):
-        d2[:, :, k] = ((x - centers[:, k, None, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=2)
-    point_d2 = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
-    bins = labels + m * np.arange(r)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=r * m).reshape(r, m)
+    r, m, d = centers.shape
+    flat_centers = centers.reshape(r * m, d)
+    norms = (flat_centers ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = np.column_stack([-2.0 * flat_centers, norms]) @ np.column_stack([x, np.ones(len(x))]).T
+        h = h.reshape(r, m, -1)
+        labels = np.zeros(h[:, 0].shape, dtype=np.intp)
+        best, second = h[:, 0].copy(), np.full_like(h[:, 0], np.inf)
+        for k in range(1, m):
+            # a new minimum moves the label up to k, so a maximum keeps it
+            np.maximum(labels, (h[:, k] < best) * k, out=labels)
+            np.minimum(second, np.maximum(best, h[:, k]), out=second)
+            np.minimum(best, h[:, k], out=best)
+        scale = norms.reshape(r, m).max(axis=1)[:, None] + (x ** 2).sum(axis=1)
+        bound = 24 * (d + 1) * np.finfo(float).eps * scale + np.finfo(float).tiny
+        rows, points = np.nonzero(~(second - best > bound))
+    if rows.size:
+        labels[rows, points] = _exact_nearest(x, centers, rows, points)
+    flat = labels + m * np.arange(r)[:, None]
+    coords = np.ascontiguousarray(flat_centers.T)
+    point_d2 = _sq_dist(np.ascontiguousarray(x.T), lambda j: coords[j].take(flat))
+    counts = np.bincount(flat.ravel(), minlength=r * m).reshape(r, m)
     return labels, point_d2, counts
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
     """Lloyd's algorithm on every restart at once, updating centers in place.
 
-    A restart leaves the batch at its own convergence test and its
+    A restart leaves the batch at its own convergence test, or when its
+    labels repeat those of its last iteration: the same labels give the
+    same centres, so the test would pass next time with nothing moved. Its
     centres are not touched again. A restart whose assignment empties a
     cluster reseeds each empty one at its farthest remaining point and
     spends the iteration on that, as a single run would.
     """
     n, d = x.shape
     r, m, _ = centers.shape
+    tiled = np.tile(x.T, r)
     prev = np.full(r, np.inf)
+    last = np.full((r, n), -1)
     active = np.arange(r)
     for _ in range(KMEANS_MAX_ITER):
         if active.size == 0:
@@ -168,15 +230,17 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
                 batch[i, k] = x[far]
                 pd[far] = -1.0
         full = ~empty
-        # one bin per (restart, cluster, coordinate); bincount adds the rows
-        # in order, as x[labels == k].sum(axis=0) does
+        # one bin per (restart, cluster) and coordinate; bincount adds the
+        # rows in order, as x[labels == k].sum(axis=0) does
         a = len(active)
-        cells = (labels + m * np.arange(a)[:, None])[:, :, None] * d + np.arange(d)
-        sums = np.bincount(cells.ravel(), np.broadcast_to(x, (a, n, d)).ravel(), a * m * d)
+        bins = (labels + m * np.arange(a)[:, None]).ravel()
+        sums = np.stack([np.bincount(bins, col[:a * n], a * m) for col in tiled], axis=1)
         batch[full] = sums.reshape(a, m, d)[full] / counts[full][:, :, None]
         wcss = point_d2.sum(axis=1)
         converged = full & (prev[active] - wcss <= KMEANS_TOL * np.maximum(wcss, np.finfo(float).tiny))
+        converged |= full & (labels == last[active]).all(axis=1)
         prev[active[full]] = wcss[full]
+        last[active] = np.where(full[:, None], labels, -1)
         centers[active] = batch
         active = active[~converged]
 
@@ -192,8 +256,8 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     distinct rows.
     """
     x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("rows must be 2-d")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("rows must be 2-d with at least one column")
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
@@ -213,12 +277,15 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     return Assignment(labels[best], m)
 
 
-def _basis(adj: WeightedAdjacency, clusterer: str) -> np.ndarray:
-    """The eigenvectors of the clusterer's matrix, computed once per network object.
+def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
+    """The m leading eigenvectors of the clusterer's matrix, whose full
+    basis is computed once per network object.
 
     The memo lives in the network's instance dict, so it goes when the
     network does; select runs on a shallow copy to keep it per selection.
     """
+    if not 1 <= m <= adj.n:
+        raise ValueError(f"m={m} out of range 1..{adj.n}")
     key = f"_{clusterer}_basis"
     memo = vars(adj)
     if key not in memo:
@@ -231,7 +298,7 @@ def _basis(adj: WeightedAdjacency, clusterer: str) -> np.ndarray:
                 inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)
             matrix = a_reg * np.outer(inv_sqrt, inv_sqrt)
         memo[key] = leading_eigpairs(matrix)[1]
-    return memo[key]
+    return memo[key][:, :m]
 
 
 def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> Assignment:
@@ -241,16 +308,13 @@ def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) ->
     Entries where u_1(i) = 0 are mapped to the clamp bound (0 when the
     numerator is also 0). m = 1 returns the single-cluster assignment.
     """
-    n = adj.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range 1..{n}")
     if m == 1:
-        return Assignment(np.zeros(n, dtype=int), 1)
-    vectors = _basis(adj, "score")
+        return Assignment(np.zeros(adj.n, dtype=int), 1)
+    vectors = _basis(adj, "score", m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = vectors[:, 1:m] / vectors[:, :1]
+        ratios = vectors[:, 1:] / vectors[:, :1]
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf, neginf=-np.inf)
-    clamp = np.log(n)
+    clamp = np.log(adj.n)
     return kmeans(np.clip(ratios, -clamp, clamp), m, seed=seed, restarts=restarts)
 
 
@@ -262,12 +326,9 @@ def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> A
     takes the top-m eigenvectors by magnitude, l2-normalizes the rows
     (zero rows stay zero) and k-means them.
     """
-    n = adj.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range 1..{n}")
     if m == 1:
-        return Assignment(np.zeros(n, dtype=int), 1)
-    rows = _basis(adj, "rsc")[:, :m].copy()
+        return Assignment(np.zeros(adj.n, dtype=int), 1)
+    rows = _basis(adj, "rsc", m).copy()
     norms = np.linalg.norm(rows, axis=1)
     keep = norms > 0
     rows[keep] /= norms[keep, None]

@@ -97,6 +97,30 @@ def test_select_nan_epsilon_is_usage_error(lesmis_file, capsys):
     assert "--epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+def test_bench_lesmis_epsilon_out_of_range_is_usage_error(value, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["bench", "lesmis", "--epsilon", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "commscale bench lesmis: --epsilon must be positive\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [("--rho", ("0", "-0.1", "nan")), ("--r", ("0", "-2", "nan"))],
+)
+def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, capsys):
+    out = tmp_path / "sim.tsv"
+    for value in values:
+        given = {"--rho": "0.3", "--r": "3", flag: value}
+        args = ["simulate", "--rho", given["--rho"], "--r", given["--r"], "--k", "2", "--out", str(out)]
+        assert main(args) == 1, value
+        captured = capsys.readouterr()
+        assert captured.err == f"commscale simulate: {flag} must be positive\n"
+        assert captured.out == "" and not out.exists()
+
+
 def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["fit", "--input", lesmis_file, "--m", "3", "--seed", "0", "--out", str(out)])

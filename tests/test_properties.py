@@ -1,5 +1,5 @@
 """Property tests: edge-list round trips, relabelling invariance, isolated nodes,
-and NaN at every positivity guard."""
+NaN at every positivity guard, and batched k-means on tie-heavy rows."""
 
 import io
 
@@ -22,6 +22,7 @@ from commscale.network import WeightedAdjacency, load_edge_list, regularize, wri
 from commscale.scaling import sinkhorn_symmetric
 from commscale.selection import MethodSpec, cbic_score, score_select, svps_select, svps_statistic
 from commscale.spectral import Assignment
+from test_spectral import assert_kmeans_matches_reference
 
 weights = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -132,3 +133,19 @@ PAIR = WeightedAdjacency(np.array([[1.0, 2.0], [2.0, 0.0]]))
 def test_positivity_guards_reject_nan(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@st.composite
+def integer_row_sets(draw):
+    """(rows, m, seed, restarts): small integer rows, full of exact distance ties."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 10))
+    values = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+    rows = np.array(values, dtype=float).reshape(n, d)
+    return rows, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_row_sets())
+def test_batched_kmeans_matches_sequential_reference_on_integer_rows(case):
+    rows, m, seed, restarts = case
+    assert_kmeans_matches_reference(rows, m, seed=seed, restarts=restarts)

@@ -429,3 +429,66 @@ def test_shared_basis_matches_per_m_decomposition(adj, ms, monkeypatch):
         score_rows = kmeans_rows(monkeypatch, score_cluster, adj, m)
         assert np.array_equal(score_rows, reference_score_ratios(adj.weights, m))
         assert np.array_equal(kmeans_rows(monkeypatch, rsc_cluster, adj, m), reference_rsc_rows(adj, m))
+
+
+# Inputs on which the matmul candidates cannot certify every label, so
+# _assign recomputes those points exactly: exact distance ties, repeated
+# rows, a large offset that cancels in |x|^2 - 2 x.c + |c|^2, and d = 17,
+# where numpy's pairwise sum runs two blocks of 8 and a remainder.
+
+def tie_grid():
+    return np.array([[i, j] for i in range(6) for j in range(6)], dtype=float)
+
+
+def duplicated_rows():
+    rng = np.random.default_rng(11)
+    return np.repeat(rng.normal(size=(4, 3)), [12, 9, 7, 2], axis=0)
+
+
+def offset_rows():
+    return 1e6 + 0.01 * np.random.default_rng(12).normal(size=(60, 2))
+
+
+def integer_rows_d17():
+    return np.random.default_rng(13).integers(0, 3, size=(40, 17)).astype(float)
+
+
+@pytest.fixture
+def exact_points(monkeypatch):
+    """The number of points _assign has sent to _exact_nearest so far."""
+    seen = []
+    exact = spectral._exact_nearest
+
+    def recording(x, centers, rows, points):
+        seen.append(len(points))
+        return exact(x, centers, rows, points)
+
+    monkeypatch.setattr(spectral, "_exact_nearest", recording)
+    return lambda: sum(seen)
+
+
+@pytest.mark.parametrize(
+    "rows, ms",
+    [(tie_grid(), (2, 4, 5)), (duplicated_rows(), (3, 5)), (offset_rows(), (2, 3)), (integer_rows_d17(), (17,))],
+    ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17"],
+)
+def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact_points):
+    for seed in (0, 1):
+        for m in ms:
+            assert_kmeans_matches_reference(rows, m, seed=seed, restarts=10)
+    assert exact_points() > 0
+
+
+def test_certified_labels_skip_the_exact_fallback(exact_points):
+    rows = np.random.default_rng(2).normal(size=(40, 3))
+    assert_kmeans_matches_reference(rows, 3, restarts=5)
+    assert exact_points() == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 24, 129, 300])
+def test_exact_distances_add_in_numpy_pairwise_order(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(30, d)) * rng.uniform(0, 1e3, size=(30, 1))
+    centers = rng.normal(size=(4, d))
+    got = spectral._sq_dist(np.ascontiguousarray(x.T), lambda j: centers[:, j, None])
+    assert np.array_equal(got, ((x - centers[:, None, :]) ** 2).sum(axis=-1))

@@ -13,7 +13,10 @@ The set covers:
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
   included;
-- library calls with bad arguments.
+- library calls with bad arguments;
+- kmeans on inputs full of distance ties, on rows offset by 1e6 and on
+  17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
+  restart's WCSS, so the exact fallback of the assignment shows too.
 
 A trace file holds SelectionTrace.to_csv(), or the message of the error
 the run raised. Dumping two checkouts and comparing the directories
@@ -166,6 +169,42 @@ def api_error_runs(cs):
         yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
 
 
+def kmeans_runs(cs):
+    """(file name, call) for kmeans on tie, duplicate and cancellation inputs."""
+    import numpy as np
+
+    rng = np.random.default_rng
+    inputs = {
+        "integer-grid": (np.array([[i, j] for i in range(6) for j in range(6)], dtype=float), 4),
+        "duplicated": (np.repeat(rng(11).normal(size=(4, 3)), [12, 9, 7, 2], axis=0), 5),
+        "offset-1e6": (1e6 + 0.01 * rng(12).normal(size=(60, 2)), 3),
+        "d17": (rng(13).integers(0, 3, size=(40, 17)).astype(float), 17),
+    }
+    for name, (rows, m) in inputs.items():
+        for seed in (0, 1):
+            yield f"kmeans-{name}-m{m}-seed{seed}.txt", partial(describe_kmeans, cs, rows, m, seed)
+
+
+def describe_kmeans(cs, rows, m, seed) -> str:
+    """kmeans's labels (or its error), then each restart's final WCSS by repr."""
+    import numpy as np
+
+    try:
+        text = f"labels {cs.kmeans(rows, m, seed=seed, restarts=RESTARTS).labels.tolist()}\n"
+    except cs.ClusterError as exc:
+        text = f"ClusterError: {exc}\n"
+    # the restarts as kmeans runs them, through helpers present at both commits
+    spectral = cs.spectral
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RESTARTS)]
+    centers = spectral._plusplus_init(rows, m, rngs)
+    spectral._lloyd(rows, centers)
+    _, point_d2, counts = spectral._assign(rows, centers)
+    for i in range(RESTARTS):
+        wcss = repr(float(point_d2[i].sum())) if (counts[i] > 0).all() else "empty cluster"
+        text += f"restart {i} wcss {wcss}\n"
+    return text
+
+
 def cli_runs(cs, tmp: Path):
     """(file name, argv) for the CLI; OUT in argv stands for a fresh --out path."""
     lesmis = str(cs.lesmis_path())
@@ -261,6 +300,8 @@ def main(argv=None) -> int:
         write(name, outcome(call, domain_errors))
     for name, call in api_error_runs(cs):
         write(name, outcome(call, (*domain_errors, ValueError)))
+    for name, call in kmeans_runs(cs):
+        write(name, call())
     for name, call in table_runs(cs):
         buf = io.StringIO()
         cs.emit_csv(call(), buf)

@@ -6,6 +6,9 @@ variance-profile test (svps) stops at the first m where the (m+1)-th
 largest eigenvalue magnitude of the adjacency, scaled by the fitted
 variance profile, falls below 2 + epsilon. The penalized-likelihood
 baselines (CBIC, ICL) score every m and take the argmax.
+
+The log-likelihood uses scipy.special and data terms built once per
+selection; it equals the scipy.stats logpmf sum bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .fitting import FitError, FittedStep, fit_step, floor_positive
 from .model import EdgeDistribution, VarianceFunction, edge_law
@@ -117,7 +120,7 @@ def _cluster_and_fit(
 
 
 def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
-    """values as integer counts, or ValueError when they leave law's support."""
+    """values as integer counts in floats, or ValueError when they leave law's support."""
     what = law.kind.replace("_", " ")
     rounded = np.round(values)
     if not np.allclose(values, rounded, rtol=0, atol=1e-9):
@@ -127,11 +130,33 @@ def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
         raise ValueError(f"{what} likelihood needs nonnegative weights")
     if law.kind == "binomial" and (counts > law.trials).any():
         raise ValueError(f"{what} likelihood needs weights <= {law.trials}")
-    return counts
+    return counts.astype(float)
 
 
-def log_likelihood(adj: np.ndarray, mean: np.ndarray, dist) -> float:
-    """Log mass of the weight matrix adj (an array) given entrywise means.
+def _data_terms(adj: WeightedAdjacency, law: EdgeDistribution) -> tuple[np.ndarray, ...]:
+    """Counts k, mean-free term c and failure counts f of law's log mass,
+    built once per network object and law and memoised on it as the
+    clusterers' basis is. c is log k! (Poisson), log C(N, k) with f = N - k
+    (binomial, N trials) or log C(N + k - 1, k) with f = k (negative
+    binomial), each formed as scipy.stats forms it.
+    """
+    key = f"_{law.kind}{law.trials}_terms"
+    memo = vars(adj)
+    if key not in memo:
+        k = _support_counts(adj.weights, law)
+        trials = law.trials
+        if law.kind == "poisson":
+            memo[key] = (k, gammaln(k + 1), None)
+        elif law.kind == "binomial":
+            failures = trials - k
+            memo[key] = (k, gammaln(trials + 1) - (gammaln(k + 1) + gammaln(failures + 1)), failures)
+        else:
+            memo[key] = (k, gammaln(trials + k) - gammaln(k + 1) - gammaln(trials), k)
+    return memo[key]
+
+
+def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
+    """Log mass of adj's weights given entrywise means of the same shape.
 
     The sum runs over all ordered node pairs, so each off-diagonal pair
     contributes twice (once per direction) and each diagonal entry once.
@@ -139,19 +164,24 @@ def log_likelihood(adj: np.ndarray, mean: np.ndarray, dist) -> float:
     "bernoulli" is the binomial law with one trial. Mean entries are
     floored positive as in fitting; probability-type parameters are
     additionally capped at 1 - 1e-8 so boundary fits keep a finite
-    likelihood.
+    likelihood. Weights outside the law's support raise ValueError.
     """
     law = edge_law(dist)
-    counts = _support_counts(np.asarray(adj, dtype=float), law)
-    mu = floor_positive(np.asarray(mean, dtype=float))
-    trials = law.trials
+    mean = np.asarray(mean, dtype=float)
+    if mean.shape != adj.weights.shape:
+        raise ValueError(f"mean must have shape {adj.weights.shape}, got {mean.shape}")
+    k, c, f = _data_terms(adj, law)
+    mu = floor_positive(mean)
     cap = 1.0 - 1e-8
+    # each sum is grouped as scipy.stats groups it
     if law.kind == "poisson":
-        terms = stats.poisson.logpmf(counts, mu)
+        terms = (xlogy(k, mu) - c) - mu
     elif law.kind == "binomial":
-        terms = stats.binom.logpmf(counts, trials, np.minimum(mu / trials, cap))
+        p = np.minimum(mu / law.trials, cap)
+        terms = (c + xlogy(k, p)) + xlog1py(f, -p)
     else:
-        terms = stats.nbinom.logpmf(counts, trials, 1.0 - np.minimum(mu / trials, cap))
+        p = 1.0 - np.minimum(mu / law.trials, cap)
+        terms = (c + law.trials * np.log(p)) + xlog1py(f, -p)
     return float(terms.sum())
 
 
@@ -162,7 +192,7 @@ def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, dist, lam: float = 1.
     n = adj.n
     m = fitted.m
     penalty = lam * n * math.log(m) + m * (m + 1) / 2.0 * math.log(n)
-    return log_likelihood(adj.weights, fitted.mean, dist) - penalty
+    return log_likelihood(adj, fitted.mean, dist) - penalty
 
 
 def icl_score(adj: WeightedAdjacency, fitted: FittedStep, dist) -> float:
@@ -172,7 +202,7 @@ def icl_score(adj: WeightedAdjacency, fitted: FittedStep, dist) -> float:
     sizes = fitted.assignment.sizes
     entropy = float((sizes * np.log(n / sizes)).sum())
     penalty = entropy + m * (m + 2) / 2.0 * math.log(n)
-    return log_likelihood(adj.weights, fitted.mean, dist) - penalty
+    return log_likelihood(adj, fitted.mean, dist) - penalty
 
 
 def select(
@@ -191,11 +221,12 @@ def select(
     below 2 + epsilon; cbic/icl score m <= n and k_hat is the argmax,
     ties to the smallest m. Failed steps record +inf (svps) or -inf and
     are never selected. variance_fn is for svps only; cbic/icl need dist,
-    the likelihood law, and raise FitError before any clustering when the
-    weights leave its support.
+    the likelihood law, and build its data terms before any clustering,
+    raising FitError when the weights leave its support.
 
     The steps run on a shallow copy of adj, which shares its weights, so
-    the clusterers' eigenvector memo lasts for this selection only.
+    the clusterers' eigenvector memo and the likelihood's data terms last
+    for this selection only.
     """
     adj = copy.copy(adj)
     svps = spec.selector == "svps"
@@ -210,7 +241,7 @@ def select(
             raise ValueError(f"{spec.selector} needs a likelihood law")
         law = edge_law(dist)
         try:
-            _support_counts(adj.weights, law)
+            _data_terms(adj, law)
         except ValueError as exc:
             raise FitError(str(exc)) from None
         last, failed, threshold = adj.n, -math.inf, None

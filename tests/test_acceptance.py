@@ -236,7 +236,7 @@ def test_criterion_8_penalty_transcription():
         labels = np.sort(rng.integers(0, m, size=n))
         labels[:m] = np.arange(m)  # keep every group nonempty
         fitted = fit_step(adj, Assignment(labels, m))
-        ll = log_likelihood(adj.weights, fitted.mean, "poisson")
+        ll = log_likelihood(adj, fitted.mean, "poisson")
         cbic_pen = n * math.log(m) + m * (m + 1) / 2 * math.log(n)
         sizes = fitted.assignment.sizes
         icl_pen = float(sum(s * math.log(n / s) for s in sizes)) + m * (m + 2) / 2 * math.log(n)

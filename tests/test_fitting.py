@@ -163,7 +163,7 @@ def test_variance_floor():
         fit_step(WeightedAdjacency(np.zeros((2, 2))), Assignment(np.zeros(2, dtype=int), 1))
     # the likelihood floors its means the same way, and cannot floor all zeros
     with pytest.raises(FitError, match="no positive entries"):
-        log_likelihood(np.zeros((2, 2)), np.zeros((2, 2)), "poisson")
+        log_likelihood(WeightedAdjacency(np.zeros((2, 2))), np.zeros((2, 2)), "poisson")
 
 
 def test_bernoulli_variance_domain():

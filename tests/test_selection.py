@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from commscale import selection, spectral
 from commscale.datasets import load_lesmis
@@ -40,39 +43,78 @@ def sampled_counts(sizes, seed=8):
 
 
 def test_likelihood_trivial_contributions():
-    # 1x1 networks isolate a single (diagonal) entry, counted once
-    assert log_likelihood(np.array([[0.0]]), np.array([[0.7]]), "poisson") == pytest.approx(-0.7)
-    assert log_likelihood(np.array([[1.0]]), np.array([[1.0]]), "poisson") == pytest.approx(-1.0)
-    assert log_likelihood(np.array([[1.0]]), np.array([[0.5]]), "bernoulli") == pytest.approx(
-        math.log(0.5)
-    )
+    # diagonal entries count once, off-diagonal zeros twice
+    a = WeightedAdjacency(np.diag([0.0, 1.0]))
+    mu = np.array([[0.7, 0.2], [0.2, 1.0]])
+    assert log_likelihood(a, mu, "poisson") == pytest.approx(-0.7 - 1.0 - 2 * 0.2)
+    a = WeightedAdjacency(np.diag([1.0, 0.0]))
+    mu = np.array([[0.5, 0.2], [0.2, 0.5]])
+    expected = 2 * math.log(0.5) + 2 * math.log(0.8)
+    assert log_likelihood(a, mu, "bernoulli") == pytest.approx(expected)
 
 
 def test_likelihood_counts_offdiagonal_pairs_twice():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = WeightedAdjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
     mu = np.array([[0.3, 0.8], [0.8, 0.3]])
     expected = 2 * (math.log(0.8) - 0.8) + 2 * (-0.3)
     assert log_likelihood(a, mu, "poisson") == pytest.approx(expected)
 
 
 def test_likelihood_binomial_and_negbinom_values():
-    from scipy import stats
+    a = WeightedAdjacency(np.array([[2.0, 1.0], [1.0, 0.0]]))
+    mu = np.array([[1.5, 0.5], [0.5, 1.0]])
+    assert log_likelihood(a, mu, "binomial") == pytest.approx(
+        stats.binom.logpmf(a.weights, 5, mu / 5).sum())
+    assert log_likelihood(a, mu, "negbinom") == pytest.approx(
+        stats.nbinom.logpmf(a.weights, 5, 1 - mu / 5).sum())
 
-    a = np.array([[2.0]])
-    mu = np.array([[1.5]])
-    assert log_likelihood(a, mu, "binomial") == pytest.approx(stats.binom.logpmf(2, 5, 0.3))
-    assert log_likelihood(a, mu, "negbinom") == pytest.approx(stats.nbinom.logpmf(2, 5, 0.7))
+
+@pytest.mark.parametrize("law", ["poisson", "binomial", "bernoulli", "negbinom"])
+def test_likelihood_equals_scipy_stats_exactly(law):
+    # scipy.stats is the reference: the same sum, bit for bit, with means
+    # at zero (floored), at or above the trial cap, and weights within
+    # 1e-9 of an integer
+    rng = np.random.default_rng(7)
+    trials = 1 if law == "bernoulli" else 5
+    top = trials if law in ("binomial", "bernoulli") else 12
+    cap = 1 - 1e-8
+    for n in range(2, 42):
+        counts = rng.integers(0, top + 1, size=(n, n))
+        counts = np.triu(counts) + np.triu(counts, 1).T
+        jitter = rng.uniform(-9e-10, 9e-10, size=(n, n))
+        weights = np.clip(counts + np.triu(jitter) + np.triu(jitter, 1).T, 0, None)
+        mean = rng.gamma(1.0, 1.5, size=(n, n))
+        mean[rng.random((n, n)) < 0.2] = 0.0
+        mean[rng.random((n, n)) < 0.2] = trials
+        mean[rng.random((n, n)) < 0.2] = 2.5 * trials
+        mean[0, 0] = 0.4
+        mu = np.maximum(mean, 1e-8 * mean[mean > 0].mean())
+        if law == "poisson":
+            want = stats.poisson.logpmf(counts, mu)
+        elif law == "negbinom":
+            want = stats.nbinom.logpmf(counts, trials, 1 - np.minimum(mu / trials, cap))
+        else:
+            want = stats.binom.logpmf(counts, trials, np.minimum(mu / trials, cap))
+        assert log_likelihood(WeightedAdjacency(weights), mean, law) == float(want.sum()), n
+
+
+def test_likelihood_rejects_misshaped_means():
+    a = WeightedAdjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for mean in (np.array([[0.5]]), np.array([0.5, 0.5]), np.ones((3, 3)), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="mean must have shape"):
+            log_likelihood(a, mean, "poisson")
 
 
 def test_likelihood_support_errors():
+    mu = np.ones((2, 2))
     with pytest.raises(ValueError, match="integer"):
-        log_likelihood(np.array([[0.5]]), np.array([[1.0]]), "poisson")
+        log_likelihood(WeightedAdjacency(np.diag([0.5, 0.0])), mu, "poisson")
     with pytest.raises(ValueError, match="<= 5"):
-        log_likelihood(np.array([[6.0]]), np.array([[1.0]]), "binomial")
+        log_likelihood(WeightedAdjacency(np.diag([6.0, 0.0])), mu, "binomial")
     with pytest.raises(ValueError, match="<= 1"):
-        log_likelihood(np.array([[2.0]]), np.array([[0.5]]), "bernoulli")
+        log_likelihood(WeightedAdjacency(np.diag([2.0, 0.0])), mu / 2, "bernoulli")
     with pytest.raises(ValueError, match="unknown"):
-        log_likelihood(np.array([[1.0]]), np.array([[1.0]]), "gamma")
+        log_likelihood(WeightedAdjacency(np.diag([1.0, 0.0])), mu, "gamma")
 
 
 def test_score_select_checks_the_law_before_clustering(monkeypatch):
@@ -91,9 +133,10 @@ def test_score_select_checks_the_law_before_clustering(monkeypatch):
 
 def test_likelihood_caps_boundary_means():
     # a fitted mean at the trial cap must stay finite
-    value = log_likelihood(np.array([[0.0]]), np.array([[5.0]]), "binomial")
+    zeros = WeightedAdjacency(np.zeros((2, 2)))
+    value = log_likelihood(zeros, np.full((2, 2), 5.0), "binomial")
     assert np.isfinite(value)
-    value = log_likelihood(np.array([[0.0]]), np.array([[2.0]]), "bernoulli")
+    value = log_likelihood(zeros, np.full((2, 2), 2.0), "bernoulli")
     assert np.isfinite(value)
 
 
@@ -105,7 +148,7 @@ def test_penalties_match_closed_form():
     adj, labels = sampled_counts((5, 7, 9))
     n = adj.n
     fitted = fitted_for(adj, labels, 3)
-    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
+    ll = log_likelihood(adj, fitted.mean, "poisson")
     expected_pen = n * math.log(3) + 3 * 4 / 2 * math.log(n)
     assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - expected_pen, rel=1e-12)
     sizes = fitted.assignment.sizes
@@ -118,7 +161,7 @@ def test_penalty_m1_special_cases():
     adj, labels = sampled_counts((6, 6))
     n = adj.n
     fitted = fitted_for(adj, np.zeros(n, dtype=int), 1)
-    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
+    ll = log_likelihood(adj, fitted.mean, "poisson")
     # cbic: n log 1 + log n = log n; icl: zero entropy + (3/2) log n
     assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - math.log(n))
     assert icl_score(adj, fitted, "poisson") == pytest.approx(ll - 1.5 * math.log(n))
@@ -128,7 +171,7 @@ def test_icl_entropy_equal_blocks():
     adj, labels = sampled_counts((10, 10))
     fitted = fitted_for(adj, labels, 2)
     n = adj.n
-    ll = log_likelihood(adj.weights, fitted.mean, "poisson")
+    ll = log_likelihood(adj, fitted.mean, "poisson")
     expected = ll - (n * math.log(2) + 2 * 4 / 2 * math.log(n))
     assert icl_score(adj, fitted, "poisson") == pytest.approx(expected)
 
@@ -371,3 +414,37 @@ def test_each_selection_decomposes_its_clustering_matrix_once(clusterer, monkeyp
     trace = select(adj, MethodSpec("svps", clusterer), restarts=2)
     assert [step.m for step in trace.steps] == [1] and trace.k_hat == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("selector,law", [("cbic", "poisson"), ("icl", "bernoulli"), ("cbic", "negbinom")])
+def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypatch):
+    builds, scores = [], []
+    support, likelihood = selection._support_counts, selection.log_likelihood
+
+    def counting_support(values, dist):
+        builds.append(dist)
+        return support(values, dist)
+
+    def counting_likelihood(*args):
+        scores.append(args[1].shape)
+        return likelihood(*args)
+
+    monkeypatch.setattr(selection, "_support_counts", counting_support)
+    monkeypatch.setattr(selection, "log_likelihood", counting_likelihood)
+    adj, _ = sampled_counts((12, 14, 16))
+    if law == "bernoulli":
+        adj = binarize(adj)
+    fields = dict(vars(adj))
+    trace = select(adj, MethodSpec(selector), dist=law, m_max=5, restarts=2)
+    ok = [step for step in trace.steps if step.status == "ok"]
+    assert len(ok) > 1 and len(scores) == len(ok)
+    assert len(builds) == 1
+    # the memo went with the selection's copy of the network
+    assert vars(adj).keys() == fields.keys()
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, commscale; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

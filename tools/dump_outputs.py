@@ -16,7 +16,12 @@ The set covers:
 - library calls with bad arguments;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
-  restart's WCSS, so the exact fallback of the assignment shows too.
+  restart's WCSS, so the exact fallback of the assignment shows too;
+- cbic and icl traces on networks sampled from the binomial (5 trials)
+  and negative binomial laws, and cbic_score and icl_score under every
+  likelihood law on random counts whose means include zeros (floored)
+  and values at or past the trial cap, so every branch of the
+  likelihood shows.
 
 A trace file holds SelectionTrace.to_csv(), or the message of the error
 the run raised. Dumping two checkouts and comparing the directories
@@ -116,9 +121,21 @@ def panel_runs(cs):
             yield f"panel-K{k}-rep{rep}-{spec.label}", adj, spec, config.distribution, m_max, seed
 
 
+def law_runs(cs):
+    """(name, network, spec, law, m_max, seed) for cbic/icl on binomial and negbinom samples."""
+    for law in (cs.EdgeDistribution("binomial"), cs.EdgeDistribution("negative_binomial")):
+        for k in (2, 3):
+            rng = cs.make_rng(k)
+            model = cs.simulation_params(k, 0.2, 3.0, (20, 25, 30)[:k], rng)
+            adj = cs.sample_network(cs.mean_matrix(model), law, rng)
+            for selector in ("cbic", "icl"):
+                spec = cs.MethodSpec(selector)
+                yield f"law-{law.kind}-K{k}-{spec.label}", adj, spec, law, k + 4, 0
+
+
 def trace_runs(cs):
     """(file name, call) for every trace, through select and through the shorthands."""
-    for runs in (lesmis_runs(cs), panel_runs(cs)):
+    for runs in (lesmis_runs(cs), panel_runs(cs), law_runs(cs)):
         for name, adj, spec, law, m_max, seed in runs:
             yield f"{name}.csv", partial(cs.select, adj, spec, dist=law, m_max=m_max, seed=seed, restarts=RESTARTS)
             common = dict(clusterer=spec.clusterer, seed=seed, restarts=RESTARTS)
@@ -202,6 +219,41 @@ def describe_kmeans(cs, rows, m, seed) -> str:
     for i in range(RESTARTS):
         wcss = repr(float(point_d2[i].sum())) if (counts[i] > 0).all() else "empty cluster"
         text += f"restart {i} wcss {wcss}\n"
+    return text
+
+
+def likelihood_runs(cs):
+    """(file name, call) for cbic_score and icl_score on random counts, per law."""
+    for law in ("poisson", "binomial", "bernoulli", "negbinom"):
+        yield f"likelihood-{law}.txt", partial(describe_scores, cs, law)
+
+
+def describe_scores(cs, law) -> str:
+    """repr of cbic_score and icl_score at m = 2 on symmetric counts, one line per n.
+
+    The inputs are built like those of the exact likelihood test in
+    tests/test_selection.py, with another seed and other sizes.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(21)
+    trials = 1 if law == "bernoulli" else 5
+    top = trials if law in ("binomial", "bernoulli") else 12
+    text = ""
+    for n in (2, 3, 9, 30):
+        # counts within 1e-9 of an integer
+        jitter = rng.uniform(-9e-10, 9e-10, size=(n, n))
+        weights = np.clip(rng.integers(0, top + 1, size=(n, n)) + jitter, 0, None)
+        adj = cs.WeightedAdjacency(np.triu(weights) + np.triu(weights, 1).T)
+        mean = rng.gamma(1.0, 1.5, size=(n, n))
+        mean[rng.random((n, n)) < 0.2] = 0.0
+        mean[rng.random((n, n)) < 0.2] = trials
+        mean[rng.random((n, n)) < 0.2] = 2.5 * trials
+        mean[0, 0] = 0.4
+        labels = np.arange(n) % 2
+        fitted = cs.FittedStep(m=2, assignment=cs.Assignment(labels, 2), theta=np.ones(n),
+                               block_matrix=np.eye(2), mean=mean, variance=mean)
+        text += f"n {n} cbic {cs.cbic_score(adj, fitted, law)!r} icl {cs.icl_score(adj, fitted, law)!r}\n"
     return text
 
 
@@ -300,7 +352,7 @@ def main(argv=None) -> int:
         write(name, outcome(call, domain_errors))
     for name, call in api_error_runs(cs):
         write(name, outcome(call, (*domain_errors, ValueError)))
-    for name, call in kmeans_runs(cs):
+    for name, call in (*kmeans_runs(cs), *likelihood_runs(cs)):
         write(name, call())
     for name, call in table_runs(cs):
         buf = io.StringIO()

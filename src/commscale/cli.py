@@ -37,13 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _default_seed() -> int:
-    env = os.environ.get("COMMSCALE_SEED")
-    return int(env) if env else 0
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
 
 
 def _add_io_flags(sub, input_required=True):
@@ -126,7 +121,7 @@ def build_parser() -> _Parser:
     les.add_argument("--input", default=None,
                      help="edge list (default: the packaged co-occurrence network)")
     les.add_argument("--indexing", type=int, choices=(0, 1), default=0)
-    les.add_argument("--tau", default="0.05,0.1,0.25,0.5",
+    les.add_argument("--tau", type=_floats, default="0.05,0.1,0.25,0.5",
                      help="comma-separated regularization values")
     les.add_argument("--epsilon", type=float, default=0.05)
     _add_common_flags(les)
@@ -141,20 +136,26 @@ def _validate(args) -> None:
     command = " ".join(filter(None, (args.command, getattr(args, "bench_command", None))))
     if command == "select" and args.method in ("cbic", "icl") and args.likelihood is None:
         raise UsageError(f"commscale select: --likelihood is required for --method {args.method}")
+    if args.seed is None and command in ("select", "fit", "simulate", "bench lesmis"):
+        env = os.environ.get("COMMSCALE_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            args.seed = -1  # rejected just below, with the variable's text
+        if args.seed < 0:
+            raise UsageError(f"commscale {command}: COMMSCALE_SEED must be an integer >= 0, got {env!r}")
     # NaN fails every comparison, so "not > 0" rejects it too
     for flag in ("epsilon", "tol", "rho", "r"):
         if not getattr(args, flag, 1.0) > 0:
             raise UsageError(f"commscale {command}: --{flag} must be positive")
-    if getattr(args, "kmax", None) is not None and args.kmax < 1:
-        raise UsageError("commscale select: --kmax must be >= 1")
-    if command == "fit" and args.m < 1:
-        raise UsageError("commscale fit: --m must be >= 1")
-    if getattr(args, "kmeans_restarts", 1) < 1:
-        raise UsageError(f"commscale {args.command}: --kmeans-restarts must be >= 1")
-    if getattr(args, "max_iter", 0) < 0:
-        raise UsageError("commscale scale: --max-iter must be >= 0")
-    if getattr(args, "jobs", 1) < 1:
-        raise UsageError("commscale bench run: --jobs must be >= 1")
+    tau = getattr(args, "tau", 0.0)
+    if not all(t >= 0 for t in (tau if command == "bench lesmis" else (tau,))):
+        raise UsageError(f"commscale {command}: --tau must be >= 0")
+    # integer flags and their least values; a command without the flag skips it
+    for flag, least in (("seed", 0), ("replicate", 0), ("max_iter", 0), ("kmax", 1), ("m", 1), ("k", 1),
+                        ("kmeans_restarts", 1), ("jobs", 1)):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < least:
+            raise UsageError(f"commscale {command}: --{flag.replace('_', '-')} must be >= {least}")
 
 
 def _load_network(args):
@@ -183,7 +184,7 @@ def cmd_select(args) -> int:
         dist=args.likelihood,
         variance_fn=VarianceFunction(args.variance),
         m_max=args.kmax,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         restarts=args.kmeans_restarts,
     )
     if args.out:
@@ -194,7 +195,7 @@ def cmd_select(args) -> int:
 
 def cmd_fit(args) -> int:
     fitted = _cluster_and_fit(
-        _load_network(args), args.m, args.cluster, _resolve_seed(args), args.kmeans_restarts
+        _load_network(args), args.m, args.cluster, args.seed, args.kmeans_restarts
     )
     if args.out:
         lines = ["quantity,i,j,value"]
@@ -223,9 +224,8 @@ def cmd_scale(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     n_all = tuple(int(t) for t in args.n_all.split(","))
-    rng = make_rng(np.random.SeedSequence((seed, args.k, args.replicate)))
+    rng = make_rng(np.random.SeedSequence((args.seed, args.k, args.replicate)))
     model = simulation_params(args.k, args.rho, args.r, n_all, rng)
     adj = sample_network(mean_matrix(model), EDGE_LAWS[args.dist], rng,
                          zero_diagonal=args.zero_diagonal)
@@ -250,9 +250,7 @@ def cmd_bench_lesmis(args) -> int:
         adj = load_lesmis()
     else:
         adj = load_edge_list(args.input, indexing=args.indexing)
-    seed = _resolve_seed(args)
-    tau_list = tuple(float(t) for t in args.tau.split(","))
-    table = bench_mod.run_lesmis(adj, tau_list=tau_list, seed=seed, epsilon=args.epsilon)
+    table = bench_mod.run_lesmis(adj, tau_list=args.tau, seed=args.seed, epsilon=args.epsilon)
     if args.out:
         bench_mod.emit_csv(table, args.out)
     _say(args, f"cells={len(table.rows)}")

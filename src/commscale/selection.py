@@ -14,6 +14,7 @@ selection; it equals the scipy.stats logpmf sum bit for bit.
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -107,16 +108,36 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     return float(mags[fitted.m])
 
 
+# The last network's step assignments, (weights digest, {(clusterer, m,
+# seed, restarts): Assignment}). A new network replaces the whole pair, so
+# a caller still holding the old pair can only miss.
+_steps: tuple = (None, {})
+
+
 def _cluster_and_fit(
     adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, variance_fn=None
 ) -> FittedStep:
     """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
 
-    The clusterers and fit_step are looked up in this module at call
-    time, so a wrapper installed on these attributes sees every step.
+    An int seed's assignment is memoised in _steps, so selectors sharing
+    a network and seed cluster each m once. The clusterers and fit_step
+    are looked up in this module at call time, so a wrapper installed on
+    these attributes sees every clustering and fit.
     """
+    global _steps
     cluster = score_cluster if clusterer == "score" else rsc_cluster
-    return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
+    if type(seed) is not int:
+        return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
+    memo = vars(adj)
+    if "_digest" not in memo:
+        memo["_digest"] = (adj.weights.shape, hashlib.sha1(np.ascontiguousarray(adj.weights)).digest())
+    steps = _steps
+    if steps[0] != memo["_digest"]:
+        steps = _steps = (memo["_digest"], {})
+    key = (clusterer, m, seed, restarts)
+    if key not in steps[1]:
+        steps[1][key] = cluster(adj, m, seed=seed, restarts=restarts)
+    return fit_step(adj, steps[1][key], variance_fn)
 
 
 def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
@@ -226,7 +247,8 @@ def select(
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo and the likelihood's data terms last
-    for this selection only.
+    for this selection only; with an int seed, the step assignments are
+    shared with later selections on equal weights (_cluster_and_fit).
     """
     adj = copy.copy(adj)
     svps = spec.selector == "svps"

@@ -121,6 +121,68 @@ def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, caps
         assert captured.out == "" and not out.exists()
 
 
+# (argv, command name) of each command that reads --seed or COMMSCALE_SEED;
+# LESMIS stands for the copied network file
+SEEDED = [
+    (["select", "--input", "LESMIS"], "select"),
+    (["fit", "--input", "LESMIS", "--m", "2"], "fit"),
+    (["simulate", "--rho", "0.3", "--r", "3", "--k", "2"], "simulate"),
+    (["bench", "lesmis"], "bench lesmis"),
+]
+
+
+def run_seeded(argv, lesmis_file, out, *flags):
+    return main([lesmis_file if arg == "LESMIS" else arg for arg in argv] + [*flags, "--out", str(out)])
+
+
+@pytest.mark.parametrize("argv, name", SEEDED, ids=[name for _, name in SEEDED])
+def test_negative_seed_is_usage_error(argv, name, lesmis_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run_seeded(argv, lesmis_file, out, "--seed", "-1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"commscale {name}: --seed must be >= 0\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+@pytest.mark.parametrize("argv, name", SEEDED, ids=[name for _, name in SEEDED])
+def test_bad_seed_variable_is_usage_error(argv, name, value, lesmis_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COMMSCALE_SEED", value)
+    out = tmp_path / "out.txt"
+    assert run_seeded(argv, lesmis_file, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"commscale {name}: COMMSCALE_SEED must be an integer >= 0, got {value!r}\n"
+    assert captured.out == "" and not out.exists()
+    # --seed overrides the variable, which is then never read
+    assert run_seeded(argv, lesmis_file, out, "--seed", "0", "--quiet") == 0
+
+
+TAU_CASES = [(argv, name, value) for argv, name in (SEEDED[0], SEEDED[1], SEEDED[3]) for value in ("-0.5", "nan")]
+TAU_CASES.append((SEEDED[3][0], "bench lesmis", "0.1,-0.5"))
+
+
+@pytest.mark.parametrize("argv, name, value", TAU_CASES, ids=[f"{name}-{value}" for _, name, value in TAU_CASES])
+def test_tau_out_of_range_is_usage_error(argv, name, value, lesmis_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run_seeded(argv, lesmis_file, out, "--tau", value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"commscale {name}: --tau must be >= 0\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--k", "0", "--k must be >= 1"), ("--k", "-2", "--k must be >= 1"),
+     ("--replicate", "-1", "--replicate must be >= 0")],
+)
+def test_simulate_k_and_replicate_out_of_range_is_usage_error(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "sim.tsv"
+    assert run_seeded(SEEDED[2][0], "", out, flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"commscale simulate: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["fit", "--input", lesmis_file, "--m", "3", "--seed", "0", "--out", str(out)])

@@ -1,5 +1,6 @@
 """Property tests: edge-list round trips, relabelling invariance, isolated nodes,
-NaN at every positivity guard, and batched k-means on tie-heavy rows."""
+NaN at every positivity guard, batched k-means on tie-heavy rows, and
+selections with a warm step memo."""
 
 import io
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commscale import selection
 from commscale.datasets import load_lesmis
-from commscale.fitting import fit_step
+from commscale.fitting import FitError, fit_step
 from commscale.model import (
     EdgeDistribution,
     VarianceFunction,
@@ -20,7 +22,7 @@ from commscale.model import (
 )
 from commscale.network import WeightedAdjacency, load_edge_list, regularize, write_edge_list
 from commscale.scaling import sinkhorn_symmetric
-from commscale.selection import MethodSpec, cbic_score, score_select, svps_select, svps_statistic
+from commscale.selection import MethodSpec, cbic_score, score_select, select, svps_select, svps_statistic
 from commscale.spectral import Assignment
 from test_spectral import assert_kmeans_matches_reference
 
@@ -149,3 +151,31 @@ def integer_row_sets(draw):
 def test_batched_kmeans_matches_sequential_reference_on_integer_rows(case):
     rows, m, seed, restarts = case
     assert_kmeans_matches_reference(rows, m, seed=seed, restarts=restarts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 14), net_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 3),
+       mean=st.sampled_from([0.3, 1.0, 4.0]))
+def test_warm_step_memo_equals_cold(n, net_seed, seed, mean):
+    rng = np.random.default_rng(net_seed)
+    upper = np.triu(rng.poisson(mean, size=(n, n)))
+    weights = upper + np.triu(upper, 1).T
+    runs = [(MethodSpec(selector, clusterer), dist)
+            for clusterer in ("score", "rsc")
+            for selector, dist in (("svps", None), ("cbic", "poisson"), ("icl", "bernoulli"))]
+
+    def outputs(cold):
+        selection._steps = (None, {})
+        out = []
+        # two network objects with the same weights, one binarized
+        for adj in (WeightedAdjacency(weights), WeightedAdjacency(weights), WeightedAdjacency(weights > 0)):
+            for spec, dist in runs:
+                if cold:
+                    selection._steps = (None, {})
+                try:
+                    out.append(select(adj, spec, dist=dist, m_max=4, seed=seed, restarts=2).to_csv())
+                except FitError as exc:  # bernoulli on counts above 1
+                    out.append(str(exc))
+        return out
+
+    assert outputs(cold=False) == outputs(cold=True)

@@ -81,7 +81,16 @@ def test_every_caller_goes_through_the_wrapped_step_layers(clusterer, monkeypatc
     other = "rsc_cluster" if clusterer == "score" else "score_cluster"
     for caller, run in callers.items():
         calls.clear()
+        # the callers share a network and seed; start each from an empty
+        # step memo so that it clusters rather than reusing the last one's steps
+        monkeypatch.setattr(selection, "_steps", (None, {}))
         run()
         assert calls[f"{clusterer}_cluster"] >= 1, caller
         assert calls["fit_step"] == calls[f"{clusterer}_cluster"], caller
         assert calls[other] == 0, caller
+    # a repeat reuses every step from the memo: it still fits through the
+    # wrapped fit_step, and clusters nothing
+    callers["score_select"]()
+    calls.clear()
+    callers["score_select"]()
+    assert calls == {"fit_step": 2}

@@ -12,7 +12,7 @@ The set covers:
   writes them;
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
-  included;
+  included, some with COMMSCALE_SEED set;
 - library calls with bad arguments;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
@@ -49,6 +49,7 @@ import tempfile
 import zlib
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parents[1]
 LESMIS_SEEDS = (0, 3)
@@ -280,8 +281,13 @@ def cli_runs(cs, tmp: Path):
     yield "cli-select-kmax0.txt", ["select", "--input", lesmis, "--kmax", "0", "--out", "OUT"]
     yield "cli-select-epsilon0.txt", ["select", "--input", lesmis, "--epsilon", "0", "--out", "OUT"]
     yield "cli-select-epsilon-nan.txt", ["select", "--input", lesmis, "--epsilon", "nan", "--out", "OUT"]
+    yield "cli-select-seed-negative.txt", ["select", "--input", lesmis, "--seed", "-1", "--out", "OUT"]
+    yield "cli-select-tau-negative.txt", ["select", "--input", lesmis, "--tau", "-0.5", "--out", "OUT"]
+    yield "cli-select-tau-nan.txt", ["select", "--input", lesmis, "--tau", "nan", "--out", "OUT"]
     yield "cli-fit-score.txt", ["fit", "--input", lesmis, "--m", "3", "--seed", "0", "--out", "OUT"]
     yield "cli-fit-rsc.txt", ["fit", "--input", lesmis, "--m", "4", "--cluster", "rsc", "--seed", "1", "--out", "OUT"]
+    yield "cli-fit-seed-negative.txt", ["fit", "--input", lesmis, "--m", "3", "--seed", "-1", "--out", "OUT"]
+    yield "cli-fit-tau-nan.txt", ["fit", "--input", lesmis, "--m", "3", "--tau", "nan", "--out", "OUT"]
     yield "cli-scale.txt", ["scale", "--input", str(matrix), "--out", "OUT"]
     yield "cli-scale-max-iter0.txt", ["scale", "--input", str(matrix), "--max-iter", "0", "--out", "OUT"]
     yield "cli-scale-max-iter-negative.txt", ["scale", "--input", str(matrix), "--max-iter", "-1", "--out", "OUT"]
@@ -294,8 +300,13 @@ def cli_runs(cs, tmp: Path):
     yield "cli-simulate-negbinom-over-cap.txt", [
         "simulate", "--dist", "negbinom", "--rho", "1", "--r", "3", "--k", "2", "--out", "OUT"]
     yield "cli-simulate-rho-nan.txt", ["simulate", "--rho", "nan", "--r", "2", "--k", "2", "--out", "OUT"]
+    yield "cli-simulate-k0.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "0", "--out", "OUT"]
+    yield "cli-simulate-replicate-negative.txt", [
+        "simulate", "--rho", "0.12", "--r", "2", "--k", "2", "--replicate", "-1", "--out", "OUT"]
     yield "cli-bench-lesmis-seed3.txt", ["bench", "lesmis", "--seed", "3", "--out", "OUT"]
     yield "cli-bench-lesmis-epsilon-nan.txt", ["bench", "lesmis", "--epsilon", "nan", "--out", "OUT"]
+    yield "cli-bench-lesmis-seed-negative.txt", ["bench", "lesmis", "--seed", "-1", "--out", "OUT"]
+    yield "cli-bench-lesmis-tau-negative.txt", ["bench", "lesmis", "--tau", "0.1,-0.5", "--out", "OUT"]
     for name, (head, method) in RUN_CONFIGS.items():
         config = tmp / f"{name}.cfg"
         config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
@@ -306,12 +317,24 @@ def cli_runs(cs, tmp: Path):
         yield f"cli-bench-run-jobs{jobs}.txt", ["bench", "run", "--config", str(valid), "--jobs", jobs, "--out", "OUT"]
 
 
-def run_cli(main, argv, out: Path) -> str:
-    """Exit code, stdout, stderr and the --out file of one CLI run."""
+def cli_seed_variable_runs(cs):
+    """(file name, COMMSCALE_SEED, argv) for runs that take the seed from the variable."""
+    argv = ["select", "--input", str(cs.lesmis_path()), "--tau", "0.1", "--kmax", "3", "--out", "OUT"]
+    for name, value in (("1", "1"), ("abc", "abc"), ("negative", "-1")):
+        yield f"cli-select-seed-variable-{name}.txt", value, argv
+
+
+def run_cli(main, argv, out: Path, seed_variable=None) -> str:
+    """Exit code, stdout, stderr and the --out file of one CLI run, with
+    COMMSCALE_SEED set to seed_variable, or unset when that is None."""
     if out.exists():
         out.unlink()
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    env = {key: value for key, value in os.environ.items() if key != "COMMSCALE_SEED"}
+    if seed_variable is not None:
+        env["COMMSCALE_SEED"] = seed_variable
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, env, clear=True):
         code = main([str(out) if arg == "OUT" else arg for arg in argv])
     written = out.read_text(encoding="utf-8") if out.exists() else "(not written)\n"
     return f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}--- out\n{written}"
@@ -361,6 +384,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, cli_argv in cli_runs(cs, Path(tmp)):
             write(name, run_cli(cli_main, cli_argv, Path(tmp) / "out"))
+        for name, value, cli_argv in cli_seed_variable_runs(cs):
+            write(name, run_cli(cli_main, cli_argv, Path(tmp) / "out", seed_variable=value))
     print(f"wrote {count} files to {args.outdir}")
     return 0
 

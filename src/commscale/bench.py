@@ -90,9 +90,12 @@ def parse_config(source) -> ExperimentConfig:
     """Read a key=value experiment config.
 
     Recognized keys: distribution, rho, r, k_list, n_all, replicates,
-    seed, zero_diagonal, and one 'method = selector clusterer [...]'
-    line per method. '#' starts a comment.
+    seed, zero_diagonal, each at most once, and one 'method = selector
+    clusterer [...]' line per method. '#' starts a comment. Any other
+    key, or a repeated one, is a ValueError naming its line.
     """
+    required = ("distribution", "rho", "r", "k_list", "n_all")
+    known = (*required, "replicates", "seed", "zero_diagonal")
     scalars = {}
     methods = []
     with open_text(source) as stream:
@@ -107,9 +110,13 @@ def parse_config(source) -> ExperimentConfig:
             value = value.strip()
             if key == "method":
                 methods.append(_parse_method(value.split(), lineno))
+            elif key not in known:
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
+            elif key in scalars:
+                raise ValueError(f"line {lineno}: repeated key {key!r}")
             else:
                 scalars[key] = value
-    missing = {"distribution", "rho", "r", "k_list", "n_all"} - set(scalars)
+    missing = set(required) - set(scalars)
     if missing:
         raise ValueError(f"config is missing keys: {sorted(missing)}")
     return ExperimentConfig(

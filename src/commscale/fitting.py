@@ -63,8 +63,9 @@ def fit_step(
     """Compute all plug-in estimates for one candidate group count.
 
     The block sums S, the group totals t and the degrees d are formed
-    once. Raises FitError when some S_kk or t_k is not strictly
-    positive, or when a bernoulli variance meets a mean of 1 or more.
+    once. Raises FitError when some S_kk is not strictly positive (the
+    weights are nonnegative, so t_k >= S_kk > 0 follows), or when a
+    bernoulli variance meets a mean of 1 or more.
     """
     if variance_fn is None:
         variance_fn = VarianceFunction("identity")
@@ -79,9 +80,6 @@ def fit_step(
     if (np.diag(s) <= 0).any():
         k = int(np.flatnonzero(np.diag(s) <= 0)[0])
         raise FitError(f"group {k} has zero within-group weight")
-    if (totals <= 0).any():
-        k = int(np.flatnonzero(totals <= 0)[0])
-        raise FitError(f"group {k} has zero total weight")
     root = np.sqrt(np.diag(s))
     mean = (s / np.outer(totals, totals))[np.ix_(labels, labels)] * np.outer(d, d)
     if variance_fn.kind == "bernoulli" and (mean >= 1.0).any():

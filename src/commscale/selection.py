@@ -141,17 +141,17 @@ def _cluster_and_fit(
 
 
 def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
-    """values as integer counts in floats, or ValueError when they leave law's support."""
+    """values as integer counts in floats, or ValueError when they leave law's support.
+
+    values are a WeightedAdjacency's weights, so they are never negative.
+    """
     what = law.kind.replace("_", " ")
     rounded = np.round(values)
     if not np.allclose(values, rounded, rtol=0, atol=1e-9):
         raise ValueError(f"{what} likelihood needs integer weights")
-    counts = rounded.astype(int)
-    if (counts < 0).any():
-        raise ValueError(f"{what} likelihood needs nonnegative weights")
-    if law.kind == "binomial" and (counts > law.trials).any():
+    if law.kind == "binomial" and (rounded > law.trials).any():
         raise ValueError(f"{what} likelihood needs weights <= {law.trials}")
-    return counts.astype(float)
+    return rounded
 
 
 def _data_terms(adj: WeightedAdjacency, law: EdgeDistribution) -> tuple[np.ndarray, ...]:

@@ -137,6 +137,19 @@ def test_parse_config_reports_method_errors_by_line(method, message):
         parse_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("replicate = 3", "line 3: unknown key 'replicate'"),
+        ("rho = 0.5", "line 3: repeated key 'rho'"),
+    ],
+)
+def test_parse_config_rejects_unknown_and_repeated_keys_by_line(line, message):
+    text = f"distribution = poisson\nrho = 0.3\n{line}\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(io.StringIO(text))
+
+
 def test_run_experiment_accounting():
     table = run_experiment(small_config())
     assert len(table.rows) == 1

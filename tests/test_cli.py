@@ -1,3 +1,4 @@
+import argparse
 import shutil
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from commscale.cli import main
+from commscale.cli import build_parser, main
 from commscale.datasets import lesmis_path, load_lesmis
 from commscale.network import WeightedAdjacency, write_edge_list
 
@@ -121,14 +122,26 @@ def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, caps
         assert captured.out == "" and not out.exists()
 
 
-# (argv, command name) of each command that reads --seed or COMMSCALE_SEED;
-# LESMIS stands for the copied network file
-SEEDED = [
-    (["select", "--input", "LESMIS"], "select"),
-    (["fit", "--input", "LESMIS", "--m", "2"], "fit"),
-    (["simulate", "--rho", "0.3", "--r", "3", "--k", "2"], "simulate"),
-    (["bench", "lesmis"], "bench lesmis"),
-]
+def seeded_commands(parser, prefix=()):
+    """Names of the subcommands whose parser declares --seed, in declaration order."""
+    names = [" ".join(prefix)] if "--seed" in parser._option_string_actions else []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names += seeded_commands(sub, (*prefix, name))
+    return names
+
+
+# the least argv of each command that may declare --seed; LESMIS stands for
+# the copied network file
+ARGV = {
+    "select": ["select", "--input", "LESMIS"],
+    "fit": ["fit", "--input", "LESMIS", "--m", "2"],
+    "simulate": ["simulate", "--rho", "0.3", "--r", "3", "--k", "2"],
+    "bench lesmis": ["bench", "lesmis"],
+}
+# (argv, command name) of each command that reads --seed or COMMSCALE_SEED
+SEEDED = [(ARGV[name], name) for name in seeded_commands(build_parser())]
 
 
 def run_seeded(argv, lesmis_file, out, *flags):
@@ -157,8 +170,8 @@ def test_bad_seed_variable_is_usage_error(argv, name, value, lesmis_file, tmp_pa
     assert run_seeded(argv, lesmis_file, out, "--seed", "0", "--quiet") == 0
 
 
-TAU_CASES = [(argv, name, value) for argv, name in (SEEDED[0], SEEDED[1], SEEDED[3]) for value in ("-0.5", "nan")]
-TAU_CASES.append((SEEDED[3][0], "bench lesmis", "0.1,-0.5"))
+TAU_CASES = [(ARGV[name], name, value) for name in ("select", "fit", "bench lesmis") for value in ("-0.5", "nan")]
+TAU_CASES.append((ARGV["bench lesmis"], "bench lesmis", "0.1,-0.5"))
 
 
 @pytest.mark.parametrize("argv, name, value", TAU_CASES, ids=[f"{name}-{value}" for _, name, value in TAU_CASES])
@@ -177,7 +190,7 @@ def test_tau_out_of_range_is_usage_error(argv, name, value, lesmis_file, tmp_pat
 )
 def test_simulate_k_and_replicate_out_of_range_is_usage_error(flag, value, message, tmp_path, capsys):
     out = tmp_path / "sim.tsv"
-    assert run_seeded(SEEDED[2][0], "", out, flag, value) == 1
+    assert run_seeded(ARGV["simulate"], "", out, flag, value) == 1
     captured = capsys.readouterr()
     assert captured.err == f"commscale simulate: {message}\n"
     assert captured.out == "" and not out.exists()
@@ -276,6 +289,21 @@ def test_bench_run_config(tmp_path, capsys):
     assert first.splitlines()[0] == "K,method,accuracy,replicates,mean_khat,failures"
     assert main(["bench", "run", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert out.read_text() == first
+
+
+@pytest.mark.parametrize("command", ["bench run", "scale"])
+def test_seed_on_a_command_that_does_not_read_it_is_usage_error(command, tmp_path, capsys):
+    # bench run seeds from its config's seed key; scale draws nothing
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\n")
+    matrix = tmp_path / "v.csv"
+    matrix.write_text("1,2\n2,5\n")
+    argv = {"bench run": ["bench", "run", "--config", str(cfg)], "scale": ["scale", "--input", str(matrix)]}
+    out = tmp_path / "out.txt"
+    assert main([*argv[command], "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "commscale: unrecognized arguments: --seed 1\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

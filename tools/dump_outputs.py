@@ -12,7 +12,8 @@ The set covers:
   writes them;
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
-  included, some with COMMSCALE_SEED set;
+  and flags a command does not declare included, some with
+  COMMSCALE_SEED set;
 - library calls with bad arguments;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
@@ -44,6 +45,7 @@ import contextlib
 import dataclasses
 import io
 import os
+import shutil
 import sys
 import tempfile
 import zlib
@@ -307,14 +309,20 @@ def cli_runs(cs, tmp: Path):
     yield "cli-bench-lesmis-epsilon-nan.txt", ["bench", "lesmis", "--epsilon", "nan", "--out", "OUT"]
     yield "cli-bench-lesmis-seed-negative.txt", ["bench", "lesmis", "--seed", "-1", "--out", "OUT"]
     yield "cli-bench-lesmis-tau-negative.txt", ["bench", "lesmis", "--tau", "0.1,-0.5", "--out", "OUT"]
+    copy = tmp / "lesmis.tsv"
+    shutil.copy(lesmis, copy)
+    yield "cli-bench-lesmis-input.txt", ["bench", "lesmis", "--input", str(copy), "--tau", "0.1", "--out", "OUT"]
     for name, (head, method) in RUN_CONFIGS.items():
         config = tmp / f"{name}.cfg"
         config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
         yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
     valid = tmp / "valid.cfg"
     valid.write_text(VALID_CONFIG, encoding="utf-8")
-    for jobs in ("0", "-3"):
+    for jobs in ("1", "2", "0", "-3"):
         yield f"cli-bench-run-jobs{jobs}.txt", ["bench", "run", "--config", str(valid), "--jobs", jobs, "--out", "OUT"]
+    # commands that seed from elsewhere (the config) or not at all
+    yield "cli-bench-run-seed1.txt", ["bench", "run", "--config", str(valid), "--seed", "1", "--out", "OUT"]
+    yield "cli-scale-seed1.txt", ["scale", "--input", str(matrix), "--seed", "1", "--out", "OUT"]
 
 
 def cli_seed_variable_runs(cs):

@@ -86,13 +86,40 @@ def _parse_method(tokens, lineno) -> MethodSpec:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _integers(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.split(","))
+
+
+def _boolean(value: str) -> bool:
+    if value.lower() not in _BOOLEANS:
+        raise ValueError(value)
+    return _BOOLEANS[value.lower()]
+
+
+# per optional or numeric key: conversion, what it must be, default
+_CONVERSIONS = {
+    "rho": (float, "a number", None),
+    "r": (float, "a number", None),
+    "k_list": (_integers, "comma-separated integers", None),
+    "n_all": (_integers, "comma-separated integers", None),
+    "replicates": (int, "an integer", "100"),
+    "seed": (int, "an integer", "0"),
+    "zero_diagonal": (_boolean, "true or false", "false"),
+}
+
+
 def parse_config(source) -> ExperimentConfig:
     """Read a key=value experiment config.
 
     Recognized keys: distribution, rho, r, k_list, n_all, replicates,
     seed, zero_diagonal, each at most once, and one 'method = selector
-    clusterer [...]' line per method. '#' starts a comment. Any other
-    key, or a repeated one, is a ValueError naming its line.
+    clusterer [...]' line per method. '#' starts a comment. zero_diagonal
+    is true, yes, 1, false, no or 0 in any case. Any other key, a
+    repeated one, or a value of the wrong kind is a ValueError naming its
+    line.
     """
     required = ("distribution", "rho", "r", "k_list", "n_all")
     known = (*required, "replicates", "seed", "zero_diagonal")
@@ -115,20 +142,19 @@ def parse_config(source) -> ExperimentConfig:
             elif key in scalars:
                 raise ValueError(f"line {lineno}: repeated key {key!r}")
             else:
-                scalars[key] = value
+                scalars[key] = (value, lineno)
     missing = set(required) - set(scalars)
     if missing:
         raise ValueError(f"config is missing keys: {sorted(missing)}")
+    values = {}
+    for key, (convert, what, default) in _CONVERSIONS.items():
+        value, lineno = scalars.get(key, (default, None))
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
     return ExperimentConfig(
-        distribution=EdgeDistribution(scalars["distribution"]),
-        rho=float(scalars["rho"]),
-        r=float(scalars["r"]),
-        k_list=tuple(int(t) for t in scalars["k_list"].split(",")),
-        n_all=tuple(int(t) for t in scalars["n_all"].split(",")),
-        methods=tuple(methods),
-        replicates=int(scalars.get("replicates", "100")),
-        seed=int(scalars.get("seed", "0")),
-        zero_diagonal=scalars.get("zero_diagonal", "false").lower() in ("true", "1", "yes"),
+        distribution=EdgeDistribution(scalars["distribution"][0]), methods=tuple(methods), **values
     )
 
 

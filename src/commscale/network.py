@@ -1,8 +1,9 @@
 """Weighted network container and edge-list I/O.
 
-Networks are dense symmetric nonnegative matrices. Everything in this
-package runs at n of a few hundred, where dense storage is both simpler
-and faster than sparse.
+Networks are dense symmetric nonnegative matrices. Up to n of about a
+thousand dense storage is both simpler and faster than sparse; on larger
+networks with few nonzero entries, spectral keeps a CSR copy of the
+weights for its Lanczos path (spectral.LANCZOS_MIN_N).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .fitting import FitError, FittedStep, fit_step, floor_positive
 from .model import EdgeDistribution, VarianceFunction, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import ClusterError, rsc_cluster, score_cluster
+from .spectral import ClusterError, _lanczos, _sparse_weights, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -98,13 +98,25 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """|lambda_{m+1}| of the scaled adjacency Psi^{1/2} A Psi^{1/2}.
 
     Psi solves the doubly-stochastic scaling of the step's fitted
-    variance profile. Scaling failures propagate as ScalingError.
+    variance profile. Scaling failures propagate as ScalingError. On the
+    Lanczos path (spectral._sparse_weights) the m + 1 leading magnitudes
+    come from ARPACK on the scaled CSR entries, each formed as
+    scaled_matrix forms it, and the n x n scaled matrix is never built.
     """
     if fitted.m + 1 > adj.n:
         raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")
     scaling = sinkhorn_symmetric(fitted.variance)
-    scaled = scaled_matrix(adj.weights, scaling.psi)
-    mags = np.sort(np.abs(np.linalg.eigvalsh(scaled)))[::-1]
+    csr = _sparse_weights(adj)
+    values = None
+    if csr is not None:
+        root = np.sqrt(scaling.psi)
+        rows = np.repeat(np.arange(adj.n), np.diff(csr.indptr))
+        scaled = csr.copy()
+        scaled.data *= root[rows] * root[csr.indices]
+        values = _lanczos(scaled, fitted.m + 1, vectors=False)
+    if values is None:
+        values = np.linalg.eigvalsh(scaled_matrix(adj.weights, scaling.psi))
+    mags = np.sort(np.abs(values))[::-1]
     return float(mags[fitted.m])
 
 
@@ -246,8 +258,8 @@ def select(
     raising FitError when the weights leave its support.
 
     The steps run on a shallow copy of adj, which shares its weights, so
-    the clusterers' eigenvector memo and the likelihood's data terms last
-    for this selection only; with an int seed, the step assignments are
+    the clusterers' eigenvector memo, the Lanczos path's CSR weights and
+    the likelihood's data terms last for this selection only; with an int seed, the step assignments are
     shared with later selections on equal weights (_cluster_and_fit).
     """
     adj = copy.copy(adj)

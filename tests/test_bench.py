@@ -150,6 +150,44 @@ def test_parse_config_rejects_unknown_and_repeated_keys_by_line(line, message):
         parse_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("zero_diagonal = ture", "line 3: zero_diagonal must be true or false, got 'ture'"),
+        ("zero_diagonal = on", "line 3: zero_diagonal must be true or false, got 'on'"),
+        ("replicates = 2.5", r"line 3: replicates must be an integer, got '2\.5'"),
+        ("seed = 1e3", "line 3: seed must be an integer, got '1e3'"),
+    ],
+)
+def test_parse_config_rejects_bad_values_by_key_and_line(line, message):
+    text = f"distribution = poisson\nrho = 0.3\n{line}\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("rho", "0.3x", "line 2: rho must be a number, got '0.3x'"),
+        ("r", "", "line 3: r must be a number, got ''"),
+        ("k_list", "2,x", "line 4: k_list must be comma-separated integers, got '2,x'"),
+        ("n_all", "20,30.5", r"line 5: n_all must be comma-separated integers, got '20,30\.5'"),
+    ],
+)
+def test_parse_config_names_bad_required_numbers(key, value, message):
+    values = {"rho": "0.3", "r": "3", "k_list": "2", "n_all": "20,30", key: value}
+    text = "distribution = poisson\n" + "".join(f"{k} = {v}\n" for k, v in values.items()) + "method = svps score\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(io.StringIO(text))
+
+
+@pytest.mark.parametrize("value, expected", [("TRUE", True), ("yes", True), ("1", True),
+                                             ("False", False), ("NO", False), ("0", False)])
+def test_parse_config_zero_diagonal_values(value, expected):
+    text = f"distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\nzero_diagonal = {value}\n"
+    assert parse_config(io.StringIO(text)).zero_diagonal is expected
+
+
 def test_run_experiment_accounting():
     table = run_experiment(small_config())
     assert len(table.rows) == 1

@@ -34,10 +34,10 @@ def noiseless_adjacency(sizes, rho=0.3, r=3, seed=8):
     return WeightedAdjacency(m), labels
 
 
-def sampled_counts(sizes, seed=8):
+def sampled_counts(sizes, seed=8, rho=0.3):
     # integer-valued Poisson sample, for likelihoods that check counts
     rng = make_rng(seed)
-    model = simulation_params(len(sizes), 0.3, 3, sizes, rng)
+    model = simulation_params(len(sizes), rho, 3, sizes, rng)
     adj = sample_network(mean_matrix(model), EdgeDistribution("poisson"), rng)
     return adj, model.labels
 

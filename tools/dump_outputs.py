@@ -7,6 +7,9 @@ The set covers:
   K = 2..6 with all six of its methods, each run through select as
   bench.run_lesmis and bench.run_experiment would, and again through
   svps_select and score_select as perfbench calls them (shorthand-*);
+- svps_select on the benchmark's n = 1200 network of seed 0, pass 0,
+  which takes the Lanczos path; its step values can differ from those
+  of a dense solve in the last digits;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
   replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as emit_csv
   writes them;
@@ -136,6 +139,22 @@ def law_runs(cs):
                 yield f"law-{law.kind}-K{k}-{spec.label}", adj, spec, law, k + 4, 0
 
 
+def large_svps_run(cs):
+    """(file name, call) for svps_select on the svps-n1200 network of
+    seed 0, pass 0, with the network and k-means seed that
+    perfbench.workloads.sample_poisson_dcsbm(3, 0.06, 3.0, (400, 400, 400),
+    0, 0) and derived_seed(0, 0) give."""
+    import numpy as np
+
+    keys = (0, 0)
+    rng = cs.make_rng(np.random.SeedSequence(keys))
+    model = cs.simulation_params(3, 0.06, 3.0, (400, 400, 400), rng)
+    adj = cs.sample_network(cs.mean_matrix(model), cs.EdgeDistribution("poisson"), rng)
+    seed = int(np.random.SeedSequence(keys).generate_state(1)[0])
+    return "svps-n1200-seed0-pass0.csv", partial(cs.svps_select, adj, m_max=12, clusterer="score", seed=seed,
+                                                  restarts=RESTARTS)
+
+
 def trace_runs(cs):
     """(file name, call) for every trace, through select and through the shorthands."""
     for runs in (lesmis_runs(cs), panel_runs(cs), law_runs(cs)):
@@ -148,6 +167,7 @@ def trace_runs(cs):
                 call = partial(cs.score_select, adj, method=spec.selector, m_range=range(1, m_max + 1),
                                dist=law, lam=spec.lam, **common)
             yield f"shorthand-{name}.csv", call
+    yield large_svps_run(cs)
 
 
 def table_runs(cs):
@@ -315,6 +335,12 @@ def cli_runs(cs, tmp: Path):
     for name, (head, method) in RUN_CONFIGS.items():
         config = tmp / f"{name}.cfg"
         config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
+        yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
+    # values of the wrong kind, named with their key and line
+    for name, text in (("zero-diagonal-typo", f"{VALID_CONFIG}zero_diagonal = ture\n"),
+                       ("fractional-replicates", VALID_CONFIG.replace("replicates = 1", "replicates = 2.5"))):
+        config = tmp / f"{name}.cfg"
+        config.write_text(text, encoding="utf-8")
         yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
     valid = tmp / "valid.cfg"
     valid.write_text(VALID_CONFIG, encoding="utf-8")

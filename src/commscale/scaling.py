@@ -1,10 +1,11 @@
 """Symmetric scaling of a positive matrix to a doubly stochastic form.
 
-For a symmetric V with positive entries there is a unique positive psi
-with sum_i V_ij psi_i psi_j = 1 for every j. The raw fixed-point update
-psi <- 1/(V psi) can oscillate between two accumulation points, so the
-iteration here takes the geometric mean of the current iterate and the
-raw update, which is a contraction on positive matrices.
+For a finite, strictly positive and exactly symmetric V (symmetrise one
+symmetric only to within rounding with (V + V.T) / 2 first) there is a
+unique positive psi with sum_i V_ij psi_i psi_j = 1 for every j. The raw
+update psi <- 1/(V psi) can oscillate between two accumulation points,
+so the iteration takes the geometric mean of the current iterate and the
+raw update, a contraction on positive matrices.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def sinkhorn_symmetric(
     max_iter: int = 10_000,
     initial: np.ndarray | None = None,
 ) -> ScalingResult:
-    """Solve psi * (V @ psi) = 1 elementwise for positive symmetric V.
+    """Solve psi * (V @ psi) = 1 elementwise for finite, positive, exactly symmetric V.
 
     Iterates psi <- sqrt(psi / (V @ psi)) from psi_i = 1/sqrt(row sum)
-    (or the given positive ``initial``), stopping when the max row-sum
+    (or the given finite positive ``initial``), stopping when the max row-sum
     residual of Psi V Psi drops to tol. Raises ScalingError with
     diagnostics if max_iter is exhausted. The fixed point is unique, so
     the starting point only affects the iteration count.
@@ -58,21 +59,20 @@ def sinkhorn_symmetric(
     n = v.shape[0]
     if v.shape != (n, n):
         raise ValueError("matrix must be square")
-    if (v <= 0).any():
-        raise ValueError("matrix must have strictly positive entries")
-    if not np.allclose(v, v.T, rtol=1e-12, atol=0):
-        raise ValueError("matrix must be symmetric")
+    if not ((v > 0) & (v < np.inf)).all():
+        raise ValueError("matrix must have finite, strictly positive entries")
+    if not np.array_equal(v, v.T):
+        raise ValueError("matrix must be exactly symmetric")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    v = (v + v.T) / 2.0
     if initial is None:
         psi = 1.0 / np.sqrt(v.sum(axis=1))
     else:
         psi = np.array(initial, dtype=float)
-        if psi.shape != (n,) or (psi <= 0).any():
-            raise ValueError("initial must be a positive length-n vector")
+        if psi.shape != (n,) or not ((psi > 0) & (psi < np.inf)).all():
+            raise ValueError("initial must be a finite positive length-n vector")
     residual = np.inf
     for iteration in range(max_iter + 1):
         prod = v @ psi
@@ -83,10 +83,15 @@ def sinkhorn_symmetric(
     raise ScalingError("scaling did not converge", iterations=max_iter, residual=residual)
 
 
-def scaled_matrix(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """S = Psi^{1/2} A Psi^{1/2}, i.e. S_ij = sqrt(psi_i psi_j) * A_ij."""
+def scaled_matrix(matrix, psi: np.ndarray):
+    """S = Psi^{1/2} A Psi^{1/2}, i.e. S_ij = A_ij * (sqrt(psi_i) * sqrt(psi_j)), for a
+    dense A, or for a CSR A's stored entries, bit for bit the same, in a new CSR array."""
     psi = np.asarray(psi, dtype=float)
-    if (psi <= 0).any():
-        raise ValueError("psi must be positive")
+    if not ((psi > 0) & (psi < np.inf)).all():
+        raise ValueError("psi must be finite and positive")
     root = np.sqrt(psi)
+    if getattr(matrix, "format", None) == "csr":
+        scaled = matrix.astype(float)  # a copy
+        scaled.data *= root[np.repeat(np.arange(len(root)), np.diff(scaled.indptr))] * root[scaled.indices]
+        return scaled
     return np.asarray(matrix, dtype=float) * np.outer(root, root)

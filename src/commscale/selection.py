@@ -99,21 +99,14 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
 
     Psi solves the doubly-stochastic scaling of the step's fitted
     variance profile. Scaling failures propagate as ScalingError. On the
-    Lanczos path (spectral._sparse_weights) the m + 1 leading magnitudes
-    come from ARPACK on the scaled CSR entries, each formed as
-    scaled_matrix forms it, and the n x n scaled matrix is never built.
+    Lanczos path (spectral._sparse_weights) ARPACK finds the m + 1 leading
+    magnitudes of the scaled CSR weights; no n x n matrix is built.
     """
     if fitted.m + 1 > adj.n:
         raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")
     scaling = sinkhorn_symmetric(fitted.variance)
     csr = _sparse_weights(adj)
-    values = None
-    if csr is not None:
-        root = np.sqrt(scaling.psi)
-        rows = np.repeat(np.arange(adj.n), np.diff(csr.indptr))
-        scaled = csr.copy()
-        scaled.data *= root[rows] * root[csr.indices]
-        values = _lanczos(scaled, fitted.m + 1, vectors=False)
+    values = None if csr is None else _lanczos(scaled_matrix(csr, scaling.psi), fitted.m + 1, vectors=False)
     if values is None:
         values = np.linalg.eigvalsh(scaled_matrix(adj.weights, scaling.psi))
     mags = np.sort(np.abs(values))[::-1]

@@ -78,6 +78,20 @@ def test_scale_convergence_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n2.0000000000000004,5\n", "error: matrix must be exactly symmetric\n"),
+        ("1,inf\ninf,5\n", "error: matrix must have finite, strictly positive entries\n"),
+    ],
+)
+def test_scale_rejects_matrix_off_the_rule(text, message, tmp_path, capsys):
+    path = tmp_path / "v.csv"
+    path.write_text(text)
+    assert main(["scale", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--max-iter", "-1"], "--max-iter must be >= 0"),

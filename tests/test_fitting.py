@@ -12,9 +12,11 @@ from commscale.model import (
     sample_network,
     simulation_params,
 )
-from commscale.network import WeightedAdjacency
+from commscale.datasets import load_lesmis
+from commscale.network import WeightedAdjacency, binarize, regularize
 from commscale.selection import log_likelihood
-from commscale.spectral import Assignment
+from commscale.spectral import Assignment, score_cluster
+from test_selection import sampled_counts
 
 
 def four_node_example():
@@ -119,6 +121,23 @@ def test_fitted_step_invariants():
     sums = onehot.T @ fitted.theta
     assert np.allclose(sums, np.sqrt(np.diag(s)), rtol=1e-10)
     assert np.array_equal(fitted.variance, fitted.mean)  # identity variance
+    # every profile is exactly symmetric and strictly positive, as
+    # sinkhorn_symmetric requires; a step whose fit fails is skipped
+    lesmis = load_lesmis()
+    networks = (lesmis, regularize(lesmis, 0.1), binarize(lesmis), sampled_counts((90, 100, 110), seed=3, rho=0.1)[0])
+    variance_fns = (VarianceFunction("identity"), VarianceFunction("scaled_linear", 2.5), VarianceFunction("bernoulli"))
+    checked = set()
+    for adj in networks:
+        for m in range(1, 7):
+            assignment = score_cluster(adj, m, seed=0, restarts=5)
+            for variance_fn in variance_fns:
+                try:
+                    variance = fit_step(adj, assignment, variance_fn).variance
+                except FitError:
+                    continue
+                assert np.array_equal(variance, variance.T) and (variance > 0).all()
+                checked.add(variance_fn.kind)
+    assert checked == {"identity", "scaled_linear", "bernoulli"}
 
 
 @settings(max_examples=30, deadline=None)

@@ -88,6 +88,23 @@ def test_selection_matches_dense_path(name, lanczos_calls):
     assert run().to_csv() == sparse.to_csv()
 
 
+def test_statistic_scales_through_scaled_matrix(lanczos_calls, monkeypatch):
+    # both paths scale with selection.scaled_matrix, once per statistic:
+    # the CSR weights on the Lanczos path, the dense ones otherwise
+    adj = network("n150")
+    kinds = []
+    original = selection.scaled_matrix
+    monkeypatch.setattr(selection, "scaled_matrix",
+                        lambda matrix, psi: kinds.append(getattr(matrix, "format", "dense")) or original(matrix, psi))
+    run = lambda: select(adj, MethodSpec("svps"), restarts=5)
+    dense = on_dense_path(run)
+    assert kinds == ["dense"] * len(dense.steps) and len(dense.steps) > 1
+    kinds.clear()
+    sparse = run()
+    assert all(step.status == "ok" for step in sparse.steps)
+    assert kinds == ["csr"] * len(sparse.steps)
+
+
 def test_basis_matches_dense_columns(lanczos_calls):
     adj = network("n150")
     dense = spectral.leading_eigpairs(adj.weights)[1]

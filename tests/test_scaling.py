@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from commscale.scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
 
@@ -98,6 +99,18 @@ def test_rejects_bad_inputs():
     # a negative budget is a bad argument, not a scaling that failed to converge
     with pytest.raises(ValueError, match="max_iter"):
         sinkhorn_symmetric(np.ones((2, 2)), max_iter=-1)
+    # symmetric to within rounding is not symmetric: one ulp off is rejected
+    off = np.array([[1.0, 2.0], [2.0000000000000004, 1.0]])
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        sinkhorn_symmetric(off)
+    # NaN and infinite entries are named as such, before the symmetry check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            sinkhorn_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            sinkhorn_symmetric(np.array([[1.0, bad], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="initial"):
+            sinkhorn_symmetric(np.ones((2, 2)), initial=[bad, 1.0])
 
 
 def test_iteration_budget_error_carries_diagnostics():
@@ -115,8 +128,22 @@ def test_scaled_matrix():
     assert np.allclose(s, np.diag([8.0, 27.0]))
     assert np.array_equal(s, s.T)
     assert np.allclose(scaled_matrix(a, np.ones(2)), a)
-    with pytest.raises(ValueError):
-        scaled_matrix(a, np.array([1.0, -1.0]))
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="psi"):
+            scaled_matrix(a, np.array([1.0, bad]))
+    # a CSR input: its stored entries scaled as the dense ones, bit for bit
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.1, 3.0, size=(30, 30)) * (rng.random((30, 30)) < 0.2)
+    a = np.triu(a) + np.triu(a, 1).T
+    psi = rng.uniform(0.01, 7.0, size=30)
+    csr = csr_array(a)
+    before = (csr.data.copy(), csr.indices.copy(), csr.indptr.copy())
+    scaled = scaled_matrix(csr, psi)
+    assert scaled.format == "csr" and (a == 0).any()
+    assert np.array_equal(scaled.toarray(), scaled_matrix(a, psi))
+    # the input is left as it was
+    assert all(np.array_equal(x, y) for x, y in zip((csr.data, csr.indices, csr.indptr), before))
+    assert np.array_equal(csr.toarray(), a)
 
 
 def test_double_application_row_sums():

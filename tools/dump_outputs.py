@@ -15,9 +15,12 @@ The set covers:
   writes them;
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
-  and flags a command does not declare included, some with
+  and flags a command does not declare included (scale on a matrix one
+  ulp off symmetric and on one with an inf entry), some with
   COMMSCALE_SEED set;
-- library calls with bad arguments;
+- library calls with bad arguments, among them sinkhorn_symmetric on a
+  matrix one ulp off symmetric, on NaN and inf entries and from a NaN
+  initial, and scaled_matrix with a NaN psi;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
@@ -200,6 +203,13 @@ def api_error_runs(cs):
     yield "api-svps-epsilon-nan.txt", partial(cs.svps_select, adj, epsilon=nan, m_max=3, restarts=2)
     yield "api-cbic-lam-nan.txt", partial(cs.score_select, adj, "poisson", lam=nan, m_range=range(1, 4), restarts=2)
     yield "api-sinkhorn-tol-nan.txt", partial(cs.sinkhorn_symmetric, v, tol=nan, max_iter=100)
+    # the scaling's input rules: exact symmetry, finite entries and psi
+    off = np.array([[1.0, 2.0], [2.0000000000000004, 5.0]])
+    yield "api-sinkhorn-one-ulp-asymmetric.txt", partial(cs.sinkhorn_symmetric, off)
+    for name, bad in (("nan", nan), ("inf", float("inf"))):
+        yield f"api-sinkhorn-{name}-entry.txt", partial(cs.sinkhorn_symmetric, np.array([[1.0, bad], [bad, 5.0]]))
+    yield "api-sinkhorn-initial-nan.txt", partial(cs.sinkhorn_symmetric, v, initial=np.array([nan, 1.0]))
+    yield "api-scaled_matrix-psi-nan.txt", partial(cs.scaled_matrix, np.eye(2), np.array([nan, 1.0]))
     yield "api-regularize-tau-nan.txt", partial(cs.regularize, adj, nan)
     yield "api-simulation_params-rho-nan.txt", partial(cs.simulation_params, 2, nan, 3.0, (10, 10), cs.make_rng(0))
     yield "api-simulation_params-r-nan.txt", partial(cs.simulation_params, 2, 0.3, nan, (10, 10), cs.make_rng(0))
@@ -285,6 +295,9 @@ def cli_runs(cs, tmp: Path):
     lesmis = str(cs.lesmis_path())
     matrix = tmp / "matrix.csv"
     matrix.write_text("1,2\n2,5\n", encoding="utf-8")
+    off_matrices = {"one-ulp-asymmetric": "1,2\n2.0000000000000004,5\n", "inf-entry": "1,inf\ninf,5\n"}
+    for name, text in off_matrices.items():
+        (tmp / f"{name}.csv").write_text(text, encoding="utf-8")
     yield "cli-select-svps.txt", ["select", "--input", lesmis, "--tau", "0.1", "--seed", "1", "--out", "OUT"]
     yield "cli-select-svps-rsc-bernoulli.txt", [
         "select", "--input", lesmis, "--binarize", "--cluster", "rsc", "--variance", "bernoulli",
@@ -315,6 +328,8 @@ def cli_runs(cs, tmp: Path):
     yield "cli-scale-max-iter-negative.txt", ["scale", "--input", str(matrix), "--max-iter", "-1", "--out", "OUT"]
     yield "cli-scale-tol0.txt", ["scale", "--input", str(matrix), "--tol", "0", "--out", "OUT"]
     yield "cli-scale-tol-nan.txt", ["scale", "--input", str(matrix), "--tol", "nan", "--out", "OUT"]
+    for name in off_matrices:
+        yield f"cli-scale-{name}.txt", ["scale", "--input", str(tmp / f"{name}.csv"), "--out", "OUT"]
     yield "cli-simulate.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "3", "--seed", "0", "--out", "OUT"]
     yield "cli-simulate-negbinom.txt", [
         "simulate", "--dist", "negbinom", "--rho", "0.2", "--r", "3", "--k", "2", "--n-all", "20,30",

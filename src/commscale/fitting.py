@@ -2,24 +2,31 @@
 
 Given an adjacency matrix and a candidate assignment into m groups, the
 estimators are closed-form functions of the block weight sums
-S_kl = 1_k' A 1_l and the block degree totals t_k = 1_k' A 1:
+S_kl = 1_k' A 1_l, the block degree totals t_k = 1_k' A 1 and the degrees d:
 
     theta_i = sqrt(S_kk) / t_k * d_i          (i in group k)
     B_kl    = S_kl / sqrt(S_kk * S_ll)
-    M_ij    = S_kl / (t_k * t_l) * d_i * d_j  (i in k, j in l)
+    M_ij    = C_kl * d_i * d_j                (i in k, j in l, C_kl = S_kl / (t_k * t_l))
 
-The variance profile is nu(M) entrywise, floored to stay strictly
-positive so that the doubly-stochastic scaling downstream exists.
+fit_step forms S, t and d only. theta, B, the n x n mean M and the
+variance profile nu(M) are built on first read; CBIC, ICL and
+`commscale fit` read them, svps does not. The profile is floored at
+1e-8 times its mean positive entry so that the doubly-stochastic scaling
+downstream exists. The floor binds only near a zero entry of nu(M): at
+an isolated node or a zero between-block sum. Where it cannot bind, svps
+scales nu(M) in block form, O(n + m^2) per product (_block_variance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import VarianceFunction
 from .network import WeightedAdjacency
+from .scaling import _BlockProfile
 from .spectral import Assignment
 
 __all__ = ["FitError", "FittedStep", "fit_step"]
@@ -31,22 +38,50 @@ class FitError(RuntimeError):
     """Degenerate fitting step (zero block weight or empty cluster)."""
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class FittedStep:
-    """All m-group plug-in estimates for one step of the sequential fit."""
+    """All m-group plug-in estimates for one step of the sequential fit.
+
+    theta, block_matrix, mean and variance are built from block_sums (S),
+    totals (t) and degrees (d) on first read, as read-only arrays.
+    """
 
     m: int
     assignment: Assignment
-    theta: np.ndarray
-    block_matrix: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
+    block_sums: np.ndarray
+    totals: np.ndarray
+    degrees: np.ndarray
+    variance_fn: VarianceFunction
 
     def __post_init__(self):
-        for name in ("theta", "block_matrix", "mean", "variance"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("block_sums", "totals", "degrees"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        labels = self.assignment.labels
+        root = np.sqrt(np.diag(self.block_sums))
+        return _frozen(root[labels] / self.totals[labels] * self.degrees)
+
+    @cached_property
+    def block_matrix(self) -> np.ndarray:
+        root = np.sqrt(np.diag(self.block_sums))
+        return _frozen(self.block_sums / np.outer(root, root))
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        labels, totals, d = self.assignment.labels, self.totals, self.degrees
+        return _frozen((self.block_sums / np.outer(totals, totals))[np.ix_(labels, labels)] * np.outer(d, d))
+
+    @cached_property
+    def variance(self) -> np.ndarray:
+        return _frozen(floor_positive(self.variance_fn(self.mean)))
 
 
 def floor_positive(values: np.ndarray) -> np.ndarray:
@@ -57,13 +92,44 @@ def floor_positive(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, VARIANCE_FLOOR_SCALE * pos.mean())
 
 
+def _degree_range(fitted: FittedStep) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and the largest degree in each group."""
+    labels, d = fitted.assignment.labels, fitted.degrees
+    dmin, dmax = np.full(fitted.m, np.inf), np.full(fitted.m, -np.inf)
+    np.minimum.at(dmin, labels, d)
+    np.maximum.at(dmax, labels, d)
+    return dmin, dmax
+
+
+def _block_variance(fitted: FittedStep) -> _BlockProfile | None:
+    """fitted's variance profile in block form, or None where the floor may bind.
+
+    Over block (k, l) the mean runs from C_kl dmin_k dmin_l to C_kl dmax_k dmax_l,
+    and nu is monotone or concave, so nu at those ends bounds the profile
+    from below, as fitted.variance would round it. The floor's mean of
+    nu(M) is summed from the block form; the margin 1e-6 covers its
+    rounding. Entries: d_i Gamma_kl d_j, less d_i^2 C_kl^2 d_j^2 for bernoulli.
+    """
+    labels, d, nu, totals = fitted.assignment.labels, fitted.degrees, fitted.variance_fn, fitted.totals
+    c = fitted.block_sums / np.outer(totals, totals)
+    if nu.kind == "bernoulli":
+        terms = ((d, c), (d * d, -(c * c)))
+    else:
+        terms = ((d, nu(c)),)
+    profile = _BlockProfile(labels, terms)
+    dmin, dmax = _degree_range(fitted)
+    smallest = np.minimum(nu(c * np.outer(dmin, dmin)), nu(c * np.outer(dmax, dmax))).min()
+    mean = (profile @ np.ones(d.size)).sum() / d.size**2
+    return profile if smallest > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * mean else None
+
+
 def fit_step(
     adj: WeightedAdjacency, assignment: Assignment, variance_fn: VarianceFunction | None = None
 ) -> FittedStep:
-    """Compute all plug-in estimates for one candidate group count.
+    """Compute the block sums S, the group totals t and the degrees d for
+    one candidate group count.
 
-    The block sums S, the group totals t and the degrees d are formed
-    once. Raises FitError when some S_kk is not strictly positive (the
+    Raises FitError when some S_kk is not strictly positive (the
     weights are nonnegative, so t_k >= S_kk > 0 follows), or when a
     bernoulli variance meets a mean of 1 or more.
     """
@@ -80,15 +146,11 @@ def fit_step(
     if (np.diag(s) <= 0).any():
         k = int(np.flatnonzero(np.diag(s) <= 0)[0])
         raise FitError(f"group {k} has zero within-group weight")
-    root = np.sqrt(np.diag(s))
-    mean = (s / np.outer(totals, totals))[np.ix_(labels, labels)] * np.outer(d, d)
-    if variance_fn.kind == "bernoulli" and (mean >= 1.0).any():
-        raise FitError(f"bernoulli variance needs means < 1, got max {mean.max():.6g}")
-    return FittedStep(
-        m=assignment.m,
-        assignment=assignment,
-        theta=root[labels] / totals[labels] * d,
-        block_matrix=s / np.outer(root, root),
-        mean=mean,
-        variance=floor_positive(variance_fn(mean)),
-    )
+    fitted = FittedStep(assignment.m, assignment, s, totals, d, variance_fn)
+    if variance_fn.kind == "bernoulli":
+        # the largest mean of block (k, l) is C_kl dmax_k dmax_l, bit for bit
+        _, dmax = _degree_range(fitted)
+        top = (s / np.outer(totals, totals) * np.outer(dmax, dmax)).max()
+        if top >= 1.0:
+            raise FitError(f"bernoulli variance needs means < 1, got max {top:.6g}")
+    return fitted

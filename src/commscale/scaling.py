@@ -5,7 +5,9 @@ symmetric only to within rounding with (V + V.T) / 2 first) there is a
 unique positive psi with sum_i V_ij psi_i psi_j = 1 for every j. The raw
 update psi <- 1/(V psi) can oscillate between two accumulation points,
 so the iteration takes the geometric mean of the current iterate and the
-raw update, a contraction on positive matrices.
+raw update, a contraction on positive matrices. The iteration reads V
+only through V @ psi, so a profile with block structure (_BlockProfile,
+built by the fit) runs the same loop without an n x n array.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ class ScalingResult:
         object.__setattr__(self, "psi", psi)
 
 
+class _BlockProfile:
+    """V_ij = sum_r u_r[i] * G_r[k, l] * u_r[j] for i in group k, j in group l.
+
+    terms holds the pairs (u_r, G_r): a length-n factor and an m x m
+    block matrix. V @ psi costs O(n + m^2) per term. The caller ensures
+    what sinkhorn_symmetric checks of a dense V: every G_r is finite and
+    exactly symmetric and every entry of V is positive.
+    """
+
+    def __init__(self, labels: np.ndarray, terms: tuple[tuple[np.ndarray, np.ndarray], ...]):
+        self.labels = labels
+        self.terms = terms
+        self.shape = (len(labels), len(labels))
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        return sum(u * (g @ np.bincount(self.labels, u * psi, len(g)))[self.labels] for u, g in self.terms)
+
+
 def sinkhorn_symmetric(
     matrix: np.ndarray,
     tol: float = 1e-10,
@@ -53,22 +73,25 @@ def sinkhorn_symmetric(
     (or the given finite positive ``initial``), stopping when the max row-sum
     residual of Psi V Psi drops to tol. Raises ScalingError with
     diagnostics if max_iter is exhausted. The fixed point is unique, so
-    the starting point only affects the iteration count.
+    the starting point only affects the iteration count. V is a dense
+    array, or a _BlockProfile from the fit, whose rows are summed as V @ 1.
     """
-    v = np.asarray(matrix, dtype=float)
+    block = isinstance(matrix, _BlockProfile)  # checked where the fit builds it
+    v = matrix if block else np.asarray(matrix, dtype=float)
     n = v.shape[0]
-    if v.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not ((v > 0) & (v < np.inf)).all():
-        raise ValueError("matrix must have finite, strictly positive entries")
-    if not np.array_equal(v, v.T):
-        raise ValueError("matrix must be exactly symmetric")
+    if not block:
+        if v.shape != (n, n):
+            raise ValueError("matrix must be square")
+        if not ((v > 0) & (v < np.inf)).all():
+            raise ValueError("matrix must have finite, strictly positive entries")
+        if not np.array_equal(v, v.T):
+            raise ValueError("matrix must be exactly symmetric")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     if initial is None:
-        psi = 1.0 / np.sqrt(v.sum(axis=1))
+        psi = 1.0 / np.sqrt(v @ np.ones(n) if block else v.sum(axis=1))
     else:
         psi = np.array(initial, dtype=float)
         if psi.shape != (n,) or not ((psi > 0) & (psi < np.inf)).all():

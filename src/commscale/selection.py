@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .fitting import FitError, FittedStep, fit_step, floor_positive
+from .fitting import FitError, FittedStep, _block_variance, fit_step, floor_positive
 from .model import EdgeDistribution, VarianceFunction, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
@@ -98,13 +98,16 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """|lambda_{m+1}| of the scaled adjacency Psi^{1/2} A Psi^{1/2}.
 
     Psi solves the doubly-stochastic scaling of the step's fitted
-    variance profile. Scaling failures propagate as ScalingError. On the
+    variance profile, in block form where the variance floor cannot bind
+    and as the dense fitted.variance elsewhere (see fitting). Scaling
+    failures propagate as ScalingError. On the
     Lanczos path (spectral._sparse_weights) ARPACK finds the m + 1 leading
     magnitudes of the scaled CSR weights; no n x n matrix is built.
     """
     if fitted.m + 1 > adj.n:
         raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")
-    scaling = sinkhorn_symmetric(fitted.variance)
+    profile = _block_variance(fitted)
+    scaling = sinkhorn_symmetric(fitted.variance if profile is None else profile)
     csr = _sparse_weights(adj)
     values = None if csr is None else _lanczos(scaled_matrix(csr, scaling.psi), fitted.m + 1, vectors=False)
     if values is None:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commscale.fitting import FitError, fit_step
+from commscale import selection
+from commscale.fitting import FitError, _block_variance, fit_step
 from commscale.model import (
     EdgeDistribution,
     VarianceFunction,
@@ -14,7 +15,8 @@ from commscale.model import (
 )
 from commscale.datasets import load_lesmis
 from commscale.network import WeightedAdjacency, binarize, regularize
-from commscale.selection import log_likelihood
+from commscale.scaling import scaled_matrix, sinkhorn_symmetric
+from commscale.selection import log_likelihood, score_select, svps_select, svps_statistic
 from commscale.spectral import Assignment, score_cluster
 from test_selection import sampled_counts
 
@@ -126,18 +128,27 @@ def test_fitted_step_invariants():
     lesmis = load_lesmis()
     networks = (lesmis, regularize(lesmis, 0.1), binarize(lesmis), sampled_counts((90, 100, 110), seed=3, rho=0.1)[0])
     variance_fns = (VarianceFunction("identity"), VarianceFunction("scaled_linear", 2.5), VarianceFunction("bernoulli"))
-    checked = set()
+    checked, blocked = set(), set()
     for adj in networks:
         for m in range(1, 7):
             assignment = score_cluster(adj, m, seed=0, restarts=5)
             for variance_fn in variance_fns:
                 try:
-                    variance = fit_step(adj, assignment, variance_fn).variance
+                    fitted = fit_step(adj, assignment, variance_fn)
                 except FitError:
                     continue
+                variance = fitted.variance
                 assert np.array_equal(variance, variance.T) and (variance > 0).all()
                 checked.add(variance_fn.kind)
-    assert checked == {"identity", "scaled_linear", "bernoulli"}
+                # where the floor cannot bind, svps scales the profile in block
+                # form; its psi and statistic agree with the dense ones to rounding
+                block = _block_variance(fitted)
+                if block is not None:
+                    psi = sinkhorn_symmetric(variance).psi
+                    np.testing.assert_allclose(sinkhorn_symmetric(block).psi, psi, rtol=1e-12, atol=0)
+                    assert svps_statistic(adj, fitted) == pytest.approx(dense_statistic(adj, fitted), rel=1e-12, abs=0)
+                    blocked.add(variance_fn.kind)
+    assert checked == blocked == {"identity", "scaled_linear", "bernoulli"}
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,10 +196,60 @@ def test_variance_floor():
         log_likelihood(WeightedAdjacency(np.zeros((2, 2))), np.zeros((2, 2)), "poisson")
 
 
+def dense_statistic(adj, fitted):
+    """svps_statistic as computed from the dense profile on a network under 1000 nodes."""
+    psi = sinkhorn_symmetric(fitted.variance).psi
+    return float(np.sort(np.abs(np.linalg.eigvalsh(scaled_matrix(adj.weights, psi))))[::-1][fitted.m])
+
+
+def test_floored_profile_stays_dense():
+    # an isolated node and two disconnected components at m = 2 give zero
+    # entries in nu(M), so the floor binds and svps scales the dense profile
+    lesmis = load_lesmis()
+    n = lesmis.n
+    isolated = np.zeros((n + 1, n + 1))
+    isolated[:n, :n] = lesmis.weights
+    two = np.zeros((2 * n, 2 * n))
+    two[:n, :n] = two[n:, n:] = lesmis.weights
+    cases = (
+        (isolated, score_cluster(lesmis, 2, seed=0, restarts=5).labels.tolist() + [0]),
+        (two, [0] * n + [1] * n),
+    )
+    for weights, labels in cases:
+        adj = WeightedAdjacency(weights)
+        for variance_fn in (VarianceFunction("identity"), VarianceFunction("scaled_linear", 2.5)):
+            fitted = fit_step(adj, Assignment(np.array(labels), 2), variance_fn)
+            assert _block_variance(fitted) is None
+            assert fitted.variance.min() < fitted.mean[fitted.mean > 0].min()  # floored
+            assert svps_statistic(adj, fitted) == dense_statistic(adj, fitted)
+
+
+def test_svps_builds_no_dense_fit_arrays(monkeypatch):
+    # svps reads the block sums only; the n x n mean and variance are
+    # built on first read, which CBIC and ICL make
+    steps = []
+    original = selection.fit_step
+
+    def recording(*args):
+        steps.append(original(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(selection, "fit_step", recording)
+    adj = sampled_counts((400, 400, 400), seed=5, rho=0.06)[0]
+    trace = svps_select(adj, restarts=5)
+    assert len(steps) == len(trace.steps) > 1
+    assert not any({"mean", "variance"} & vars(step).keys() for step in steps)
+    steps.clear()
+    small = sampled_counts((20, 25), seed=5)[0]
+    score_select(small, "poisson", "cbic", m_range=range(1, 3), restarts=5)
+    assert steps and all("mean" in vars(step) for step in steps)
+
+
 def test_bernoulli_variance_domain():
     adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
-    with pytest.raises(FitError, match="bernoulli"):
+    with pytest.raises(FitError) as raised:
         fit_step(adj, assignment, VarianceFunction("bernoulli"))
+    assert str(raised.value) == "bernoulli variance needs means < 1, got max 1.5"
     small = WeightedAdjacency(adj.weights / 10)
     fitted = fit_step(small, assignment, VarianceFunction("bernoulli"))
     assert fitted.mean.max() < 1

@@ -14,6 +14,7 @@ import pytest
 
 from commscale import selection, spectral
 from commscale.fitting import FittedStep, fit_step
+from commscale.model import VarianceFunction
 from commscale.network import WeightedAdjacency, regularize
 from commscale.selection import MethodSpec, select, svps_statistic
 from commscale.spectral import Assignment
@@ -140,8 +141,8 @@ def test_large_k_falls_back_to_dense(lanczos_calls):
     # a statistic with k = m + 1 = n - 1 is the dense eigvalsh one
     m = n - 2
     labels = np.arange(n) % m
-    fitted = FittedStep(m=m, assignment=Assignment(labels, m), theta=np.ones(n), block_matrix=np.eye(m),
-                        mean=np.ones((n, n)), variance=np.ones((n, n)) + np.eye(n))
+    fitted = FittedStep(m=m, assignment=Assignment(labels, m), block_sums=np.ones((m, m)) + np.eye(m),
+                        totals=np.bincount(labels), degrees=np.ones(n), variance_fn=VarianceFunction("identity"))
     value = svps_statistic(copy.copy(adj), fitted)
     assert lanczos_calls[-1] == n - 1
     assert value == on_dense_path(lambda: svps_statistic(copy.copy(adj), fitted))

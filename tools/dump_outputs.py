@@ -10,6 +10,13 @@ The set covers:
 - svps_select on the benchmark's n = 1200 network of seed 0, pass 0,
   which takes the Lanczos path; its step values can differ from those
   of a dense solve in the last digits;
+- svps_select on both sides of the variance floor's rule: Les Miserables
+  with one isolated node added, and two disconnected copies of it, where
+  the floor can bind and the dense profile is scaled; Les Miserables
+  under scaled_linear(2.5), where the profile is scaled in block form and
+  step values can differ from the dense scaling's in the last digits;
+  and the binarized network under the bernoulli variance, whose fits
+  all fail on a mean of 1 or more;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
   replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as emit_csv
   writes them;
@@ -57,6 +64,7 @@ import tempfile
 import zlib
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 HERE = Path(__file__).resolve().parents[1]
@@ -158,6 +166,25 @@ def large_svps_run(cs):
                                                   restarts=RESTARTS)
 
 
+def floor_rule_runs(cs):
+    """(file name, call) for svps_select on networks on both sides of the variance floor's rule."""
+    import numpy as np
+
+    adj = cs.load_lesmis()
+    n = adj.n
+    isolated = np.zeros((n + 1, n + 1))
+    isolated[:n, :n] = adj.weights
+    two = np.zeros((2 * n, 2 * n))
+    two[:n, :n] = two[n:, n:] = adj.weights
+    common = dict(seed=0, restarts=RESTARTS)
+    yield "svps-lesmis-isolated-node.csv", partial(cs.svps_select, cs.WeightedAdjacency(isolated), **common)
+    yield "svps-lesmis-two-copies.csv", partial(cs.svps_select, cs.WeightedAdjacency(two), **common)
+    yield "svps-lesmis-binarized-bernoulli.csv", partial(
+        cs.svps_select, cs.binarize(adj), cs.VarianceFunction("bernoulli"), **common)
+    yield "svps-lesmis-scaled-linear2.5.csv", partial(
+        cs.svps_select, adj, cs.VarianceFunction("scaled_linear", 2.5), **common)
+
+
 def trace_runs(cs):
     """(file name, call) for every trace, through select and through the shorthands."""
     for runs in (lesmis_runs(cs), panel_runs(cs), law_runs(cs)):
@@ -171,6 +198,7 @@ def trace_runs(cs):
                                dist=law, lam=spec.lam, **common)
             yield f"shorthand-{name}.csv", call
     yield large_svps_run(cs)
+    yield from floor_rule_runs(cs)
 
 
 def table_runs(cs):
@@ -284,8 +312,8 @@ def describe_scores(cs, law) -> str:
         mean[rng.random((n, n)) < 0.2] = 2.5 * trials
         mean[0, 0] = 0.4
         labels = np.arange(n) % 2
-        fitted = cs.FittedStep(m=2, assignment=cs.Assignment(labels, 2), theta=np.ones(n),
-                               block_matrix=np.eye(2), mean=mean, variance=mean)
+        # the scores read only these three fields of a fitted step
+        fitted = SimpleNamespace(m=2, assignment=cs.Assignment(labels, 2), mean=mean)
         text += f"n {n} cbic {cs.cbic_score(adj, fitted, law)!r} icl {cs.icl_score(adj, fitted, law)!r}\n"
     return text
 

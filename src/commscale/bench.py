@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .fitting import FitError
-from .model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
+from .model import THETA_MIXTURE, EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
 from .network import WeightedAdjacency, binarize, open_text, regularize
 from .scaling import ScalingError
 from .selection import MethodSpec, select
@@ -49,11 +49,18 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not self.methods:
             raise ValueError("need at least one method")
+        for key in ("k_list", "n_all"):
+            if min(getattr(self, key)) < 1:
+                raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+        for key in ("rho", "r"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
         if max(self.k_list) > len(self.n_all):
             raise ValueError("k_list exceeds available block sizes")
-        # crude mean cap check, as max theta in the mixture is 1.5: sampling
+        # crude mean cap check at the mixture's largest theta: sampling
         # needs max M <= trials (binomial) or max M < trials (negative binomial)
-        law, peak = self.distribution, self.rho * (1 + self.r) * 1.5 * 1.5
+        top = max(np.max(theta) for _, theta in THETA_MIXTURE)
+        law, peak = self.distribution, self.rho * (1 + self.r) * top * top
         capped = {"binomial": peak <= law.trials, "negative_binomial": peak < law.trials}
         if not capped.get(law.kind, True):
             raise ValueError(f"{law.kind} mean cap violated: peak mean {peak:g}")

@@ -143,8 +143,11 @@ def _validate(args) -> None:
             raise UsageError(f"commscale {command}: COMMSCALE_SEED must be an integer >= 0, got {env!r}")
     # NaN fails every comparison, so "not > 0" rejects it too
     for flag in ("epsilon", "tol", "rho", "r"):
-        if not getattr(args, flag, 1.0) > 0:
+        value = getattr(args, flag, 1.0)
+        if not value > 0:
             raise UsageError(f"commscale {command}: --{flag} must be positive")
+        if flag in ("rho", "r") and value == np.inf:
+            raise UsageError(f"commscale {command}: --{flag} must be finite")
     tau = getattr(args, "tau", 0.0)
     if not all(t >= 0 for t in (tau if command == "bench lesmis" else (tau,))):
         raise UsageError(f"commscale {command}: --tau must be >= 0")

@@ -1,14 +1,16 @@
 """Weighted degree-corrected block model: parameters, means, sampling.
 
-A model is stored in the identifiable form with unit-diagonal community
-connectivity; the usual simulation recipe with connectivity
-rho*(1 + r*1{k==l}) is rescaled into that form on construction, which
-leaves the mean matrix unchanged.
+A model is a plain record in the identifiable form with unit-diagonal
+community connectivity; simulation_params rescales the usual recipe
+with connectivity rho*(1 + r*1{k==l}) into that form, which leaves the
+mean matrix unchanged. Inputs are checked where they enter:
+simulation_params checks its numbers, sample_network its mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .network import WeightedAdjacency
 __all__ = [
     "VarianceFunction",
     "EdgeDistribution",
-    "DcsbmModel",
     "mean_matrix",
     "simulation_params",
     "sample_network",
@@ -99,54 +100,13 @@ def edge_law(law) -> EdgeDistribution:
     return EDGE_LAWS[law] if law in EDGE_LAWS else EdgeDistribution(law)
 
 
-@dataclass(frozen=True)
-class DcsbmModel:
-    """Degree-corrected block model in identifiable form.
-
-    theta : (n,) positive degree parameters.
-    labels : (n,) community indices in 0..K-1, every community nonempty.
-    connectivity : (K, K) symmetric, entries in (0, 1], unit diagonal.
-    """
+class Dcsbm(NamedTuple):
+    """Degree-corrected block model in identifiable form: theta (n,),
+    labels (n,) in 0..K-1, connectivity (K, K) with unit diagonal."""
 
     theta: np.ndarray
     labels: np.ndarray
     connectivity: np.ndarray
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        labels = np.array(self.labels, dtype=int)
-        b = np.array(self.connectivity, dtype=float)
-        if theta.ndim != 1 or labels.shape != theta.shape:
-            raise ValueError("theta and labels must be 1-d and same length")
-        if (theta <= 0).any():
-            raise ValueError("theta must be positive")
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("connectivity must be square")
-        k = b.shape[0]
-        if not np.allclose(b, b.T, rtol=0, atol=1e-12):
-            raise ValueError("connectivity must be symmetric")
-        if np.abs(np.diag(b) - 1.0).max() > 1e-12:
-            raise ValueError("connectivity diagonal must be 1 (identifiable form)")
-        if (b <= 0).any() or (b > 1 + 1e-12).any():
-            raise ValueError("connectivity entries must lie in (0, 1]")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError("labels out of range")
-        if len(np.unique(labels)) != k:
-            raise ValueError("every community must be nonempty")
-        theta.flags.writeable = False
-        labels.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "connectivity", b)
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.connectivity.shape[0]
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -154,7 +114,7 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def mean_matrix(model: DcsbmModel) -> np.ndarray:
+def mean_matrix(model: Dcsbm) -> np.ndarray:
     """M[i, j] = theta_i * theta_j * B[label_i, label_j]; rank K."""
     blocks = model.connectivity[np.ix_(model.labels, model.labels)]
     return np.outer(model.theta, model.theta) * blocks
@@ -167,19 +127,14 @@ def _sample_theta(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.where(cats == 0, unif, np.where(cats == 1, THETA_MIXTURE[1][1], THETA_MIXTURE[2][1]))
 
 
-def simulation_params(
-    k: int,
-    rho: float,
-    r: float,
-    block_sizes,
-    rng: np.random.Generator,
-) -> DcsbmModel:
+def simulation_params(k: int, rho: float, r: float, block_sizes, rng: np.random.Generator) -> Dcsbm:
     """Build a simulation model for K communities.
 
     Raw connectivity is rho*(1 + r*1{k==l}) on the first ``k`` entries of
     ``block_sizes``; theta is i.i.d. from the 0.8/0.1/0.1 mixture. The
     returned model is rescaled to identifiable form: connectivity divided
-    by rho*(1+r) and sqrt(rho*(1+r)) folded into theta.
+    by rho*(1+r) and sqrt(rho*(1+r)) folded into theta. rho and r must
+    be finite and positive, and the first k block sizes at least 1.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -187,26 +142,26 @@ def simulation_params(
         raise ValueError(f"k={k} exceeds the {len(block_sizes)} available block sizes")
     if not (rho > 0 and r > 0):
         raise ValueError("rho and r must be positive")
+    if not np.isfinite((rho, r)).all():
+        raise ValueError("rho and r must be finite")
     sizes = [int(s) for s in block_sizes[:k]]
+    if min(sizes) < 1:
+        raise ValueError(f"block sizes must be >= 1, got {sizes}")
     n = int(sum(sizes))
     labels = np.repeat(np.arange(k), sizes)
     theta = _sample_theta(rng, n)
     scale = rho * (1.0 + r)
     connectivity = rho * (np.ones((k, k)) + r * np.eye(k)) / scale
-    return DcsbmModel(
-        theta=theta * np.sqrt(scale),
-        labels=labels,
-        connectivity=connectivity,
-    )
+    return Dcsbm(theta * np.sqrt(scale), labels, connectivity)
 
 
 def sample_network(
-    mean: np.ndarray,
-    dist: EdgeDistribution,
-    rng: np.random.Generator,
-    zero_diagonal: bool = False,
+    mean: np.ndarray, dist: EdgeDistribution, rng: np.random.Generator, zero_diagonal: bool = False
 ) -> WeightedAdjacency:
     """Sample the upper triangle (incl. diagonal) and mirror it.
+
+    The mean must be square, finite, nonnegative and exactly symmetric,
+    the rule WeightedAdjacency applies to weights.
 
     poisson draws Poisson(M_ij); binomial draws Binom(t, M_ij/t) and
     requires max M <= t; negative_binomial counts failures before the
@@ -219,6 +174,10 @@ def sample_network(
         raise ValueError("mean must be square")
     if (mean < 0).any():
         raise ValueError("mean entries must be nonnegative")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean entries must be finite")
+    if not np.array_equal(mean, mean.T):
+        raise ValueError("mean must be exactly symmetric")
     iu = np.triu_indices(n)
     mu = mean[iu]
     if dist.kind == "poisson":

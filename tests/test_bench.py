@@ -89,6 +89,8 @@ def test_config_validation():
         small_config(distribution=EdgeDistribution("binomial"), rho=1.0, r=4.0)
     with pytest.raises(ValueError, match="block sizes"):
         small_config(k_list=(5,))
+    with pytest.raises(ValueError, match="need at least one method"):
+        small_config(methods=())
 
 
 def test_negative_binomial_cap_checked_up_front():
@@ -129,6 +131,7 @@ def test_method_labels_must_be_distinct():
         ("svps dbscan", "line 3: unknown clusterer 'dbscan'"),
         ("svps score epsilon=abc", "line 3: could not convert"),
         ("svps score tau=1", "line 3: unknown method option 'tau=1'"),
+        ("svps", "line 3: method needs 'selector clusterer"),
     ],
 )
 def test_parse_config_reports_method_errors_by_line(method, message):
@@ -172,6 +175,17 @@ def test_parse_config_rejects_bad_values_by_key_and_line(line, message):
         ("r", "", "line 3: r must be a number, got ''"),
         ("k_list", "2,x", "line 4: k_list must be comma-separated integers, got '2,x'"),
         ("n_all", "20,30.5", r"line 5: n_all must be comma-separated integers, got '20,30\.5'"),
+        # well-formed numbers out of range, named by key
+        ("k_list", "0", r"k_list entries must be >= 1, got \(0,\)"),
+        ("k_list", "2,-1", r"k_list entries must be >= 1, got \(2, -1\)"),
+        ("n_all", "0,20", r"n_all entries must be >= 1, got \(0, 20\)"),
+        ("n_all", "-3,20", r"n_all entries must be >= 1, got \(-3, 20\)"),
+        ("n_all", "20,30,0", r"n_all entries must be >= 1, got \(20, 30, 0\)"),
+        ("rho", "inf", "rho must be finite and positive, got inf"),
+        ("rho", "nan", "rho must be finite and positive, got nan"),
+        ("rho", "0", "rho must be finite and positive, got 0"),
+        ("r", "inf", "r must be finite and positive, got inf"),
+        ("r", "-2", "r must be finite and positive, got -2"),
     ],
 )
 def test_parse_config_names_bad_required_numbers(key, value, message):

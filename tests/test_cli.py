@@ -123,7 +123,7 @@ def test_bench_lesmis_epsilon_out_of_range_is_usage_error(value, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "flag, values",
-    [("--rho", ("0", "-0.1", "nan")), ("--r", ("0", "-2", "nan"))],
+    [("--rho", ("0", "-0.1", "nan", "inf")), ("--r", ("0", "-2", "nan", "inf"))],
 )
 def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, capsys):
     out = tmp_path / "sim.tsv"
@@ -132,7 +132,8 @@ def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, caps
         args = ["simulate", "--rho", given["--rho"], "--r", given["--r"], "--k", "2", "--out", str(out)]
         assert main(args) == 1, value
         captured = capsys.readouterr()
-        assert captured.err == f"commscale simulate: {flag} must be positive\n"
+        rule = "finite" if value == "inf" else "positive"
+        assert captured.err == f"commscale simulate: {flag} must be {rule}\n"
         assert captured.out == "" and not out.exists()
 
 

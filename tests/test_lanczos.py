@@ -148,6 +148,31 @@ def test_large_k_falls_back_to_dense(lanczos_calls):
     assert value == on_dense_path(lambda: svps_statistic(copy.copy(adj), fitted))
 
 
+def test_no_convergence_falls_back_to_dense(lanczos_calls, monkeypatch):
+    import scipy.sparse.linalg as linalg
+
+    tries = []
+
+    def no_convergence(matrix, k, **kwargs):
+        tries.append(k)
+        raise linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
+
+    monkeypatch.setattr(linalg, "eigsh", no_convergence)
+    adj = network("n150")
+    dense = spectral.leading_eigpairs(adj.weights)[1]
+    net = copy.copy(adj)
+    for m in range(1, 6):
+        assert np.array_equal(spectral._basis(net, "score", m), dense[:, :m])
+    assert tries == [4, 8] and lanczos_calls == [4, 8]
+    fitted = fit_step(adj, Assignment(np.repeat([0, 1, 2], (40, 50, 60)), 3))
+    value = svps_statistic(copy.copy(adj), fitted)
+    assert tries[-1] == 4 and lanczos_calls[-1] == 4
+    assert value == on_dense_path(lambda: svps_statistic(copy.copy(adj), fitted))
+    run = lambda: select(adj, MethodSpec("svps"), restarts=5)
+    monkeypatch.setattr(selection, "_steps", (None, {}))
+    assert run().to_csv() == on_dense_path(run).to_csv()
+
+
 def test_regularized_network_stays_dense(lanczos_calls):
     adj = regularize(network("n150"), 0.1)
     assert spectral._sparse_weights(copy.copy(adj)) is None

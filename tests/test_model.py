@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commscale.model import (
-    DcsbmModel,
+    Dcsbm,
     EdgeDistribution,
     VarianceFunction,
     make_rng,
@@ -14,7 +14,7 @@ from commscale.model import (
 
 def two_block_example():
     # theta=(2,1), one node per block, off-diagonal connectivity 1/2
-    return DcsbmModel(
+    return Dcsbm(
         theta=np.array([2.0, 1.0]),
         labels=np.array([0, 1]),
         connectivity=np.array([[1.0, 0.5], [0.5, 1.0]]),
@@ -36,21 +36,8 @@ def test_edge_distribution_validation():
     assert EdgeDistribution("poisson").trials == 5
     with pytest.raises(ValueError):
         EdgeDistribution("uniform")
-
-
-def test_model_validation():
-    theta = np.ones(4)
-    labels = np.array([0, 0, 1, 1])
-    good = np.array([[1.0, 0.3], [0.3, 1.0]])
-    DcsbmModel(theta, labels, good)
-    with pytest.raises(ValueError, match="diagonal"):
-        DcsbmModel(theta, labels, np.array([[0.9, 0.3], [0.3, 1.0]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        DcsbmModel(theta, labels, np.array([[1.0, 0.3], [0.4, 1.0]]))
-    with pytest.raises(ValueError, match="nonempty"):
-        DcsbmModel(theta, np.zeros(4, dtype=int), good)
-    with pytest.raises(ValueError, match="positive"):
-        DcsbmModel(np.array([1.0, 1, 1, 0]), labels, good)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        EdgeDistribution("binomial", trials=0)
 
 
 def test_mean_matrix_hand_example():
@@ -76,7 +63,7 @@ def test_spectral_lower_bound_with_own_constants():
         eigs = np.linalg.eigvalsh(m)
         lam_k = np.sort(np.abs(eigs))[::-1][k - 1]
         b = model.connectivity
-        n = model.n
+        n = len(model.theta)
         sizes = np.bincount(model.labels)
         c0 = min(
             sizes.min() / n,
@@ -109,9 +96,29 @@ def test_simulation_params_identifiable_form():
 
 
 def test_simulation_params_validation():
-    rng = make_rng(0)
-    with pytest.raises(ValueError, match="exceeds"):
-        simulation_params(4, 0.1, 2, (10, 20, 30), rng)
+    cases = [
+        (4, 0.1, 2, (10, 20, 30), "exceeds"),
+        (0, 0.1, 2, (10, 20), "need k >= 1"),
+        (2, 0.1, 2, (0, 20), r"block sizes must be >= 1, got \[0, 20\]"),
+        (2, 0.1, 2, (-3, 20), r"block sizes must be >= 1, got \[-3, 20\]"),
+        (2, np.inf, 2, (10, 20), "rho and r must be finite"),
+        (2, 0.1, np.inf, (10, 20), "rho and r must be finite"),
+        (2, -np.inf, 2, (10, 20), "rho and r must be positive"),
+        (2, 0.0, 2, (10, 20), "rho and r must be positive"),
+    ]
+    for k, rho, r, sizes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            simulation_params(k, rho, r, sizes, make_rng(0))
+    # only the first k sizes are used, so later ones are not checked
+    assert len(simulation_params(1, 0.1, 2, (10, 0), make_rng(0)).theta) == 10
+
+
+def test_simulation_params_returns_a_plain_record():
+    model = simulation_params(2, 0.2, 3, (3, 4), make_rng(0))
+    theta, labels, connectivity = model
+    assert model._fields == ("theta", "labels", "connectivity")
+    assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1] and theta.shape == (7,)
+    assert np.array_equal(connectivity, np.array([[1.0, 0.25], [0.25, 1.0]]))
 
 
 def test_sampling_deterministic_and_symmetric():
@@ -131,6 +138,38 @@ def test_poisson_moment_check():
     )
     tol = 3 * np.sqrt(0.36 / len(draws))
     assert abs(draws.mean() - 0.36) < tol
+
+
+def test_negative_binomial_moment_check():
+    # failures before the 5th success at success probability 1 - mu/5:
+    # mean mu / (1 - mu/5), variance mean / (1 - mu/5)
+    mu, trials = 2.0, 5
+    mean = mu / (1 - mu / trials)
+    rng = make_rng(17)
+    draws = np.array(
+        [sample_network(np.full((2, 2), mu), EdgeDistribution("negative_binomial"), rng).weights[0, 1]
+         for _ in range(10_000)]
+    )
+    tol = 3 * np.sqrt(mean / (1 - mu / trials) / len(draws))
+    assert abs(draws.mean() - mean) < tol
+    assert abs(draws.mean() - mu) > 10 * tol  # the documented mean mismatch
+
+
+@pytest.mark.parametrize(
+    "mean, message",
+    [
+        (np.ones((2, 3)), "mean must be square"),
+        (np.ones(3), "mean must be square"),
+        (np.array([[1.0, -0.5], [-0.5, 1.0]]), "mean entries must be nonnegative"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "mean entries must be finite"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "mean entries must be finite"),
+        (np.array([[1.0, 5.0], [0.0, 1.0]]), "mean must be exactly symmetric"),
+        (np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]]), "mean must be exactly symmetric"),
+    ],
+)
+def test_sample_network_checks_its_mean(mean, message):
+    with pytest.raises(ValueError, match=message):
+        sample_network(mean, EdgeDistribution("poisson"), make_rng(0))
 
 
 def test_binomial_degenerate_and_caps():

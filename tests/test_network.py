@@ -61,6 +61,12 @@ def test_negative_weight_reports_line_number():
 def test_malformed_line_reports_line_number():
     with pytest.raises(EdgeListError, match="line 1"):
         load_edge_list(io.StringIO("0 1\n"))
+    for text, message in (("0 1 1\n0 x 1\n", "line 2: could not parse '0 x 1'"),
+                          ("0 1 abc\n", "line 1: could not parse '0 1 abc'"),
+                          ("0 1 1\n1 2 inf\n", "line 2: non-finite weight"),
+                          ("0 1 nan\n", "line 1: non-finite weight")):
+        with pytest.raises(EdgeListError, match=message):
+            load_edge_list(io.StringIO(text))
 
 
 def test_declared_n_pads_isolated_nodes():
@@ -72,6 +78,8 @@ def test_declared_n_pads_isolated_nodes():
 def test_declared_n_range_check():
     with pytest.raises(EdgeListError, match="out of declared range"):
         load_edge_list(io.StringIO("0 3 1\n"), n=2)
+    with pytest.raises(EdgeListError, match="node id 0 below indexing base 1"):
+        load_edge_list(io.StringIO("1 2 1\n0 2 1\n"), indexing=1)
 
 
 def test_empty_list_needs_declared_n():
@@ -124,6 +132,8 @@ def test_adjacency_validation():
         WeightedAdjacency(np.array([[np.nan, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         WeightedAdjacency(np.ones((1, 1)))
+    with pytest.raises(ValueError, match="node_names length does not match matrix size"):
+        WeightedAdjacency(np.ones((2, 2)), node_names=("a", "b", "c"))
 
 
 def test_weights_are_read_only():

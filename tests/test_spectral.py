@@ -123,14 +123,32 @@ def test_kmeans_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):
         kmeans(pts, 4)
+    for rows in (np.zeros(3), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="rows must be 2-d with at least one column"):
+            kmeans(rows, 1)
     # m equal to n is fine: one point per cluster
     out = kmeans(np.arange(6.0).reshape(3, 2), 3)
     assert sorted(out.sizes) == [1, 1, 1]
 
 
 def test_assignment_requires_every_cluster_nonempty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty cluster: only 2 of 3 used"):
         Assignment(np.array([0, 0, 2, 2]), 3)
+    with pytest.raises(ValueError, match="labels must be 1-d"):
+        Assignment(np.zeros((2, 2), dtype=int), 1)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        Assignment(np.zeros(3, dtype=int), 0)
+    for labels in ([0, 1, 2], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="labels out of range"):
+            Assignment(np.array(labels), 2)
+
+
+def test_basis_rejects_m_out_of_range():
+    adj = WeightedAdjacency(np.ones((3, 3)))
+    for clusterer in ("score", "rsc"):
+        for m in (0, 4):
+            with pytest.raises(ValueError, match=f"m={m} out of range 1..3"):
+                spectral._basis(adj, clusterer, m)
 
 
 def kmeans_rows(monkeypatch, cluster, adj, m):

@@ -57,6 +57,6 @@ def test_underfit_partitions_nearly_refine_truth():
         for k in range(3):
             inside = est[model.labels == k]
             split += int((inside != np.bincount(inside).argmax()).sum())
-        if split <= 0.1 * model.n:
+        if split <= 0.1 * len(model.theta):
             hits += 1
     assert hits >= 90

@@ -27,7 +27,8 @@ The set covers:
   COMMSCALE_SEED set;
 - library calls with bad arguments, among them sinkhorn_symmetric on a
   matrix one ulp off symmetric, on NaN and inf entries and from a NaN
-  initial, and scaled_matrix with a NaN psi;
+  initial, scaled_matrix with a NaN psi, and sample_network on an
+  asymmetric and on a NaN mean;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
@@ -241,6 +242,12 @@ def api_error_runs(cs):
     yield "api-regularize-tau-nan.txt", partial(cs.regularize, adj, nan)
     yield "api-simulation_params-rho-nan.txt", partial(cs.simulation_params, 2, nan, 3.0, (10, 10), cs.make_rng(0))
     yield "api-simulation_params-r-nan.txt", partial(cs.simulation_params, 2, 0.3, nan, (10, 10), cs.make_rng(0))
+    yield "api-simulation_params-block-size0.txt", partial(cs.simulation_params, 2, 0.3, 3.0, (0, 10), cs.make_rng(0))
+    yield "api-simulation_params-rho-inf.txt", partial(cs.simulation_params, 2, float("inf"), 3.0, (10, 10),
+                                                       cs.make_rng(0))
+    poisson = cs.EdgeDistribution("poisson")
+    for name, mean in (("asymmetric", [[1.0, 5.0], [0.0, 1.0]]), ("nan", [[1.0, nan], [nan, 1.0]])):
+        yield f"api-sample_network-{name}-mean.txt", partial(cs.sample_network, np.array(mean), poisson, cs.make_rng(0))
     yield "api-variance-c-nan.txt", partial(cs.VarianceFunction, "scaled_linear", c=nan)
     config = cs.parse_config(io.StringIO(VALID_CONFIG))
     for jobs in (0, -3):
@@ -365,6 +372,7 @@ def cli_runs(cs, tmp: Path):
     yield "cli-simulate-negbinom-over-cap.txt", [
         "simulate", "--dist", "negbinom", "--rho", "1", "--r", "3", "--k", "2", "--out", "OUT"]
     yield "cli-simulate-rho-nan.txt", ["simulate", "--rho", "nan", "--r", "2", "--k", "2", "--out", "OUT"]
+    yield "cli-simulate-rho-inf.txt", ["simulate", "--rho", "inf", "--r", "2", "--k", "2", "--out", "OUT"]
     yield "cli-simulate-k0.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "0", "--out", "OUT"]
     yield "cli-simulate-replicate-negative.txt", [
         "simulate", "--rho", "0.12", "--r", "2", "--k", "2", "--replicate", "-1", "--out", "OUT"]
@@ -379,9 +387,11 @@ def cli_runs(cs, tmp: Path):
         config = tmp / f"{name}.cfg"
         config.write_text(f"{head}method = {method}\n{CONFIG_TAIL}", encoding="utf-8")
         yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]
-    # values of the wrong kind, named with their key and line
+    # values of the wrong kind, named with their key and line, and values out of range
     for name, text in (("zero-diagonal-typo", f"{VALID_CONFIG}zero_diagonal = ture\n"),
-                       ("fractional-replicates", VALID_CONFIG.replace("replicates = 1", "replicates = 2.5"))):
+                       ("fractional-replicates", VALID_CONFIG.replace("replicates = 1", "replicates = 2.5")),
+                       ("n-all-zero", VALID_CONFIG.replace("n_all = 12,14", "n_all = 0,20")),
+                       ("k-list-zero", VALID_CONFIG.replace("k_list = 2", "k_list = 0"))):
         config = tmp / f"{name}.cfg"
         config.write_text(text, encoding="utf-8")
         yield f"cli-bench-run-{name}.txt", ["bench", "run", "--config", str(config), "--out", "OUT"]

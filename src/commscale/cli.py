@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,7 +34,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not exits."""
+    """argparse that reports usage problems as exceptions, not exits, and
+    takes every negative float literal (-1e-3, -inf, -nan) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern matches only -1 and -1.5 forms; the
+        # subparsers are built with this class too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[+-]?\d[\d_]*)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

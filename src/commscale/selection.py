@@ -117,7 +117,9 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
 
 
 # The last network's step assignments, (weights digest, {(clusterer, m,
-# seed, restarts): Assignment}). A new network replaces the whole pair, so
+# seed, restarts): Assignment}). The digest is (shape, SHA-1 of the dense
+# weights), or ("csr", shape, SHA-1 of the CSR weights' indptr, indices
+# and data) on the Lanczos path. A new network replaces the whole pair, so
 # a caller still holding the old pair can only miss.
 _steps: tuple = (None, {})
 
@@ -138,7 +140,15 @@ def _cluster_and_fit(
         return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
     memo = vars(adj)
     if "_digest" not in memo:
-        memo["_digest"] = (adj.weights.shape, hashlib.sha1(np.ascontiguousarray(adj.weights)).digest())
+        csr = _sparse_weights(adj)
+        if csr is None:
+            memo["_digest"] = (adj.weights.shape, hashlib.sha1(np.ascontiguousarray(adj.weights)).digest())
+        else:
+            # shape and index dtype fix where indptr, indices and data meet in the hash
+            digest = hashlib.sha1(csr.indptr)
+            digest.update(csr.indices)
+            digest.update(csr.data)
+            memo["_digest"] = ("csr", csr.shape, digest.digest())
     steps = _steps
     if steps[0] != memo["_digest"]:
         steps = _steps = (memo["_digest"], {})

@@ -10,8 +10,7 @@ every entry nonzero took 0.2 s in eigvalsh and up to 0.5 s in eigsh),
 and it is more robust near eigenvalue multiplicities. SCORE and RSC
 decompose their clustering matrix once per network object and take the
 first m columns of that basis at every m, so a selection decomposes it
-once; on the Lanczos path SCORE decomposes once per power of two of the
-leading pairs it needs.
+once; on the Lanczos path SCORE finds the m leading pairs once per m.
 
 k-means runs all of its k-means++ restarts together. One matmul gives
 each point's candidate centre in every restart; a forward-error bound
@@ -79,6 +78,25 @@ class Assignment:
         return np.bincount(self.labels, minlength=self.m)
 
 
+def _csr(dense: np.ndarray):
+    """dense as a CSR array, bit for bit scipy.sparse.csr_array(dense): the
+    same indptr, indices, data and index dtype, built from one mask.
+
+    Entries equal to zero (-0.0 too) are not stored. The indices are int32
+    unless the shape or the number of stored entries needs int64, the rule
+    the dense conversion applies.
+    """
+    from scipy.sparse import csr_array, get_index_dtype
+
+    mask = dense != 0
+    flat = np.flatnonzero(mask)
+    index = get_index_dtype(maxval=max(flat.size, *dense.shape))
+    indptr = np.zeros(dense.shape[0] + 1, dtype=index)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    indices = (flat % dense.shape[1]).astype(index)
+    return csr_array((dense.ravel()[flat], indices, indptr), shape=dense.shape)
+
+
 def _sparse_weights(adj: WeightedAdjacency):
     """adj's weights as a CSR array when the network takes the Lanczos
     path, else None.
@@ -92,17 +110,14 @@ def _sparse_weights(adj: WeightedAdjacency):
     if "_csr" not in memo:
         memo["_csr"] = None
         if adj.n >= LANCZOS_MIN_N and np.count_nonzero(adj.weights) <= LANCZOS_MAX_DENSITY * adj.n ** 2:
-            from scipy.sparse import csr_array
-
-            memo["_csr"] = csr_array(adj.weights)
+            memo["_csr"] = _csr(adj.weights)
     return memo["_csr"]
 
 
 def _lanczos(matrix, k: int, vectors: bool = True):
     """ARPACK's k largest-magnitude eigenvalues (and vectors) of a symmetric
-    matrix, dense or sparse, run as a CSR array to full precision. None
-    when k >= n - 1 or ARPACK does not converge: the caller then solves
-    densely.
+    CSR array, to full precision. None when k >= n - 1 or ARPACK does not
+    converge: the caller then solves densely.
 
     The start vector is fixed, so the result is deterministic, and
     pseudo-random: the vector of ones is an eigenvector of every regular
@@ -113,33 +128,18 @@ def _lanczos(matrix, k: int, vectors: bool = True):
     n = matrix.shape[0]
     if k >= n - 1:
         return None
-    from scipy.sparse import csr_array
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
     try:
-        return eigsh(csr_array(matrix), k=k, which="LM", v0=v0, tol=0, return_eigenvectors=vectors)
+        return eigsh(matrix, k=k, which="LM", v0=v0, tol=0, return_eigenvectors=vectors)
     except ArpackNoConvergence:
         return None
 
 
-def leading_eigpairs(matrix: np.ndarray, *, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a symmetric matrix as read-only (values, vectors),
-    or only the k leading pairs, by Lanczos, when k is given.
-
-    Ordered by descending |lambda|; for tied magnitudes the positive
-    eigenvalue comes first. Column j of vectors belongs to values[j], so
-    the first m columns are the m leading pairs. Each vector's sign is
-    fixed so its entry sum is positive (largest-magnitude entry made
-    positive when the sum is exactly zero). Where _lanczos returns None,
-    every pair comes from the dense solve.
-    """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    pairs = None if k is None else _lanczos(a, k)
-    vals, vecs = np.linalg.eigh(a) if pairs is None else pairs
+def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (values, vectors) of a dense or a Lanczos solve, read-only,
+    in leading_eigpairs's order and with its sign rule."""
     # primary key |lambda| descending, secondary key lambda descending
     order = np.lexsort((-vals, -np.abs(vals)))
     vals = vals[order]
@@ -157,6 +157,23 @@ def leading_eigpairs(matrix: np.ndarray, *, k: int | None = None) -> tuple[np.nd
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return vals, vecs
+
+
+def leading_eigpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a dense symmetric matrix as read-only (values,
+    vectors), from one dense solve.
+
+    Ordered by descending |lambda|; for tied magnitudes the positive
+    eigenvalue comes first. Column j of vectors belongs to values[j], so
+    the first m columns are the m leading pairs. Each vector's sign is
+    fixed so its entry sum is positive (largest-magnitude entry made
+    positive when the sum is exactly zero).
+    """
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    return _ordered(*np.linalg.eigh(a))
 
 
 def _sq_dist(xt: np.ndarray, coord) -> np.ndarray:
@@ -339,20 +356,26 @@ def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
     """The m leading eigenvectors of the clusterer's matrix, whose full
     basis is computed once per network object.
 
-    On the Lanczos path (_sparse_weights), SCORE's basis holds the k
-    leading pairs instead, k the least power of two >= max(m, 4), one
-    basis per k; so its columns depend on the network and m only. RSC's
-    regularised matrix has no zero entry, so it is always solved densely.
-    The memo lives in the network's instance dict, so it goes when the
-    network does; select runs on a shallow copy to keep it per selection.
+    On the Lanczos path (_sparse_weights), SCORE's basis holds only the m
+    leading pairs of the CSR weights instead, computed once per m, so its
+    columns depend on the network and m only; where _lanczos returns None,
+    they are the first m columns of the dense basis. RSC's regularised
+    matrix has no zero entry, so it is always solved densely. The memo
+    lives in the network's instance dict, so it goes when the network
+    does; select runs on a shallow copy to keep it per selection.
     """
     if not 1 <= m <= adj.n:
         raise ValueError(f"m={m} out of range 1..{adj.n}")
-    k = None
-    if clusterer == "score" and _sparse_weights(adj) is not None:
-        k = max(4, 1 << (m - 1).bit_length())
-    key = f"_{clusterer}_basis" if k is None else f"_{clusterer}_basis{k}"
     memo = vars(adj)
+    csr = _sparse_weights(adj) if clusterer == "score" else None
+    if csr is not None:
+        key = f"_score_basis{m}"
+        if key not in memo:
+            pairs = _lanczos(csr, m)
+            memo[key] = None if pairs is None else _ordered(*pairs)[1]
+        if memo[key] is not None:
+            return memo[key]
+    key = f"_{clusterer}_basis"
     if key not in memo:
         if clusterer == "score":
             matrix = adj.weights
@@ -362,7 +385,7 @@ def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
             with np.errstate(divide="ignore"):
                 inv_sqrt = np.where(dsum > 0, 1.0 / np.sqrt(dsum), 0.0)
             matrix = a_reg * np.outer(inv_sqrt, inv_sqrt)
-        memo[key] = (leading_eigpairs(matrix) if k is None else leading_eigpairs(matrix, k=k))[1]
+        memo[key] = leading_eigpairs(matrix)[1]
     return memo[key][:, :m]
 
 

@@ -123,7 +123,7 @@ def test_bench_lesmis_epsilon_out_of_range_is_usage_error(value, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "flag, values",
-    [("--rho", ("0", "-0.1", "nan", "inf")), ("--r", ("0", "-2", "nan", "inf"))],
+    [("--rho", ("0", "-0.1", "nan", "inf", "-inf")), ("--r", ("0", "-2", "nan", "inf", "-1e3"))],
 )
 def test_simulate_rho_r_out_of_range_is_usage_error(flag, values, tmp_path, capsys):
     out = tmp_path / "sim.tsv"
@@ -185,7 +185,8 @@ def test_bad_seed_variable_is_usage_error(argv, name, value, lesmis_file, tmp_pa
     assert run_seeded(argv, lesmis_file, out, "--seed", "0", "--quiet") == 0
 
 
-TAU_CASES = [(ARGV[name], name, value) for name in ("select", "fit", "bench lesmis") for value in ("-0.5", "nan")]
+# "-1e-3" is a value, not an option: argparse's own negative-number pattern misses it
+TAU_CASES = [(ARGV[name], name, value) for name in ("select", "fit", "bench lesmis") for value in ("-0.5", "nan", "-1e-3")]
 TAU_CASES.append((ARGV["bench lesmis"], "bench lesmis", "0.1,-0.5"))
 
 

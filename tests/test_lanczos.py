@@ -11,6 +11,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_array
 
 from commscale import selection, spectral
 from commscale.fitting import FittedStep, fit_step
@@ -78,8 +82,8 @@ def test_selection_matches_dense_path(name, lanczos_calls):
     dense = on_dense_path(run)
     assert lanczos_calls == []
     sparse = run()
-    # one basis of 4 pairs for m <= 4, and m + 1 values per statistic
-    assert sorted(lanczos_calls) == sorted([4] + [step.m + 1 for step in sparse.steps])
+    # a basis of m pairs at each m >= 2, and m + 1 values per statistic
+    assert sorted(lanczos_calls) == sorted([s.m for s in sparse.steps if s.m >= 2] + [s.m + 1 for s in sparse.steps])
     assert sparse.k_hat == dense.k_hat and len(sparse.steps) > 1
     assert [(s.m, s.status) for s in sparse.steps] == [(s.m, s.status) for s in dense.steps]
     for a, b in zip(sparse.steps, dense.steps):
@@ -114,17 +118,20 @@ def test_basis_matches_dense_columns(lanczos_calls):
         basis = spectral._basis(net, "score", m)
         assert basis.shape == (adj.n, m)
         assert np.abs(basis - dense[:, :m]).max() <= 1e-10
-    # one decomposition per power of two: k = 4, 8, 16
-    assert lanczos_calls == [4, 8, 16]
+        assert spectral._basis(net, "score", m) is basis
+    # one decomposition of m pairs per m
+    assert lanczos_calls == list(range(1, 13))
     # a second network object decomposes again, bit for bit the same
     assert np.array_equal(spectral._basis(copy.copy(adj), "score", 12), spectral._basis(net, "score", 12))
 
 
 def test_leading_pairs_keep_order_and_signs(lanczos_calls):
     adj = network("n75")
-    values, vectors = spectral.leading_eigpairs(adj.weights, k=6)
-    dense_values, _ = spectral.leading_eigpairs(adj.weights)
+    vectors = spectral._basis(copy.copy(adj), "score", 6)
     assert lanczos_calls == [6]
+    values, ordered = spectral._ordered(*spectral._lanczos(spectral._csr(adj.weights), 6))
+    assert np.array_equal(ordered, vectors)
+    dense_values, _ = spectral.leading_eigpairs(adj.weights)
     assert np.allclose(values, dense_values[:6], rtol=1e-12, atol=0)
     assert (np.diff(np.abs(values)) <= 0).all()
     assert (vectors.sum(axis=0) > 0).all()
@@ -134,10 +141,12 @@ def test_leading_pairs_keep_order_and_signs(lanczos_calls):
 def test_large_k_falls_back_to_dense(lanczos_calls):
     adj = network("n75")
     n = adj.n
-    assert spectral._lanczos(adj.weights, n - 1) is None
-    full = spectral.leading_eigpairs(adj.weights, k=n - 1)
-    dense = spectral.leading_eigpairs(adj.weights)
-    assert all(np.array_equal(a, b) for a, b in zip(full, dense))
+    assert spectral._lanczos(spectral._csr(adj.weights), n - 1) is None
+    dense = spectral.leading_eigpairs(adj.weights)[1]
+    net = copy.copy(adj)
+    assert np.array_equal(spectral._basis(net, "score", n - 1), dense[:, :n - 1])
+    assert np.array_equal(spectral._basis(net, "score", n), dense)
+    assert lanczos_calls == [n - 1, n - 1, n]
     # a statistic with k = m + 1 = n - 1 is the dense eigvalsh one
     m = n - 2
     labels = np.arange(n) % m
@@ -163,7 +172,9 @@ def test_no_convergence_falls_back_to_dense(lanczos_calls, monkeypatch):
     net = copy.copy(adj)
     for m in range(1, 6):
         assert np.array_equal(spectral._basis(net, "score", m), dense[:, :m])
-    assert tries == [4, 8] and lanczos_calls == [4, 8]
+    # one try per m, not repeated when the basis is asked for again
+    assert np.array_equal(spectral._basis(net, "score", 3), dense[:, :3])
+    assert tries == [1, 2, 3, 4, 5] and lanczos_calls == [1, 2, 3, 4, 5]
     fitted = fit_step(adj, Assignment(np.repeat([0, 1, 2], (40, 50, 60)), 3))
     value = svps_statistic(copy.copy(adj), fitted)
     assert tries[-1] == 4 and lanczos_calls[-1] == 4
@@ -203,7 +214,7 @@ def test_statistic_finds_eigenvectors_a_swap_negates(lanczos_calls):
     adj = WeightedAdjacency(np.block([[inner, cross], [cross, inner]]))
     dense = np.sort(np.abs(np.linalg.eigvalsh(adj.weights)))[::-1]
     for k in range(2, 9):
-        values = np.sort(np.abs(spectral._lanczos(adj.weights, k, vectors=False)))[::-1]
+        values = np.sort(np.abs(spectral._lanczos(spectral._csr(adj.weights), k, vectors=False)))[::-1]
         assert np.allclose(values, dense[:k], rtol=1e-10, atol=0), k
     fitted = fit_step(adj, Assignment(np.repeat([0, 1], h), 2))
     value = svps_statistic(copy.copy(adj), fitted)
@@ -221,9 +232,32 @@ def test_regular_network_is_deterministic(lanczos_calls):
     ring += ring.T
     dense = np.sort(np.abs(np.linalg.eigvalsh(ring)))[::-1]
     for k in range(2, 8):
-        first, second = (spectral._lanczos(ring, k, vectors=False) for _ in range(2))
+        first, second = (spectral._lanczos(spectral._csr(ring), k, vectors=False) for _ in range(2))
         assert np.array_equal(first, second), k
         assert np.allclose(np.sort(np.abs(first))[::-1], dense[:k], rtol=1e-10, atol=0), k
+
+
+# float64 matrices with empty rows, zero, -0.0 and diagonal entries
+sparse_squares = arrays(
+    np.float64,
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, 1e300]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_squares)
+@example(np.zeros((4, 4)))
+@example(np.diag([1.0, -0.0, 0.0, 2.0]))
+@example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+def test_csr_build_matches_scipy(dense):
+    ours, ref = spectral._csr(dense), csr_array(dense)
+    assert ours.shape == ref.shape and ours.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(ours.data.view(np.uint64), ref.data.view(np.uint64))
+    assert ours.has_canonical_format and ref.has_canonical_format
 
 
 def test_import_does_not_load_sparse_linalg():

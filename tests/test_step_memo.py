@@ -127,6 +127,36 @@ def test_any_change_to_the_step_key_misses(monkeypatch):
     assert counts["kmeans"] == 1
 
 
+def test_lanczos_path_keys_the_memo_by_the_csr_weights(monkeypatch):
+    # large sparse networks are keyed by their CSR weights, not the dense ones
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_N", 2)
+    counts = count_layers(monkeypatch)
+    rng = make_rng(5)
+    mean = mean_matrix(simulation_params(3, 0.1, 3, (30, 40, 50), rng))
+    weights = sample_network(mean, EdgeDistribution("poisson"), rng).weights.copy()
+    first, second = WeightedAdjacency(weights.copy()), WeightedAdjacency(weights.copy())
+    assert spectral._sparse_weights(copy.copy(first)) is not None
+    base = dict(m=3, clusterer="score", seed=0, restarts=2)
+
+    def step(net):
+        counts.clear()
+        return selection._cluster_and_fit(copy.copy(net), **base)
+
+    labels = step(first).assignment
+    assert counts["kmeans"] == 1
+    # a network built separately with equal weights shares the step
+    assert step(second).assignment is labels
+    assert counts["kmeans"] == 0
+    digest = selection._steps[0]
+    assert digest[:2] == ("csr", weights.shape)
+    # one ulp on one weight (both triangles) misses
+    i, j = map(int, np.argwhere(np.triu(weights, 1) > 0)[0])
+    weights[i, j] = weights[j, i] = np.nextafter(weights[i, j], np.inf)
+    step(WeightedAdjacency(weights))
+    assert counts["kmeans"] == 1
+    assert selection._steps[0] != digest
+
+
 def test_memo_holds_only_the_last_networks_labels():
     lesmis = load_lesmis()
     rng = make_rng(3)

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps module attributes by name and skips a name it
 cannot find, so a rename in the package would silently shrink the
 benchmark's layer coverage. The first test fails on such a rename
 instead; the second checks that every caller of the cluster-and-fit
-step still reaches the wrapped attributes at call time.
+step still reaches the wrapped attributes at call time; the last runs
+the tracer itself over a selection on the Lanczos path.
 """
 
 import importlib.util
@@ -13,12 +14,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import commscale
-from commscale import selection
+from commscale import selection, spectral
 from commscale.cli import main
 from commscale.datasets import lesmis_path, load_lesmis
+from commscale.selection import MethodSpec, select
+from test_selection import sampled_counts
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -94,3 +98,46 @@ def test_every_caller_goes_through_the_wrapped_step_layers(clusterer, monkeypatc
     calls.clear()
     callers["score_select"]()
     assert calls == {"fit_step": 2}
+
+
+@pytest.mark.parametrize("clusterer", ["score", "rsc"])
+def test_tracer_runs_a_lanczos_selection_unchanged(clusterer, monkeypatch):
+    # the tracer notes each leading_eigpairs input as a dense array; on the
+    # Lanczos path the CSR weights must reach ARPACK without passing there
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_N", 2)
+    adj = sampled_counts((40, 50, 60), rho=0.1)[0]
+    assert spectral._sparse_weights(adj) is not None
+    run = lambda: select(adj, MethodSpec("svps", clusterer), restarts=5)
+    untraced = run().to_csv()
+    tracer = load_tracer().Tracer(commscale)
+    raised, eig_inputs = [], []
+    wrap = tracer._wrap
+
+    def checked_wrap(fn, name):
+        traced = wrap(fn, name)
+
+        def checked(*args, **kwargs):
+            if name == "spectral.eig":
+                eig_inputs.append(args[0] if args else kwargs["matrix"])
+            try:
+                return traced(*args, **kwargs)
+            except BaseException as exc:
+                raised.append((name, exc))
+                raise
+
+        return checked
+
+    tracer._wrap = checked_wrap
+    monkeypatch.setattr(selection, "_steps", (None, {}))
+    with tracer.installed():
+        with tracer.selection(0):
+            traced = run().to_csv()
+    assert tracer.missing == []
+    assert traced == untraced
+    assert raised == []
+    assert all(type(matrix) is np.ndarray for matrix in eig_inputs)
+    # SCORE's basis comes from ARPACK; RSC's regularised matrix is solved densely
+    assert len(eig_inputs) == (0 if clusterer == "score" else 1)
+    # every step clustered inside the wrapped clusterer
+    calls, _, _ = tracer.totals()
+    assert calls["spectral.cluster"] == len(untraced.splitlines()) - 1 > 2

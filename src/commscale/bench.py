@@ -189,7 +189,8 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
         spec.label: _k_hat(
             adj,
             spec,
-            dist=config.distribution,
+            # svps keeps the poisson variance until ROADMAP item 3 measures the law's own
+            dist=None if spec.selector == "svps" else config.distribution,
             m_max=max(12, k + 4) if spec.selector == "svps" else k + 4,
             seed=_method_seed(config.seed, k, rep, spec.label),
         )

@@ -20,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from .datasets import load_lesmis
 from .fitting import FitError
-from .model import EDGE_LAWS, VarianceFunction, make_rng, mean_matrix, sample_network, simulation_params
+from .model import EDGE_LAWS, make_rng, mean_matrix, sample_network, simulation_params
 from .network import binarize, load_edge_list, open_text, regularize, write_edge_list
 from .scaling import ScalingError, sinkhorn_symmetric
 from .selection import MethodSpec, _cluster_and_fit, select
@@ -87,10 +87,9 @@ def build_parser() -> _Parser:
                      help="svps threshold is 2 + epsilon (default 0.05)")
     sel.add_argument("--kmax", type=int, default=None,
                      help="largest candidate m (default 12 for svps, 10 for cbic/icl)")
-    sel.add_argument("--variance", choices=("identity", "bernoulli"), default="identity",
-                     help="variance function for the svps profile (default identity)")
-    sel.add_argument("--likelihood", choices=tuple(EDGE_LAWS), default=None,
-                     help="edge law for cbic/icl (required for those methods)")
+    sel.add_argument("--law", choices=tuple(EDGE_LAWS), default=None,
+                     help="edge law: the svps variance (default poisson) and the cbic/icl likelihood "
+                          "(required for those methods)")
     _add_common_flags(sel, cmd_select, seeded=True)
 
     fit = subs.add_parser("fit", help="fit one stepwise model and emit its parameters")
@@ -141,8 +140,8 @@ def _validate(args) -> None:
     if getattr(args, "func", None) is None:
         raise UsageError("commscale: a subcommand is required (see --help)")
     command = " ".join(filter(None, (args.command, getattr(args, "bench_command", None))))
-    if command == "select" and args.method in ("cbic", "icl") and args.likelihood is None:
-        raise UsageError(f"commscale select: --likelihood is required for --method {args.method}")
+    if command == "select" and args.method in ("cbic", "icl") and args.law is None:
+        raise UsageError(f"commscale select: --law is required for --method {args.method}")
     if "seed" in vars(args) and args.seed is None:
         env = os.environ.get("COMMSCALE_SEED") or "0"
         try:
@@ -188,8 +187,7 @@ def cmd_select(args) -> tuple[str, str]:
     trace = select(
         _load_network(args),
         MethodSpec(args.method, args.cluster, epsilon=args.epsilon),
-        dist=args.likelihood,
-        variance_fn=VarianceFunction(args.variance),
+        dist=args.law,
         m_max=args.kmax,
         seed=args.seed,
         restarts=args.kmeans_restarts,

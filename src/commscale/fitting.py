@@ -10,7 +10,8 @@ S_kl = 1_k' A 1_l, the block degree totals t_k = 1_k' A 1 and the degrees d:
 
 fit_step forms S, t and d only. theta, B, the n x n mean M and the
 variance profile nu(M) are built on first read; CBIC, ICL and
-`commscale fit` read them, svps does not. The profile is floored at
+`commscale fit` read them, svps does not. nu is the variance of the
+step's edge law (EdgeDistribution.variance). The profile is floored at
 1e-8 times its mean positive entry so that the doubly-stochastic scaling
 downstream exists. The floor binds only near a zero entry of nu(M): at
 an isolated node or a zero between-block sum. Where it cannot bind, svps
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import VarianceFunction
+from .model import EDGE_LAWS, EdgeDistribution
 from .network import WeightedAdjacency
 from .scaling import _BlockProfile
 from .spectral import Assignment
@@ -57,7 +58,7 @@ class FittedStep:
     block_sums: np.ndarray
     totals: np.ndarray
     degrees: np.ndarray
-    variance_fn: VarianceFunction
+    law: EdgeDistribution
 
     def __post_init__(self):
         for name in ("block_sums", "totals", "degrees"):
@@ -81,7 +82,7 @@ class FittedStep:
 
     @cached_property
     def variance(self) -> np.ndarray:
-        return _frozen(floor_positive(self.variance_fn(self.mean)))
+        return _frozen(floor_positive(self.law.variance(self.mean)))
 
 
 def floor_positive(values: np.ndarray) -> np.ndarray:
@@ -108,33 +109,32 @@ def _block_variance(fitted: FittedStep) -> _BlockProfile | None:
     and nu is monotone or concave, so nu at those ends bounds the profile
     from below, as fitted.variance would round it. The floor's mean of
     nu(M) is summed from the block form; the margin 1e-6 covers its
-    rounding. Entries: d_i Gamma_kl d_j, less d_i^2 C_kl^2 d_j^2 for bernoulli.
+    rounding. Entries: d_i C_kl d_j for poisson; the binomial subtracts
+    and the negative binomial adds d_i^2 (C_kl^2 / t) d_j^2, t = trials.
     """
-    labels, d, nu, totals = fitted.assignment.labels, fitted.degrees, fitted.variance_fn, fitted.totals
+    labels, d, law, totals = fitted.assignment.labels, fitted.degrees, fitted.law, fitted.totals
     c = fitted.block_sums / np.outer(totals, totals)
-    if nu.kind == "bernoulli":
-        terms = ((d, c), (d * d, -(c * c)))
-    else:
-        terms = ((d, nu(c)),)
+    terms = ((d, c),)
+    if law.kind != "poisson":
+        square = c * c / law.trials
+        terms += ((d * d, -square if law.kind == "binomial" else square),)
     profile = _BlockProfile(labels, terms)
     dmin, dmax = _degree_range(fitted)
-    smallest = np.minimum(nu(c * np.outer(dmin, dmin)), nu(c * np.outer(dmax, dmax))).min()
+    smallest = np.minimum(law.variance(c * np.outer(dmin, dmin)), law.variance(c * np.outer(dmax, dmax))).min()
     mean = (profile @ np.ones(d.size)).sum() / d.size**2
     return profile if smallest > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * mean else None
 
 
 def fit_step(
-    adj: WeightedAdjacency, assignment: Assignment, variance_fn: VarianceFunction | None = None
+    adj: WeightedAdjacency, assignment: Assignment, law: EdgeDistribution = EDGE_LAWS["poisson"]
 ) -> FittedStep:
     """Compute the block sums S, the group totals t and the degrees d for
-    one candidate group count.
+    one candidate group count; law gives the variance profile.
 
     Raises FitError when some S_kk is not strictly positive (the
     weights are nonnegative, so t_k >= S_kk > 0 follows), or when a
-    bernoulli variance meets a mean of 1 or more.
+    binomial variance meets a mean of t = law.trials or more.
     """
-    if variance_fn is None:
-        variance_fn = VarianceFunction("identity")
     w = adj.weights
     labels = assignment.labels
     onehot = np.zeros((adj.n, assignment.m))
@@ -146,11 +146,11 @@ def fit_step(
     if (np.diag(s) <= 0).any():
         k = int(np.flatnonzero(np.diag(s) <= 0)[0])
         raise FitError(f"group {k} has zero within-group weight")
-    fitted = FittedStep(assignment.m, assignment, s, totals, d, variance_fn)
-    if variance_fn.kind == "bernoulli":
+    fitted = FittedStep(assignment.m, assignment, s, totals, d, law)
+    if law.kind == "binomial":
         # the largest mean of block (k, l) is C_kl dmax_k dmax_l, bit for bit
         _, dmax = _degree_range(fitted)
         top = (s / np.outer(totals, totals) * np.outer(dmax, dmax)).max()
-        if top >= 1.0:
-            raise FitError(f"bernoulli variance needs means < 1, got max {top:.6g}")
+        if top >= law.trials:
+            raise FitError(f"binomial variance needs means < {law.trials}, got max {top:.6g}")
     return fitted

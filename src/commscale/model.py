@@ -17,7 +17,6 @@ import numpy as np
 from .network import WeightedAdjacency
 
 __all__ = [
-    "VarianceFunction",
     "EdgeDistribution",
     "mean_matrix",
     "simulation_params",
@@ -31,37 +30,8 @@ THETA_MIXTURE = ((0.8, (0.6, 1.4)), (0.1, 0.5), (0.1, 1.5))
 
 
 @dataclass(frozen=True)
-class VarianceFunction:
-    """Entrywise mean-to-variance map nu(mu).
-
-    kind is one of "identity" (nu(mu) = mu), "bernoulli"
-    (nu(mu) = mu*(1-mu), valid on (0,1)) or "scaled_linear"
-    (nu(mu) = c*mu).
-    """
-
-    kind: str
-    c: float = 1.0
-
-    _KINDS = ("identity", "bernoulli", "scaled_linear")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown variance kind {self.kind!r}")
-        if self.kind == "scaled_linear" and not self.c > 0:
-            raise ValueError("scaled_linear needs c > 0")
-
-    def __call__(self, mu: np.ndarray) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        if self.kind == "identity":
-            return mu.copy()
-        if self.kind == "bernoulli":
-            return mu * (1.0 - mu)
-        return self.c * mu
-
-
-@dataclass(frozen=True)
 class EdgeDistribution:
-    """Edge-weight law used for sampling and likelihoods.
+    """Edge-weight law used for sampling, likelihoods and the svps variance.
 
     kind is "poisson", "binomial" or "negative_binomial"; the latter two
     use the trial count trials (default 5, as in the simulation
@@ -81,6 +51,16 @@ class EdgeDistribution:
             raise ValueError(f"unknown distribution {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+
+    def variance(self, mu: np.ndarray) -> np.ndarray:
+        """The law's variance at actual mean mu: mu (poisson), mu*(1 - mu/t)
+        (binomial) or mu*(1 + mu/t) (negative binomial), t = trials."""
+        mu = np.asarray(mu, dtype=float)
+        if self.kind == "poisson":
+            return mu.copy()
+        if self.kind == "binomial":
+            return mu * (1.0 - mu / self.trials)
+        return mu * (1.0 + mu / self.trials)
 
 
 # The edge laws that can be named by a string, and the one place the

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .fitting import FitError, FittedStep, _block_variance, fit_step, floor_positive
-from .model import EdgeDistribution, VarianceFunction, edge_law
+from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
 from .spectral import ClusterError, _lanczos, _sparse_weights, rsc_cluster, score_cluster
@@ -98,8 +98,9 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """|lambda_{m+1}| of the scaled adjacency Psi^{1/2} A Psi^{1/2}.
 
     Psi solves the doubly-stochastic scaling of the step's fitted
-    variance profile, in block form where the variance floor cannot bind
-    and as the dense fitted.variance elsewhere (see fitting). Scaling
+    variance profile, the variance of fitted.law at the fitted mean, in
+    block form where the variance floor cannot bind and as the dense
+    fitted.variance elsewhere (see fitting). Scaling
     failures propagate as ScalingError. On the
     Lanczos path (spectral._sparse_weights) ARPACK finds the m + 1 leading
     magnitudes of the scaled CSR weights; no n x n matrix is built.
@@ -125,7 +126,7 @@ _steps: tuple = (None, {})
 
 
 def _cluster_and_fit(
-    adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, variance_fn=None
+    adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, law=EDGE_LAWS["poisson"]
 ) -> FittedStep:
     """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
 
@@ -137,7 +138,7 @@ def _cluster_and_fit(
     global _steps
     cluster = score_cluster if clusterer == "score" else rsc_cluster
     if type(seed) is not int:
-        return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), variance_fn)
+        return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), law)
     memo = vars(adj)
     if "_digest" not in memo:
         csr = _sparse_weights(adj)
@@ -155,7 +156,7 @@ def _cluster_and_fit(
     key = (clusterer, m, seed, restarts)
     if key not in steps[1]:
         steps[1][key] = cluster(adj, m, seed=seed, restarts=restarts)
-    return fit_step(adj, steps[1][key], variance_fn)
+    return fit_step(adj, steps[1][key], law)
 
 
 def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
@@ -249,7 +250,6 @@ def select(
     spec: MethodSpec,
     *,
     dist=None,
-    variance_fn: VarianceFunction | None = None,
     m_max: int | None = None,
     seed=0,
     restarts: int = 50,
@@ -259,9 +259,12 @@ def select(
     svps tests m <= n - 1 and k_hat is the first m whose statistic is
     below 2 + epsilon; cbic/icl score m <= n and k_hat is the argmax,
     ties to the smallest m. Failed steps record +inf (svps) or -inf and
-    are never selected. variance_fn is for svps only; cbic/icl need dist,
-    the likelihood law, and build its data terms before any clustering,
-    raising FitError when the weights leave its support.
+    are never selected. dist is the edge law, an EdgeDistribution or an
+    EDGE_LAWS name. svps scales by its variance (poisson when dist is
+    None). cbic/icl need it as the likelihood law, fit under the poisson
+    default as they read the fitted mean only, and build the law's data
+    terms before any clustering, raising FitError when the weights leave
+    its support.
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo, the Lanczos path's CSR weights and
@@ -274,22 +277,22 @@ def select(
         m_max = 12 if svps else 10
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if dist is None and not svps:
+        raise ValueError(f"{spec.selector} needs a likelihood law")
+    law = edge_law("poisson" if dist is None else dist)
     if svps:
         last, failed, threshold = adj.n - 1, math.inf, 2.0 + spec.epsilon
     else:
-        if dist is None:
-            raise ValueError(f"{spec.selector} needs a likelihood law")
-        law = edge_law(dist)
         try:
             _data_terms(adj, law)
         except ValueError as exc:
             raise FitError(str(exc)) from None
         last, failed, threshold = adj.n, -math.inf, None
-        variance_fn = None  # the scores use the fitted mean only
+    fit_law = law if svps else EDGE_LAWS["poisson"]  # the scores read the fitted mean only
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
-            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, variance_fn)
+            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, fit_law)
             if svps:
                 value = svps_statistic(adj, fitted)
             elif spec.selector == "cbic":
@@ -312,7 +315,7 @@ def select(
 
 def svps_select(
     adj: WeightedAdjacency,
-    variance_fn: VarianceFunction | None = None,
+    dist=None,
     epsilon: float = 0.05,
     m_max: int = 12,
     clusterer="score",
@@ -321,7 +324,7 @@ def svps_select(
 ) -> SelectionTrace:
     """select with MethodSpec("svps", clusterer, epsilon=epsilon)."""
     spec = MethodSpec("svps", clusterer, epsilon=epsilon)
-    return select(adj, spec, variance_fn=variance_fn, m_max=m_max, seed=seed, restarts=restarts)
+    return select(adj, spec, dist=dist, m_max=m_max, seed=seed, restarts=restarts)
 
 
 def score_select(

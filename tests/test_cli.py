@@ -1,7 +1,10 @@
 import argparse
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ def test_select_svps_lesmis(lesmis_file, tmp_path, capsys):
 def test_select_requires_likelihood_for_cbic(lesmis_file, capsys):
     code = main(["select", "--method", "cbic", "--input", lesmis_file])
     assert code == 1
-    assert "--likelihood" in capsys.readouterr().err
+    assert "--law is required for --method cbic" in capsys.readouterr().err
 
 
 def test_select_missing_input_is_usage_error(capsys):
@@ -48,7 +51,7 @@ def test_select_cbic_binarized(lesmis_file, capsys):
     code = main(
         [
             "select", "--method", "cbic", "--input", lesmis_file, "--binarize",
-            "--likelihood", "bernoulli", "--seed", "0",
+            "--law", "bernoulli", "--seed", "0",
         ]
     )
     assert code == 0
@@ -233,7 +236,7 @@ def half_weights_file(tmp_path):
 
 
 def test_select_likelihood_outside_support_is_data_error(half_weights_file, capsys):
-    code = main(["select", "--method", "cbic", "--input", half_weights_file, "--likelihood", "poisson"])
+    code = main(["select", "--method", "cbic", "--input", half_weights_file, "--law", "poisson"])
     assert code == 2
     assert capsys.readouterr().err == "error: poisson likelihood needs integer weights\n"
 
@@ -340,8 +343,7 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_help_exits_zero_and_lists_flags(capsys):
     assert main(["select", "--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--method", "--epsilon", "--kmax", "--cluster", "--variance",
-                 "--likelihood", "--tau", "--seed", "--binarize"):
+    for flag in ("--method", "--epsilon", "--kmax", "--cluster", "--law", "--tau", "--seed", "--binarize"):
         assert flag in text
 
 
@@ -366,7 +368,28 @@ def test_select_tiny_all_zero_network_reports_none(tmp_path, capsys):
     path.write_text("".join(f"{i} {i} 0\n" for i in range(10)))
     assert main(["select", "--input", str(path), "--kmeans-restarts", "3"]) == 0
     assert capsys.readouterr().out == "K_hat=none\n"
-    code = main(["select", "--input", str(path), "--method", "cbic", "--likelihood", "poisson",
+    code = main(["select", "--input", str(path), "--method", "cbic", "--law", "poisson",
                  "--kmax", "12", "--kmeans-restarts", "3"])
     assert code == 0
     assert capsys.readouterr().out == "K_hat=none\n"
+
+
+def readme_commands():
+    """Every `commscale ...` line of README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("commscale "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    # a removed or renamed flag cannot linger in the documented examples
+    commands = readme_commands()
+    assert len(commands) >= 7
+    assert ["--law", "bernoulli"] in [argv[-2:] for argv in commands]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from commscale import selection
 from commscale.fitting import FitError, _block_variance, fit_step
 from commscale.model import (
+    EDGE_LAWS,
     EdgeDistribution,
-    VarianceFunction,
     make_rng,
     mean_matrix,
     sample_network,
@@ -122,24 +122,23 @@ def test_fitted_step_invariants():
     s = onehot.T @ adj.weights @ onehot
     sums = onehot.T @ fitted.theta
     assert np.allclose(sums, np.sqrt(np.diag(s)), rtol=1e-10)
-    assert np.array_equal(fitted.variance, fitted.mean)  # identity variance
+    assert np.array_equal(fitted.variance, fitted.mean)  # poisson variance
     # every profile is exactly symmetric and strictly positive, as
     # sinkhorn_symmetric requires; a step whose fit fails is skipped
     lesmis = load_lesmis()
     networks = (lesmis, regularize(lesmis, 0.1), binarize(lesmis), sampled_counts((90, 100, 110), seed=3, rho=0.1)[0])
-    variance_fns = (VarianceFunction("identity"), VarianceFunction("scaled_linear", 2.5), VarianceFunction("bernoulli"))
     checked, blocked = set(), set()
     for adj in networks:
         for m in range(1, 7):
             assignment = score_cluster(adj, m, seed=0, restarts=5)
-            for variance_fn in variance_fns:
+            for name, law in EDGE_LAWS.items():
                 try:
-                    fitted = fit_step(adj, assignment, variance_fn)
+                    fitted = fit_step(adj, assignment, law)
                 except FitError:
                     continue
                 variance = fitted.variance
                 assert np.array_equal(variance, variance.T) and (variance > 0).all()
-                checked.add(variance_fn.kind)
+                checked.add(name)
                 # where the floor cannot bind, svps scales the profile in block
                 # form; its psi and statistic agree with the dense ones to rounding
                 block = _block_variance(fitted)
@@ -147,8 +146,8 @@ def test_fitted_step_invariants():
                     psi = sinkhorn_symmetric(variance).psi
                     np.testing.assert_allclose(sinkhorn_symmetric(block).psi, psi, rtol=1e-12, atol=0)
                     assert svps_statistic(adj, fitted) == pytest.approx(dense_statistic(adj, fitted), rel=1e-12, abs=0)
-                    blocked.add(variance_fn.kind)
-    assert checked == blocked == {"identity", "scaled_linear", "bernoulli"}
+                    blocked.add(name)
+    assert checked == blocked == set(EDGE_LAWS)
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,8 +216,8 @@ def test_floored_profile_stays_dense():
     )
     for weights, labels in cases:
         adj = WeightedAdjacency(weights)
-        for variance_fn in (VarianceFunction("identity"), VarianceFunction("scaled_linear", 2.5)):
-            fitted = fit_step(adj, Assignment(np.array(labels), 2), variance_fn)
+        for law in (EDGE_LAWS["poisson"], EDGE_LAWS["negbinom"]):
+            fitted = fit_step(adj, Assignment(np.array(labels), 2), law)
             assert _block_variance(fitted) is None
             assert fitted.variance.min() < fitted.mean[fitted.mean > 0].min()  # floored
             assert svps_statistic(adj, fitted) == dense_statistic(adj, fitted)
@@ -248,12 +247,19 @@ def test_svps_builds_no_dense_fit_arrays(monkeypatch):
 def test_bernoulli_variance_domain():
     adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
     with pytest.raises(FitError) as raised:
-        fit_step(adj, assignment, VarianceFunction("bernoulli"))
-    assert str(raised.value) == "bernoulli variance needs means < 1, got max 1.5"
+        fit_step(adj, assignment, EDGE_LAWS["bernoulli"])
+    assert str(raised.value) == "binomial variance needs means < 1, got max 1.5"
     small = WeightedAdjacency(adj.weights / 10)
-    fitted = fit_step(small, assignment, VarianceFunction("bernoulli"))
+    fitted = fit_step(small, assignment, EDGE_LAWS["bernoulli"])
     assert fitted.mean.max() < 1
     assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean), rtol=1e-12)
+    # five trials: the cap is a mean of 5
+    with pytest.raises(FitError) as raised:
+        fit_step(WeightedAdjacency(adj.weights * 4), assignment, EDGE_LAWS["binomial"])
+    assert str(raised.value) == "binomial variance needs means < 5, got max 6"
+    fitted = fit_step(adj, assignment, EDGE_LAWS["binomial"])
+    assert fitted.mean.max() == 1.5
+    assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean / 5), rtol=1e-12)
 
 
 def test_degenerate_partitions_raise():

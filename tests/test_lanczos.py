@@ -18,7 +18,7 @@ from scipy.sparse import csr_array
 
 from commscale import selection, spectral
 from commscale.fitting import FittedStep, fit_step
-from commscale.model import VarianceFunction
+from commscale.model import EDGE_LAWS
 from commscale.network import WeightedAdjacency, regularize
 from commscale.selection import MethodSpec, select, svps_statistic
 from commscale.spectral import Assignment
@@ -151,7 +151,7 @@ def test_large_k_falls_back_to_dense(lanczos_calls):
     m = n - 2
     labels = np.arange(n) % m
     fitted = FittedStep(m=m, assignment=Assignment(labels, m), block_sums=np.ones((m, m)) + np.eye(m),
-                        totals=np.bincount(labels), degrees=np.ones(n), variance_fn=VarianceFunction("identity"))
+                        totals=np.bincount(labels), degrees=np.ones(n), law=EDGE_LAWS["poisson"])
     value = svps_statistic(copy.copy(adj), fitted)
     assert lanczos_calls[-1] == n - 1
     assert value == on_dense_path(lambda: svps_statistic(copy.copy(adj), fitted))

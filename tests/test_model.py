@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from commscale.model import (
+    EDGE_LAWS,
     Dcsbm,
     EdgeDistribution,
-    VarianceFunction,
     make_rng,
     mean_matrix,
     sample_network,
@@ -21,15 +21,30 @@ def two_block_example():
     )
 
 
+@pytest.mark.parametrize("name", sorted(EDGE_LAWS))
+def test_sampler_and_variance_agree(name):
+    # the empirical variance of a constant-mean sample is the law's
+    # variance at the empirical (actual) mean; for the negative binomial
+    # the actual mean is not the mean parameter
+    law = EDGE_LAWS[name]
+    n = 600
+    adj = sample_network(np.full((n, n), 0.4 if name == "bernoulli" else 2.0), law, make_rng(8))
+    upper = adj.weights[np.triu_indices(n)]
+    want = law.variance(upper.mean())
+    assert upper.var() == pytest.approx(want, rel=1e-12 if name == "bernoulli" else 0.03)
+
+
 def test_variance_functions():
+    # each law's variance function nu(mu); poisson is a copy of mu, and
+    # the one-trial binomial is mu*(1 - mu) bit for bit
     mu = np.array([[0.5, 1.5], [1.5, 0.5]])
-    assert np.array_equal(VarianceFunction("identity")(mu), mu)
-    assert np.allclose(VarianceFunction("bernoulli")(np.array([0.5])), [0.25])
-    assert np.allclose(VarianceFunction("scaled_linear", 2.0)(mu), 2 * mu)
-    with pytest.raises(ValueError):
-        VarianceFunction("cubic")
-    with pytest.raises(ValueError):
-        VarianceFunction("scaled_linear", 0.0)
+    poisson = EDGE_LAWS["poisson"].variance(mu)
+    assert np.array_equal(poisson, mu) and not np.shares_memory(poisson, mu)
+    p = np.array([0.0, 0.25, 0.5, 0.9])
+    assert np.array_equal(EdgeDistribution("binomial", trials=1).variance(p), p * (1.0 - p))
+    assert np.array_equal(EDGE_LAWS["bernoulli"].variance(p), p * (1.0 - p))
+    assert np.allclose(EDGE_LAWS["binomial"].variance(mu), mu * (1 - mu / 5), rtol=1e-15)
+    assert np.allclose(EDGE_LAWS["negbinom"].variance(mu), mu + mu**2 / 5, rtol=1e-15)
 
 
 def test_edge_distribution_validation():

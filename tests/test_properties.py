@@ -14,7 +14,6 @@ from commscale.datasets import load_lesmis
 from commscale.fitting import FitError, fit_step
 from commscale.model import (
     EdgeDistribution,
-    VarianceFunction,
     make_rng,
     mean_matrix,
     sample_network,
@@ -127,10 +126,9 @@ PAIR = WeightedAdjacency(np.array([[1.0, 2.0], [2.0, 0.0]]))
         (lambda: regularize(PAIR, NAN), "tau"),
         (lambda: simulation_params(2, NAN, 3.0, (10, 10), make_rng(0)), "rho"),
         (lambda: simulation_params(2, 0.3, NAN, (10, 10), make_rng(0)), "rho and r"),
-        (lambda: VarianceFunction("scaled_linear", c=NAN), "c > 0"),
     ],
     ids=["MethodSpec-epsilon", "MethodSpec-lam", "cbic_score-lam", "sinkhorn-tol", "regularize-tau",
-         "simulation_params-rho", "simulation_params-r", "VarianceFunction-c"],
+         "simulation_params-rho", "simulation_params-r"],
 )
 def test_positivity_guards_reject_nan(call, message):
     with pytest.raises(ValueError, match=message):

@@ -342,6 +342,24 @@ def test_select_requires_a_law_for_likelihood_selectors():
         select(adj, MethodSpec("cbic"))
 
 
+def test_one_law_splits_between_svps_and_the_scores():
+    # CBIC and ICL take the law as their likelihood but read only the fitted
+    # mean, so they fit under the poisson default; svps scales by the law's
+    # variance, whose cap fails every fit on binarized Les Miserables. From
+    # m = 5 on, SCORE leaves a group without internal edges, whatever the law
+    flat = binarize(load_lesmis())
+    svps = svps_select(flat, "bernoulli", restarts=5)
+    assert svps.k_hat is None and [step.status for step in svps.steps] == ["failed"] * 12
+    for selector in ("cbic", "icl"):
+        trace = select(flat, MethodSpec(selector), dist="bernoulli", restarts=5)
+        assert [step.status for step in trace.steps] == ["ok"] * 4 + ["failed"] * 6, selector
+        for step, svps_step in zip(trace.steps, svps.steps):
+            if step.status == "ok":
+                assert svps_step.note.startswith("binomial variance needs means < 1, got max ")
+            else:
+                assert step.note == svps_step.note and step.note.endswith("has zero within-group weight")
+
+
 def test_select_matches_direct_calls():
     # select adds no behaviour of its own: every cell of the Les Miserables
     # grid and every method of the simulation panel gives the same trace

@@ -13,10 +13,10 @@ The set covers:
 - svps_select on both sides of the variance floor's rule: Les Miserables
   with one isolated node added, and two disconnected copies of it, where
   the floor can bind and the dense profile is scaled; Les Miserables
-  under scaled_linear(2.5), where the profile is scaled in block form and
-  step values can differ from the dense scaling's in the last digits;
-  and the binarized network under the bernoulli variance, whose fits
-  all fail on a mean of 1 or more;
+  under the negative binomial variance, whose two-term profile is scaled
+  in block form, so step values can differ from the dense scaling's in
+  the last digits; and the binarized network under the bernoulli
+  variance, whose fits all fail on a mean of 1 or more;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
   replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as emit_csv
   writes them;
@@ -32,8 +32,9 @@ The set covers:
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
-- cbic and icl traces on networks sampled from the binomial (5 trials)
-  and negative binomial laws, and cbic_score and icl_score under every
+- svps, cbic and icl traces on networks sampled from the binomial (5
+  trials) and negative binomial laws, each selector given the sampling
+  law, and cbic_score and icl_score under every
   likelihood law on random counts whose means include zeros (floored)
   and values at or past the trial cap, so every branch of the
   likelihood shows.
@@ -42,14 +43,15 @@ A trace file holds SelectionTrace.to_csv(), or the message of the error
 the run raised. Dumping two checkouts and comparing the directories
 shows whether a change moved any output:
 
-    python3 tools/dump_outputs.py /tmp/parent-out --root ../parent
+    python3 ../parent/tools/dump_outputs.py /tmp/parent-out --root ../parent
     python3 tools/dump_outputs.py /tmp/change-out
     diff -r /tmp/parent-out /tmp/change-out
 
 --root names the checkout whose src/commscale is imported (default:
-this one). The runs are defined in this file and use names that exist
-at both checkouts, so the two dumps cover the same runs. BLAS and
-OpenMP are pinned to one thread, as in the benchmark.
+this one). Dump each checkout with its own copy of this file: the runs
+are spelled in the names and flags of the checkout they belong to, and
+a run whose spelling changed would otherwise run something else. BLAS
+and OpenMP are pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -140,13 +142,13 @@ def panel_runs(cs):
 
 
 def law_runs(cs):
-    """(name, network, spec, law, m_max, seed) for cbic/icl on binomial and negbinom samples."""
+    """(name, network, spec, law, m_max, seed) for every selector on binomial and negbinom samples."""
     for law in (cs.EdgeDistribution("binomial"), cs.EdgeDistribution("negative_binomial")):
         for k in (2, 3):
             rng = cs.make_rng(k)
             model = cs.simulation_params(k, 0.2, 3.0, (20, 25, 30)[:k], rng)
             adj = cs.sample_network(cs.mean_matrix(model), law, rng)
-            for selector in ("cbic", "icl"):
+            for selector in ("svps", "cbic", "icl"):
                 spec = cs.MethodSpec(selector)
                 yield f"law-{law.kind}-K{k}-{spec.label}", adj, spec, law, k + 4, 0
 
@@ -180,10 +182,8 @@ def floor_rule_runs(cs):
     common = dict(seed=0, restarts=RESTARTS)
     yield "svps-lesmis-isolated-node.csv", partial(cs.svps_select, cs.WeightedAdjacency(isolated), **common)
     yield "svps-lesmis-two-copies.csv", partial(cs.svps_select, cs.WeightedAdjacency(two), **common)
-    yield "svps-lesmis-binarized-bernoulli.csv", partial(
-        cs.svps_select, cs.binarize(adj), cs.VarianceFunction("bernoulli"), **common)
-    yield "svps-lesmis-scaled-linear2.5.csv", partial(
-        cs.svps_select, adj, cs.VarianceFunction("scaled_linear", 2.5), **common)
+    yield "svps-lesmis-binarized-bernoulli.csv", partial(cs.svps_select, cs.binarize(adj), "bernoulli", **common)
+    yield "svps-lesmis-negbinom.csv", partial(cs.svps_select, adj, "negbinom", **common)
 
 
 def trace_runs(cs):
@@ -193,7 +193,7 @@ def trace_runs(cs):
             yield f"{name}.csv", partial(cs.select, adj, spec, dist=law, m_max=m_max, seed=seed, restarts=RESTARTS)
             common = dict(clusterer=spec.clusterer, seed=seed, restarts=RESTARTS)
             if spec.selector == "svps":
-                call = partial(cs.svps_select, adj, m_max=m_max, epsilon=spec.epsilon, **common)
+                call = partial(cs.svps_select, adj, law, m_max=m_max, epsilon=spec.epsilon, **common)
             else:
                 call = partial(cs.score_select, adj, method=spec.selector, m_range=range(1, m_max + 1),
                                dist=law, lam=spec.lam, **common)
@@ -248,7 +248,6 @@ def api_error_runs(cs):
     poisson = cs.EdgeDistribution("poisson")
     for name, mean in (("asymmetric", [[1.0, 5.0], [0.0, 1.0]]), ("nan", [[1.0, nan], [nan, 1.0]])):
         yield f"api-sample_network-{name}-mean.txt", partial(cs.sample_network, np.array(mean), poisson, cs.make_rng(0))
-    yield "api-variance-c-nan.txt", partial(cs.VarianceFunction, "scaled_linear", c=nan)
     config = cs.parse_config(io.StringIO(VALID_CONFIG))
     for jobs in (0, -3):
         yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
@@ -335,19 +334,16 @@ def cli_runs(cs, tmp: Path):
         (tmp / f"{name}.csv").write_text(text, encoding="utf-8")
     yield "cli-select-svps.txt", ["select", "--input", lesmis, "--tau", "0.1", "--seed", "1", "--out", "OUT"]
     yield "cli-select-svps-rsc-bernoulli.txt", [
-        "select", "--input", lesmis, "--binarize", "--cluster", "rsc", "--variance", "bernoulli",
+        "select", "--input", lesmis, "--binarize", "--cluster", "rsc", "--law", "bernoulli",
         "--kmax", "5", "--seed", "2", "--out", "OUT"]
     yield "cli-select-cbic-binarized.txt", [
-        "select", "--method", "cbic", "--input", lesmis, "--binarize", "--likelihood", "bernoulli",
+        "select", "--method", "cbic", "--input", lesmis, "--binarize", "--law", "bernoulli",
         "--seed", "0", "--out", "OUT"]
-    yield "cli-select-cbic-variance-ignored.txt", [
-        "select", "--method", "cbic", "--input", lesmis, "--likelihood", "poisson", "--variance",
-        "bernoulli", "--kmax", "5", "--seed", "0", "--out", "OUT"]
     yield "cli-select-icl-rsc.txt", [
-        "select", "--method", "icl", "--cluster", "rsc", "--input", lesmis, "--likelihood", "poisson",
+        "select", "--method", "icl", "--cluster", "rsc", "--input", lesmis, "--law", "poisson",
         "--kmax", "6", "--seed", "4", "--out", "OUT"]
     yield "cli-select-icl-outside-support.txt", [
-        "select", "--method", "icl", "--input", lesmis, "--tau", "0.1", "--likelihood", "poisson", "--out", "OUT"]
+        "select", "--method", "icl", "--input", lesmis, "--tau", "0.1", "--law", "poisson", "--out", "OUT"]
     yield "cli-select-kmax0.txt", ["select", "--input", lesmis, "--kmax", "0", "--out", "OUT"]
     yield "cli-select-epsilon0.txt", ["select", "--input", lesmis, "--epsilon", "0", "--out", "OUT"]
     yield "cli-select-epsilon-nan.txt", ["select", "--input", lesmis, "--epsilon", "nan", "--out", "OUT"]

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .fitting import FitError
-from .model import THETA_MIXTURE, EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
+from .model import THETA_MIXTURE, EdgeDistribution, edge_law, make_rng, mean_matrix, sample_network, simulation_params
 from .network import WeightedAdjacency, binarize, open_text, regularize
 from .scaling import ScalingError
 from .selection import MethodSpec, select
@@ -57,13 +57,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
         if max(self.k_list) > len(self.n_all):
             raise ValueError("k_list exceeds available block sizes")
-        # crude mean cap check at the mixture's largest theta: sampling
-        # needs max M <= trials (binomial) or max M < trials (negative binomial)
+        # the sampler's mean cap, checked up front at the mixture's largest theta
         top = max(np.max(theta) for _, theta in THETA_MIXTURE)
-        law, peak = self.distribution, self.rho * (1 + self.r) * top * top
-        capped = {"binomial": peak <= law.trials, "negative_binomial": peak < law.trials}
-        if not capped.get(law.kind, True):
-            raise ValueError(f"{law.kind} mean cap violated: peak mean {peak:g}")
+        self.distribution.check_mean(self.rho * (1 + self.r) * top * top)
         labels = [spec.label for spec in self.methods]
         if len(set(labels)) < len(labels):
             raise ValueError(f"methods must have distinct labels, got {labels}")
@@ -161,7 +157,7 @@ def parse_config(source) -> ExperimentConfig:
         except ValueError:
             raise ValueError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
     return ExperimentConfig(
-        distribution=EdgeDistribution(scalars["distribution"][0]), methods=tuple(methods), **values
+        distribution=edge_law(scalars["distribution"][0]), methods=tuple(methods), **values
     )
 
 

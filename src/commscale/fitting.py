@@ -11,11 +11,11 @@ S_kl = 1_k' A 1_l, the block degree totals t_k = 1_k' A 1 and the degrees d:
 fit_step forms S, t and d only. theta, B, the n x n mean M and the
 variance profile nu(M) are built on first read; CBIC, ICL and
 `commscale fit` read them, svps does not. nu is the variance of the
-step's edge law (EdgeDistribution.variance). The profile is floored at
-1e-8 times its mean positive entry so that the doubly-stochastic scaling
-downstream exists. The floor binds only near a zero entry of nu(M): at
-an isolated node or a zero between-block sum. Where it cannot bind, svps
-scales nu(M) in block form, O(n + m^2) per product (_block_variance).
+step's edge law (EdgeDistribution.variance), floored at 1e-8 times its
+mean positive entry so that the doubly-stochastic scaling downstream
+exists. The floor binds only near a zero entry of nu(M): at an isolated
+node or a zero between-block sum. Where it cannot bind, svps scales
+nu(M) in block form, O(n + m^2) per product (_block_variance).
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ def _block_variance(fitted: FittedStep) -> _BlockProfile | None:
     and nu is monotone or concave, so nu at those ends bounds the profile
     from below, as fitted.variance would round it. The floor's mean of
     nu(M) is summed from the block form; the margin 1e-6 covers its
-    rounding. Entries: d_i C_kl d_j for poisson; the binomial subtracts
-    and the negative binomial adds d_i^2 (C_kl^2 / t) d_j^2, t = trials.
+    rounding. Entries: d_i C_kl d_j, plus d_i^2 Q_kl d_j^2 for the law's
+    quadratic coefficient Q. FitError where a mean reaches law.variance_cap.
     """
     labels, d, law, totals = fitted.assignment.labels, fitted.degrees, fitted.law, fitted.totals
     c = fitted.block_sums / np.outer(totals, totals)
-    terms = ((d, c),)
-    if law.kind != "poisson":
-        square = c * c / law.trials
-        terms += ((d * d, -square if law.kind == "binomial" else square),)
-    profile = _BlockProfile(labels, terms)
     dmin, dmax = _degree_range(fitted)
-    smallest = np.minimum(law.variance(c * np.outer(dmin, dmin)), law.variance(c * np.outer(dmax, dmax))).min()
+    top = c * np.outer(dmax, dmax)
+    if top.max() >= law.variance_cap:
+        raise FitError(f"{law.kind} variance needs means < {law.variance_cap}, got max {top.max():.6g}")
+    q = law.quadratic(c)
+    profile = _BlockProfile(labels, ((d, c),) if q is None else ((d, c), (d * d, q)))
+    smallest = np.minimum(law.variance(c * np.outer(dmin, dmin)), law.variance(top)).min()
     mean = (profile @ np.ones(d.size)).sum() / d.size**2
     return profile if smallest > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * mean else None
 
@@ -132,8 +132,7 @@ def fit_step(
     one candidate group count; law gives the variance profile.
 
     Raises FitError when some S_kk is not strictly positive (the
-    weights are nonnegative, so t_k >= S_kk > 0 follows), or when a
-    binomial variance meets a mean of t = law.trials or more.
+    weights are nonnegative, so t_k >= S_kk > 0 follows).
     """
     w = adj.weights
     labels = assignment.labels
@@ -146,11 +145,4 @@ def fit_step(
     if (np.diag(s) <= 0).any():
         k = int(np.flatnonzero(np.diag(s) <= 0)[0])
         raise FitError(f"group {k} has zero within-group weight")
-    fitted = FittedStep(assignment.m, assignment, s, totals, d, law)
-    if law.kind == "binomial":
-        # the largest mean of block (k, l) is C_kl dmax_k dmax_l, bit for bit
-        _, dmax = _degree_range(fitted)
-        top = (s / np.outer(totals, totals) * np.outer(dmax, dmax)).max()
-        if top >= law.trials:
-            raise FitError(f"binomial variance needs means < {law.trials}, got max {top:.6g}")
-    return fitted
+    return FittedStep(assignment.m, assignment, s, totals, d, law)

@@ -5,14 +5,18 @@ community connectivity; simulation_params rescales the usual recipe
 with connectivity rho*(1 + r*1{k==l}) into that form, which leaves the
 mean matrix unchanged. Inputs are checked where they enter:
 simulation_params checks its numbers, sample_network its mean.
+EdgeDistribution is the one place that knows each edge law's rules.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .network import WeightedAdjacency
 
@@ -31,14 +35,14 @@ THETA_MIXTURE = ((0.8, (0.6, 1.4)), (0.1, 0.5), (0.1, 1.5))
 
 @dataclass(frozen=True)
 class EdgeDistribution:
-    """Edge-weight law used for sampling, likelihoods and the svps variance.
+    """An edge law: its sampler and mean cap, range, support, variance and log mass.
 
     kind is "poisson", "binomial" or "negative_binomial"; the latter two
-    use the trial count trials (default 5, as in the simulation
-    recipes). The negative binomial with mean parameter mu counts
-    failures before the trials-th success with success probability
-    1 - mu/trials, so its actual mean is mu / (1 - mu/trials): a
-    deliberate mean mismatch.
+    use the trial count t = trials, an integer >= 1 (default 5, as in
+    the simulation recipes). The negative binomial with mean parameter mu
+    counts failures before the t-th success with success probability
+    1 - mu/t, so its actual mean is mu / (1 - mu/t): a deliberate mean
+    mismatch.
     """
 
     kind: str
@@ -49,8 +53,56 @@ class EdgeDistribution:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown distribution {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+
+    def check_mean(self, peak: float) -> None:
+        """The sampler's mean cap: peak <= t (binomial) or peak < t (negative binomial)."""
+        bound = {"binomial": "<=", "negative_binomial": "<"}.get(self.kind)
+        if bound is not None and (peak > self.trials or (bound == "<" and peak == self.trials)):
+            raise ValueError(f"{self.kind} mean cap exceeded: needs max mean {bound} {self.trials}, got {peak:g}")
+
+    def sample(self, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Poisson(mu), Binom(t, mu/t) or NegBinom(t, 1 - mu/t) draws under the mean cap."""
+        if self.kind == "poisson":
+            return rng.poisson(mu)
+        self.check_mean(mu.max())
+        p = mu / self.trials
+        if self.kind == "binomial":
+            return rng.binomial(self.trials, p)
+        return rng.negative_binomial(self.trials, 1.0 - p)
+
+    def check_weights(self, weights: np.ndarray) -> None:
+        """The law's range: the binomial needs weights <= t, the others any."""
+        if self.kind == "binomial" and (weights > self.trials).any():
+            raise ValueError(f"binomial law needs weights <= {self.trials}")
+
+    def data_terms(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Counts k, mean-free term c and failures f of the log mass, or
+        ValueError off the support (integers in range). c is log k!, log C(t, k)
+        with f = t - k, or log C(t + k - 1, k) with f = k, as scipy.stats forms them."""
+        k = np.round(weights)
+        if not np.allclose(weights, k, rtol=0, atol=1e-9):
+            raise ValueError(f"{self.kind.replace('_', ' ')} likelihood needs integer weights")
+        self.check_weights(k)
+        t = self.trials
+        if self.kind == "poisson":
+            return k, gammaln(k + 1), None
+        if self.kind == "binomial":
+            return k, gammaln(t + 1) - (gammaln(k + 1) + gammaln(t - k + 1)), t - k
+        return k, gammaln(t + k) - gammaln(k + 1) - gammaln(t), k
+
+    def log_mass(self, terms: tuple[np.ndarray, ...], mu: np.ndarray) -> np.ndarray:
+        """Entrywise log mass, grouped as scipy.stats groups it, of the counts of terms
+        (data_terms) at means mu > 0; probabilities are capped at 1 - 1e-8."""
+        k, c, f = terms
+        if self.kind == "poisson":
+            return (xlogy(k, mu) - c) - mu
+        p = np.minimum(mu / self.trials, 1.0 - 1e-8)
+        if self.kind == "binomial":
+            return (c + xlogy(k, p)) + xlog1py(f, -p)
+        p = 1.0 - p
+        return (c + self.trials * np.log(p)) + xlog1py(f, -p)
 
     def variance(self, mu: np.ndarray) -> np.ndarray:
         """The law's variance at actual mean mu: mu (poisson), mu*(1 - mu/t)
@@ -61,6 +113,17 @@ class EdgeDistribution:
         if self.kind == "binomial":
             return mu * (1.0 - mu / self.trials)
         return mu * (1.0 + mu / self.trials)
+
+    @property
+    def variance_cap(self) -> float:
+        """The mean where the binomial variance reaches zero, t; inf for the others."""
+        return self.trials if self.kind == "binomial" else math.inf
+
+    def quadratic(self, c: np.ndarray) -> np.ndarray | None:
+        """Q with variance(d_i C_kl d_j) = d_i C_kl d_j + d_i^2 Q_kl d_j^2: -C^2/t, C^2/t or None."""
+        if self.kind == "poisson":
+            return None
+        return (-(c * c) if self.kind == "binomial" else c * c) / self.trials
 
 
 # The edge laws that can be named by a string, and the one place the
@@ -143,10 +206,7 @@ def sample_network(
     The mean must be square, finite, nonnegative and exactly symmetric,
     the rule WeightedAdjacency applies to weights.
 
-    poisson draws Poisson(M_ij); binomial draws Binom(t, M_ij/t) and
-    requires max M <= t; negative_binomial counts failures before the
-    t-th success with success probability 1 - M_ij/t and requires
-    max M < t, where t is dist.trials (default 5).
+    Each entry is one draw of dist.sample, under the law's mean cap.
     """
     mean = np.asarray(mean, dtype=float)
     n = mean.shape[0]
@@ -159,19 +219,8 @@ def sample_network(
     if not np.array_equal(mean, mean.T):
         raise ValueError("mean must be exactly symmetric")
     iu = np.triu_indices(n)
-    mu = mean[iu]
-    if dist.kind == "poisson":
-        vals = rng.poisson(mu)
-    elif dist.kind == "binomial":
-        if mu.max() > dist.trials:
-            raise ValueError(f"binomial mean cap exceeded: max M = {mu.max()} > {dist.trials}")
-        vals = rng.binomial(dist.trials, mu / dist.trials)
-    else:
-        if mu.max() >= dist.trials:
-            raise ValueError(f"negative_binomial needs max M < {dist.trials}, got {mu.max()}")
-        vals = rng.negative_binomial(dist.trials, 1.0 - mu / dist.trials)
     a = np.zeros((n, n))
-    a[iu] = vals
+    a[iu] = dist.sample(mean[iu], rng)
     a = a + np.triu(a, 1).T
     if zero_diagonal:
         np.fill_diagonal(a, 0.0)

@@ -7,7 +7,8 @@ largest eigenvalue magnitude of the adjacency, scaled by the fitted
 variance profile, falls below 2 + epsilon. The penalized-likelihood
 baselines (CBIC, ICL) score every m and take the argmax.
 
-The log-likelihood uses scipy.special and data terms built once per
+Every step is fitted under the selection's one edge law. The
+log-likelihood sums the law's log mass over data terms built once per
 selection; it equals the scipy.stats logpmf sum bit for bit.
 """
 
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .fitting import FitError, FittedStep, _block_variance, fit_step, floor_positive
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
@@ -159,39 +159,12 @@ def _cluster_and_fit(
     return fit_step(adj, steps[1][key], law)
 
 
-def _support_counts(values: np.ndarray, law: EdgeDistribution) -> np.ndarray:
-    """values as integer counts in floats, or ValueError when they leave law's support.
-
-    values are a WeightedAdjacency's weights, so they are never negative.
-    """
-    what = law.kind.replace("_", " ")
-    rounded = np.round(values)
-    if not np.allclose(values, rounded, rtol=0, atol=1e-9):
-        raise ValueError(f"{what} likelihood needs integer weights")
-    if law.kind == "binomial" and (rounded > law.trials).any():
-        raise ValueError(f"{what} likelihood needs weights <= {law.trials}")
-    return rounded
-
-
 def _data_terms(adj: WeightedAdjacency, law: EdgeDistribution) -> tuple[np.ndarray, ...]:
-    """Counts k, mean-free term c and failure counts f of law's log mass,
-    built once per network object and law and memoised on it as the
-    clusterers' basis is. c is log k! (Poisson), log C(N, k) with f = N - k
-    (binomial, N trials) or log C(N + k - 1, k) with f = k (negative
-    binomial), each formed as scipy.stats forms it.
-    """
+    """law.data_terms of adj's weights, memoised per network object and law as the basis is."""
     key = f"_{law.kind}{law.trials}_terms"
     memo = vars(adj)
     if key not in memo:
-        k = _support_counts(adj.weights, law)
-        trials = law.trials
-        if law.kind == "poisson":
-            memo[key] = (k, gammaln(k + 1), None)
-        elif law.kind == "binomial":
-            failures = trials - k
-            memo[key] = (k, gammaln(trials + 1) - (gammaln(k + 1) + gammaln(failures + 1)), failures)
-        else:
-            memo[key] = (k, gammaln(trials + k) - gammaln(k + 1) - gammaln(trials), k)
+        memo[key] = law.data_terms(adj.weights)
     return memo[key]
 
 
@@ -202,27 +175,15 @@ def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
     contributes twice (once per direction) and each diagonal entry once.
     dist is an EdgeDistribution or a name that model.edge_law accepts;
     "bernoulli" is the binomial law with one trial. Mean entries are
-    floored positive as in fitting; probability-type parameters are
-    additionally capped at 1 - 1e-8 so boundary fits keep a finite
-    likelihood. Weights outside the law's support raise ValueError.
+    floored positive as in fitting, and the law caps probability-type
+    parameters (EdgeDistribution.log_mass). Weights outside the law's
+    support raise ValueError.
     """
     law = edge_law(dist)
     mean = np.asarray(mean, dtype=float)
     if mean.shape != adj.weights.shape:
         raise ValueError(f"mean must have shape {adj.weights.shape}, got {mean.shape}")
-    k, c, f = _data_terms(adj, law)
-    mu = floor_positive(mean)
-    cap = 1.0 - 1e-8
-    # each sum is grouped as scipy.stats groups it
-    if law.kind == "poisson":
-        terms = (xlogy(k, mu) - c) - mu
-    elif law.kind == "binomial":
-        p = np.minimum(mu / law.trials, cap)
-        terms = (c + xlogy(k, p)) + xlog1py(f, -p)
-    else:
-        p = 1.0 - np.minimum(mu / law.trials, cap)
-        terms = (c + law.trials * np.log(p)) + xlog1py(f, -p)
-    return float(terms.sum())
+    return float(law.log_mass(_data_terms(adj, law), floor_positive(mean)).sum())
 
 
 def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, dist, lam: float = 1.0) -> float:
@@ -260,11 +221,10 @@ def select(
     below 2 + epsilon; cbic/icl score m <= n and k_hat is the argmax,
     ties to the smallest m. Failed steps record +inf (svps) or -inf and
     are never selected. dist is the edge law, an EdgeDistribution or an
-    EDGE_LAWS name. svps scales by its variance (poisson when dist is
-    None). cbic/icl need it as the likelihood law, fit under the poisson
-    default as they read the fitted mean only, and build the law's data
-    terms before any clustering, raising FitError when the weights leave
-    its support.
+    EDGE_LAWS name, and every step is fitted under it: svps scales by its
+    variance (poisson when dist is None), cbic/icl need it as likelihood.
+    Weights outside the law's range (svps) or support (cbic/icl, whose
+    data terms are built then) raise FitError before any clustering.
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo, the Lanczos path's CSR weights and
@@ -280,19 +240,21 @@ def select(
     if dist is None and not svps:
         raise ValueError(f"{spec.selector} needs a likelihood law")
     law = edge_law("poisson" if dist is None else dist)
+    try:
+        if svps:  # the law is only a variance here, so non-integer weights pass
+            law.check_weights(adj.weights)
+        else:
+            _data_terms(adj, law)
+    except ValueError as exc:
+        raise FitError(str(exc)) from None
     if svps:
         last, failed, threshold = adj.n - 1, math.inf, 2.0 + spec.epsilon
     else:
-        try:
-            _data_terms(adj, law)
-        except ValueError as exc:
-            raise FitError(str(exc)) from None
         last, failed, threshold = adj.n, -math.inf, None
-    fit_law = law if svps else EDGE_LAWS["poisson"]  # the scores read the fitted mean only
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
-            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, fit_law)
+            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, law)
             if svps:
                 value = svps_statistic(adj, fitted)
             elif spec.selector == "cbic":

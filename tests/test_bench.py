@@ -1,3 +1,4 @@
+import hashlib
 import io
 import textwrap
 from pathlib import Path
@@ -60,6 +61,26 @@ def test_parse_config_round_trip():
     assert config.methods[1].clusterer == "rsc"
 
 
+def test_config_reads_the_law_names():
+    # distribution takes every name model.edge_law takes, as simulate --dist
+    # does; the shipped configs spell each law by its kind, and the digest
+    # of their reprs is the one they had when only kinds were read
+    head = "rho = 0.1\nr = 1\nk_list = 2\nn_all = 20,30\nmethod = cbic score\n"
+    configs = {
+        name: parse_config(io.StringIO(f"distribution = {name}\n{head}"))
+        for name in ("negbinom", "negative_binomial", "bernoulli")
+    }
+    assert configs["negbinom"] == configs["negative_binomial"]
+    assert repr(configs["negbinom"]) == repr(configs["negative_binomial"])
+    assert configs["bernoulli"].distribution == EdgeDistribution("binomial", trials=1)
+    with pytest.raises(ValueError, match="unknown distribution 'gamma'"):
+        parse_config(io.StringIO(f"distribution = gamma\n{head}"))
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    text = "".join(f"{path.name} {parse_config(path)!r}\n" for path in paths)
+    assert len(paths) == 15
+    assert hashlib.sha256(text.encode()).hexdigest() == "e3e06f4002491b0a3e2a9c27c20b47f9f03894e7db493afea2a58effb75f3d72"
+
+
 def test_parse_config_missing_keys():
     with pytest.raises(ValueError, match="missing"):
         parse_config(io.StringIO("rho = 0.1\n"))
@@ -85,7 +106,8 @@ def test_method_spec_validation_and_labels():
 def test_config_validation():
     with pytest.raises(ValueError, match="replicates"):
         small_config(replicates=0)
-    with pytest.raises(ValueError, match="mean cap"):
+    # peak mean rho (1 + r) 1.5^2 = 11.25
+    with pytest.raises(ValueError, match="binomial mean cap exceeded: needs max mean <= 5, got 11.25"):
         small_config(distribution=EdgeDistribution("binomial"), rho=1.0, r=4.0)
     with pytest.raises(ValueError, match="block sizes"):
         small_config(k_list=(5,))
@@ -95,7 +117,7 @@ def test_config_validation():
 
 def test_negative_binomial_cap_checked_up_front():
     # the sampler needs max M < trials; peak mean rho (1 + r) 1.5^2 = 9 here
-    with pytest.raises(ValueError, match="negative_binomial mean cap violated: peak mean 9"):
+    with pytest.raises(ValueError, match="negative_binomial mean cap exceeded: needs max mean < 5, got 9$"):
         small_config(distribution=EdgeDistribution("negative_binomial"), rho=1.0, r=3.0)
     # at peak == trials the binomial is allowed and the negative binomial is not
     small_config(distribution=EdgeDistribution("binomial", trials=9), rho=1.0, r=3.0)

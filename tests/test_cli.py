@@ -241,6 +241,16 @@ def test_select_likelihood_outside_support_is_data_error(half_weights_file, caps
     assert capsys.readouterr().err == "error: poisson likelihood needs integer weights\n"
 
 
+def test_select_svps_weights_above_the_trials_is_data_error(capsys):
+    # Les Miserables has weights up to 31: outside the bernoulli range for
+    # every selector, so svps fails before it clusters, as cbic does
+    lesmis = str(lesmis_path())
+    for method in ("svps", "cbic"):
+        code = main(["select", "--method", method, "--input", lesmis, "--law", "bernoulli"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: binomial law needs weights <= 1\n")
+
+
 def test_bench_lesmis_non_integer_weights_keeps_other_cells(half_weights_file, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(["bench", "lesmis", "--input", half_weights_file, "--tau", "0.1", "--out", str(out)])

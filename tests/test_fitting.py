@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,10 @@ def test_fitted_step_invariants():
         for m in range(1, 7):
             assignment = score_cluster(adj, m, seed=0, restarts=5)
             for name, law in EDGE_LAWS.items():
+                # the binomial variance cap fails a step in the block form
                 try:
                     fitted = fit_step(adj, assignment, law)
+                    block = _block_variance(fitted)
                 except FitError:
                     continue
                 variance = fitted.variance
@@ -141,7 +145,6 @@ def test_fitted_step_invariants():
                 checked.add(name)
                 # where the floor cannot bind, svps scales the profile in block
                 # form; its psi and statistic agree with the dense ones to rounding
-                block = _block_variance(fitted)
                 if block is not None:
                     psi = sinkhorn_symmetric(variance).psi
                     np.testing.assert_allclose(sinkhorn_symmetric(block).psi, psi, rtol=1e-12, atol=0)
@@ -245,18 +248,25 @@ def test_svps_builds_no_dense_fit_arrays(monkeypatch):
 
 
 def test_bernoulli_variance_domain():
+    # fit_step checks nothing of the law; the svps variance profile raises
+    # the binomial cap, in block form and through svps_statistic alike
     adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
-    with pytest.raises(FitError) as raised:
-        fit_step(adj, assignment, EDGE_LAWS["bernoulli"])
-    assert str(raised.value) == "binomial variance needs means < 1, got max 1.5"
+    fitted = fit_step(adj, assignment, EDGE_LAWS["bernoulli"])
+    for profile in (_block_variance, partial(svps_statistic, adj)):
+        with pytest.raises(FitError) as raised:
+            profile(fitted)
+        assert str(raised.value) == "binomial variance needs means < 1, got max 1.5"
     small = WeightedAdjacency(adj.weights / 10)
     fitted = fit_step(small, assignment, EDGE_LAWS["bernoulli"])
     assert fitted.mean.max() < 1
     assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean), rtol=1e-12)
     # five trials: the cap is a mean of 5
-    with pytest.raises(FitError) as raised:
-        fit_step(WeightedAdjacency(adj.weights * 4), assignment, EDGE_LAWS["binomial"])
-    assert str(raised.value) == "binomial variance needs means < 5, got max 6"
+    heavy = WeightedAdjacency(adj.weights * 4)
+    fitted = fit_step(heavy, assignment, EDGE_LAWS["binomial"])
+    for profile in (_block_variance, partial(svps_statistic, heavy)):
+        with pytest.raises(FitError) as raised:
+            profile(fitted)
+        assert str(raised.value) == "binomial variance needs means < 5, got max 6"
     fitted = fit_step(adj, assignment, EDGE_LAWS["binomial"])
     assert fitted.mean.max() == 1.5
     assert np.allclose(fitted.variance, fitted.mean * (1 - fitted.mean / 5), rtol=1e-12)

@@ -32,6 +32,18 @@ def test_sampler_and_variance_agree(name):
     upper = adj.weights[np.triu_indices(n)]
     want = law.variance(upper.mean())
     assert upper.var() == pytest.approx(want, rel=1e-12 if name == "bernoulli" else 0.03)
+    # on a varying mean, the draws are the direct numpy calls' on the same
+    # seed, taken over the upper triangle row by row
+    raw = make_rng(9).uniform(0.0, 0.9, size=(30, 30))
+    mean = (raw + raw.T) / 2
+    mu, t = mean[np.triu_indices(30)], law.trials
+    direct = {
+        "poisson": lambda rng: rng.poisson(mu),
+        "binomial": lambda rng: rng.binomial(t, mu / t),
+        "negative_binomial": lambda rng: rng.negative_binomial(t, 1.0 - mu / t),
+    }[law.kind]
+    drawn = sample_network(mean, law, make_rng(10)).weights[np.triu_indices(30)]
+    assert np.array_equal(drawn, direct(make_rng(10)))
 
 
 def test_variance_functions():
@@ -51,8 +63,12 @@ def test_edge_distribution_validation():
     assert EdgeDistribution("poisson").trials == 5
     with pytest.raises(ValueError):
         EdgeDistribution("uniform")
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        EdgeDistribution("binomial", trials=0)
+    # trials is an integer >= 1; a fractional, NaN or infinite count
+    # would sample one law and give the variance of another
+    assert EdgeDistribution("binomial", trials=np.int64(3)).trials == 3
+    for trials in (0, -2, 2.5, 5.0, float("nan"), float("inf"), "5"):
+        with pytest.raises(ValueError, match=r"trials must be an integer >= 1, got "):
+            EdgeDistribution("binomial", trials=trials)
 
 
 def test_mean_matrix_hand_example():
@@ -191,9 +207,9 @@ def test_binomial_degenerate_and_caps():
     m5 = np.full((3, 3), 5.0)
     adj = sample_network(m5, EdgeDistribution("binomial"), make_rng(1))
     assert np.all(adj.weights == 5.0)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="binomial mean cap exceeded: needs max mean <= 5, got 5.1"):
         sample_network(np.full((2, 2), 5.1), EdgeDistribution("binomial"), make_rng(1))
-    with pytest.raises(ValueError, match="max M < 5"):
+    with pytest.raises(ValueError, match="negative_binomial mean cap exceeded: needs max mean < 5, got 5$"):
         sample_network(m5, EdgeDistribution("negative_binomial"), make_rng(1))
 
 

@@ -127,8 +127,27 @@ def test_score_select_checks_the_law_before_clustering(monkeypatch):
     half = WeightedAdjacency(load_lesmis().weights / 2)
     with pytest.raises(FitError, match="poisson likelihood needs integer weights"):
         score_select(half, dist="poisson")
-    with pytest.raises(FitError, match="binomial likelihood needs weights <= 1"):
+    with pytest.raises(FitError, match="binomial law needs weights <= 1"):
         score_select(load_lesmis(), dist="bernoulli", method="icl")
+
+
+def test_svps_checks_the_law_range_before_clustering(monkeypatch):
+    # under a binomial law a weight above the trials fails svps before any
+    # clustering, as it fails the scores; the law is only svps's variance,
+    # so non-integer weights in its range still run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("clustered despite weights outside the law")
+
+    lesmis = load_lesmis()  # weights up to 31
+    with monkeypatch.context() as patched:
+        patched.setattr(selection, "score_cluster", unreachable)
+        for law, trials in (("bernoulli", 1), ("binomial", 5)):
+            with pytest.raises(FitError, match=f"^binomial law needs weights <= {trials}$"):
+                svps_select(lesmis, law)
+    half = WeightedAdjacency(binarize(lesmis).weights / 2)
+    trace = svps_select(half, "bernoulli", m_max=2, restarts=2)
+    assert [step.m for step in trace.steps] == [1, 2]
+    assert svps_select(regularize(lesmis, 0.1), "negbinom", m_max=2, restarts=2).steps
 
 
 def test_likelihood_caps_boundary_means():
@@ -343,10 +362,10 @@ def test_select_requires_a_law_for_likelihood_selectors():
 
 
 def test_one_law_splits_between_svps_and_the_scores():
-    # CBIC and ICL take the law as their likelihood but read only the fitted
-    # mean, so they fit under the poisson default; svps scales by the law's
-    # variance, whose cap fails every fit on binarized Les Miserables. From
-    # m = 5 on, SCORE leaves a group without internal edges, whatever the law
+    # every step is fitted under the one law; CBIC and ICL take it as their
+    # likelihood and read only the fitted mean, while svps scales by the
+    # law's variance, whose cap fails every step on binarized Les Miserables.
+    # From m = 5 on, SCORE leaves a group without internal edges, whatever the law
     flat = binarize(load_lesmis())
     svps = svps_select(flat, "bernoulli", restarts=5)
     assert svps.k_hat is None and [step.status for step in svps.steps] == ["failed"] * 12
@@ -439,17 +458,17 @@ def test_each_selection_decomposes_its_clustering_matrix_once(clusterer, monkeyp
 @pytest.mark.parametrize("selector,law", [("cbic", "poisson"), ("icl", "bernoulli"), ("cbic", "negbinom")])
 def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypatch):
     builds, scores = [], []
-    support, likelihood = selection._support_counts, selection.log_likelihood
+    terms, likelihood = EdgeDistribution.data_terms, selection.log_likelihood
 
-    def counting_support(values, dist):
-        builds.append(dist)
-        return support(values, dist)
+    def counting_terms(law, values):
+        builds.append(law)
+        return terms(law, values)
 
     def counting_likelihood(*args):
         scores.append(args[1].shape)
         return likelihood(*args)
 
-    monkeypatch.setattr(selection, "_support_counts", counting_support)
+    monkeypatch.setattr(EdgeDistribution, "data_terms", counting_terms)
     monkeypatch.setattr(selection, "log_likelihood", counting_likelihood)
     adj, _ = sampled_counts((12, 14, 16))
     if law == "bernoulli":

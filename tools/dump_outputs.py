@@ -23,12 +23,15 @@ The set covers:
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
   and flags a command does not declare included (scale on a matrix one
-  ulp off symmetric and on one with an inf entry), some with
-  COMMSCALE_SEED set;
+  ulp off symmetric and on one with an inf entry, select under the
+  bernoulli law on weighted Les Miserables, bench run on a config naming
+  its law negbinom), some with COMMSCALE_SEED set;
 - library calls with bad arguments, among them sinkhorn_symmetric on a
   matrix one ulp off symmetric, on NaN and inf entries and from a NaN
-  initial, scaled_matrix with a NaN psi, and sample_network on an
-  asymmetric and on a NaN mean;
+  initial, scaled_matrix with a NaN psi, sample_network on an
+  asymmetric and on a NaN mean, svps_select under the bernoulli law on
+  weighted Les Miserables, and EdgeDistribution with a trial count that
+  is not an integer >= 1;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
@@ -81,6 +84,7 @@ RESTARTS = 50
 # small bench-run configs: three head lines, one method line, CONFIG_TAIL
 RUN_CONFIGS = {
     "negbinom-over-cap": ("distribution = negative_binomial\nrho = 1\nr = 3\n", "svps score"),
+    "negbinom": ("distribution = negbinom\nrho = 0.2\nr = 3\n", "svps score\nmethod = cbic score"),
     "shared-label": ("distribution = poisson\nrho = 0.3\nr = 3\n",
                      "svps score epsilon=0.05\nmethod = svps score epsilon=0.0500000001"),
     "negative-epsilon": ("distribution = poisson\nrho = 0.3\nr = 3\n", "svps score epsilon=-1"),
@@ -245,6 +249,10 @@ def api_error_runs(cs):
     yield "api-simulation_params-block-size0.txt", partial(cs.simulation_params, 2, 0.3, 3.0, (0, 10), cs.make_rng(0))
     yield "api-simulation_params-rho-inf.txt", partial(cs.simulation_params, 2, float("inf"), 3.0, (10, 10),
                                                        cs.make_rng(0))
+    # a binomial weight above the trials fails svps before clustering
+    yield "api-svps-lesmis-bernoulli.txt", partial(cs.svps_select, adj, "bernoulli", restarts=2)
+    for name, trials in (("0", 0), ("2.5", 2.5), ("nan", nan), ("inf", float("inf"))):
+        yield f"api-EdgeDistribution-trials-{name}.txt", partial(cs.EdgeDistribution, "binomial", trials)
     poisson = cs.EdgeDistribution("poisson")
     for name, mean in (("asymmetric", [[1.0, 5.0], [0.0, 1.0]]), ("nan", [[1.0, nan], [nan, 1.0]])):
         yield f"api-sample_network-{name}-mean.txt", partial(cs.sample_network, np.array(mean), poisson, cs.make_rng(0))
@@ -336,6 +344,7 @@ def cli_runs(cs, tmp: Path):
     yield "cli-select-svps-rsc-bernoulli.txt", [
         "select", "--input", lesmis, "--binarize", "--cluster", "rsc", "--law", "bernoulli",
         "--kmax", "5", "--seed", "2", "--out", "OUT"]
+    yield "cli-select-svps-bernoulli-weighted.txt", ["select", "--input", lesmis, "--law", "bernoulli", "--out", "OUT"]
     yield "cli-select-cbic-binarized.txt", [
         "select", "--method", "cbic", "--input", lesmis, "--binarize", "--law", "bernoulli",
         "--seed", "0", "--out", "OUT"]

@@ -2,15 +2,17 @@
 
 run_experiment draws replicate networks from a simulation model and
 records how often each selector recovers the true community count.
-Replicate seeds derive from (base seed, K, replicate index) only, so the
-sampled networks never change when methods are added or reordered.
+A replicate's network and its one k-means seed both derive from (base
+seed, K, replicate index) only, on separate streams: the networks never
+change when methods are added or reordered, and every method of a
+replicate clusters with the same seed, so the methods are paired and
+share their clustered steps, as every cell of run_lesmis does.
 """
 
 from __future__ import annotations
 
-import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -18,9 +20,7 @@ import numpy as np
 from .fitting import FitError
 from .model import THETA_MIXTURE, EdgeDistribution, edge_law, make_rng, mean_matrix, sample_network, simulation_params
 from .network import WeightedAdjacency, binarize, open_text, regularize
-from .scaling import ScalingError
 from .selection import MethodSpec, select
-from .spectral import ClusterError
 
 __all__ = [
     "ExperimentConfig",
@@ -102,15 +102,15 @@ def _boolean(value: str) -> bool:
     return _BOOLEANS[value.lower()]
 
 
-# per optional or numeric key: conversion, what it must be, default
+# per key but distribution and methods: conversion, what it must be
 _CONVERSIONS = {
-    "rho": (float, "a number", None),
-    "r": (float, "a number", None),
-    "k_list": (_integers, "comma-separated integers", None),
-    "n_all": (_integers, "comma-separated integers", None),
-    "replicates": (int, "an integer", "100"),
-    "seed": (int, "an integer", "0"),
-    "zero_diagonal": (_boolean, "true or false", "false"),
+    "rho": (float, "a number"),
+    "r": (float, "a number"),
+    "k_list": (_integers, "comma-separated integers"),
+    "n_all": (_integers, "comma-separated integers"),
+    "replicates": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "zero_diagonal": (_boolean, "true or false"),
 }
 
 
@@ -122,10 +122,10 @@ def parse_config(source) -> ExperimentConfig:
     clusterer [...]' line per method. '#' starts a comment. zero_diagonal
     is true, yes, 1, false, no or 0 in any case. Any other key, a
     repeated one, or a value of the wrong kind is a ValueError naming its
-    line.
+    line. The keys, which of them are required, and the defaults are
+    ExperimentConfig's fields; methods is read from the method lines only.
     """
-    required = ("distribution", "rho", "r", "k_list", "n_all")
-    known = (*required, "replicates", "seed", "zero_diagonal")
+    defaults = {field.name: field.default for field in fields(ExperimentConfig) if field.name != "methods"}
     scalars = {}
     methods = []
     with open_text(source) as stream:
@@ -140,47 +140,46 @@ def parse_config(source) -> ExperimentConfig:
             value = value.strip()
             if key == "method":
                 methods.append(_parse_method(value.split(), lineno))
-            elif key not in known:
+            elif key not in defaults:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
             elif key in scalars:
                 raise ValueError(f"line {lineno}: repeated key {key!r}")
             else:
                 scalars[key] = (value, lineno)
-    missing = set(required) - set(scalars)
+    missing = {key for key, default in defaults.items() if default is MISSING} - set(scalars)
     if missing:
         raise ValueError(f"config is missing keys: {sorted(missing)}")
     values = {}
-    for key, (convert, what, default) in _CONVERSIONS.items():
-        value, lineno = scalars.get(key, (default, None))
-        try:
-            values[key] = convert(value)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
-    return ExperimentConfig(
-        distribution=edge_law(scalars["distribution"][0]), methods=tuple(methods), **values
-    )
-
-
-def _method_seed(base_seed: int, k: int, rep: int, label: str) -> int:
-    ss = np.random.SeedSequence((base_seed, k, rep, zlib.crc32(label.encode())))
-    return int(ss.generate_state(1)[0])
+    for key, (convert, what) in _CONVERSIONS.items():
+        if key in scalars:
+            value, lineno = scalars[key]
+            try:
+                values[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
+    return ExperimentConfig(distribution=edge_law(scalars["distribution"][0]), methods=tuple(methods), **values)
 
 
 def _k_hat(adj, spec: MethodSpec, **kwargs):
-    """The selector's estimate, or None when it fails with a domain error."""
+    """The selector's estimate, or None when select's up-front check of the law's range or support fails."""
     try:
         return select(adj, spec, **kwargs).k_hat
-    except (FitError, ClusterError, ScalingError):
+    except FitError:
         return None
 
 
+def _network(seed: int, k: int, rep: int, rho, r, n_all, law, zero_diagonal: bool = False) -> WeightedAdjacency:
+    """Replicate rep's network at K = k, drawn from SeedSequence((seed, k, rep)) only."""
+    rng = make_rng(np.random.SeedSequence((seed, k, rep)))
+    model = simulation_params(k, rho, r, n_all, rng)
+    return sample_network(mean_matrix(model), law, rng, zero_diagonal=zero_diagonal)
+
+
 def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
-    """Sample one network and run every method on it."""
-    rng = make_rng(np.random.SeedSequence((config.seed, k, rep)))
-    model = simulation_params(k, config.rho, config.r, config.n_all, rng)
-    adj = sample_network(
-        mean_matrix(model), config.distribution, rng, zero_diagonal=config.zero_diagonal
-    )
+    """Sample one network and run every method on it with one k-means seed."""
+    adj = _network(config.seed, k, rep, config.rho, config.r, config.n_all, config.distribution, config.zero_diagonal)
+    # one k-means seed for every method, on a stream apart from the network's
+    seed = int(np.random.SeedSequence((config.seed, k, rep, 1)).generate_state(1)[0])
     return {
         spec.label: _k_hat(
             adj,
@@ -188,7 +187,7 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
             # svps keeps the poisson variance until ROADMAP item 3 measures the law's own
             dist=None if spec.selector == "svps" else config.distribution,
             m_max=max(12, k + 4) if spec.selector == "svps" else k + 4,
-            seed=_method_seed(config.seed, k, rep, spec.label),
+            seed=seed,
         )
         for spec in config.methods
     }

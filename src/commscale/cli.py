@@ -20,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from .datasets import load_lesmis
 from .fitting import FitError
-from .model import EDGE_LAWS, make_rng, mean_matrix, sample_network, simulation_params
+from .model import EDGE_LAWS
 from .network import binarize, load_edge_list, open_text, regularize, write_edge_list
 from .scaling import ScalingError, sinkhorn_symmetric
 from .selection import MethodSpec, _cluster_and_fit, select
@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--n-all", default="50,100,150",
                      help="comma-separated block sizes; the first k are used")
     sim.add_argument("--replicate", type=int, default=0,
-                     help="replicate index folded into the stream seed (default 0)")
+                     help="replicate index: bench run's network of that replicate at this k (default 0)")
     sim.add_argument("--zero-diagonal", action="store_true", help="zero self-loops after sampling")
     _add_common_flags(sim, cmd_simulate, seeded=True)
 
@@ -222,10 +222,8 @@ def cmd_scale(args) -> tuple[str, str]:
 
 def cmd_simulate(args) -> tuple[str, str]:
     n_all = tuple(int(t) for t in args.n_all.split(","))
-    rng = make_rng(np.random.SeedSequence((args.seed, args.k, args.replicate)))
-    model = simulation_params(args.k, args.rho, args.r, n_all, rng)
-    adj = sample_network(mean_matrix(model), EDGE_LAWS[args.dist], rng,
-                         zero_diagonal=args.zero_diagonal)
+    adj = bench_mod._network(args.seed, args.k, args.replicate, args.rho, args.r, n_all, EDGE_LAWS[args.dist],
+                             args.zero_diagonal)
     nonzero = int(np.count_nonzero(np.triu(adj.weights)))
     return _rendered(write_edge_list, adj), f"n={adj.n} k={args.k} nonzero_pairs={nonzero}"
 

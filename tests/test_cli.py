@@ -296,6 +296,38 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert adj.n == 35
 
 
+def test_simulate_writes_the_replicate_network_of_bench_run(tmp_path, capsys, monkeypatch):
+    # simulate --seed S --k K --replicate R and run_experiment's replicate R
+    # at K sample through one recipe, so they are one network
+    from commscale import bench
+    from commscale.model import EdgeDistribution
+    from commscale.network import load_edge_list
+    from commscale.selection import MethodSpec
+
+    networks = []
+    select = bench.select
+
+    def capturing(adj, spec, **kwargs):
+        networks.append(adj.weights.copy())
+        return select(adj, spec, **kwargs)
+
+    monkeypatch.setattr(bench, "select", capturing)
+    config = bench.ExperimentConfig(
+        distribution=EdgeDistribution("negative_binomial"), rho=0.2, r=3.0, k_list=(3,), n_all=(12, 15, 9),
+        methods=(MethodSpec("cbic"),), replicates=3, seed=4, zero_diagonal=True,
+    )
+    bench.run_experiment(config)
+    assert len(networks) == 3
+    for rep, weights in enumerate(networks):
+        out = tmp_path / f"rep{rep}.tsv"
+        argv = ["simulate", "--dist", "negbinom", "--rho", "0.2", "--r", "3", "--k", "3",
+                "--n-all", "12,15,9", "--zero-diagonal", "--seed", "4", "--replicate", str(rep), "--out", str(out)]
+        assert main(argv) == 0
+        assert np.array_equal(load_edge_list(str(out), n=36).weights, weights)
+    assert not np.array_equal(networks[0], networks[1])
+    capsys.readouterr()
+
+
 def test_bench_lesmis_packaged_default(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(["bench", "lesmis", "--tau", "0.1,0.5", "--seed", "0", "--out", str(out)])

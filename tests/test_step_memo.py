@@ -84,6 +84,31 @@ def test_run_lesmis_clusters_each_step_key_once(lesmis_runs):
     assert warm_tables[0] == cold_tables[0]
 
 
+def test_run_experiment_clusters_each_step_of_a_replicate_once(monkeypatch):
+    # every method of a replicate clusters with the replicate's one seed,
+    # so each (clusterer, m) past m = 1 is one kmeans call, whichever
+    # methods evaluate it
+    evaluated = set()
+
+    def recording(adj, spec, **kwargs):
+        trace = select(adj, spec, **kwargs)
+        evaluated.update((spec.clusterer, step.m) for step in trace.steps if step.m > 1)
+        return trace
+
+    monkeypatch.setattr(bench, "select", recording)
+    methods = tuple(MethodSpec(s, c) for s in ("svps", "cbic", "icl") for c in ("score", "rsc"))
+    config = bench.ExperimentConfig(
+        distribution=EdgeDistribution("poisson"), rho=0.3, r=3.0, k_list=(3,), n_all=(20, 30, 25),
+        methods=methods, replicates=1,
+    )
+    counts = count_layers(monkeypatch)
+    table = bench.run_experiment(config)
+    assert len(table.rows) == 6
+    # cbic and icl score m = 1..K + 4 on both clusterers; svps stops earlier
+    assert {m for _, m in evaluated} == set(range(2, 8))
+    assert counts["kmeans"] == len(evaluated) == 12
+
+
 def test_separate_binarized_copies_share_steps(monkeypatch):
     counts = count_layers(monkeypatch)
     lesmis = load_lesmis()

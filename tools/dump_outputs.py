@@ -4,9 +4,10 @@ The set covers:
 
 - selection traces: the Les Miserables grid at k-means seeds 0 and 3
   with both clusterers, and replicate 0 of configs/sim1_rho006.cfg at
-  K = 2..6 with all six of its methods, each run through select as
-  bench.run_lesmis and bench.run_experiment would, and again through
-  svps_select and score_select as perfbench calls them (shorthand-*);
+  K = 2..6 with all six of its methods on the replicate's one k-means
+  seed, each run through select as bench.run_lesmis and
+  bench.run_experiment would, and again through svps_select and
+  score_select as perfbench calls them (shorthand-*);
 - svps_select on the benchmark's n = 1200 network of seed 0, pass 0,
   which takes the Lanczos path; its step values can differ from those
   of a dense solve in the last digits;
@@ -67,7 +68,6 @@ import os
 import shutil
 import sys
 import tempfile
-import zlib
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -133,14 +133,13 @@ def panel_runs(cs):
     config = cs.parse_config(PANEL_CONFIG)
     rep = 0
     for k in PANEL_KS:
-        # network and method seeds as bench._replicate derives them, spelled
-        # out here so that the dump depends on public names only
+        # the network and the replicate's one k-means seed as bench._replicate
+        # derives them, spelled out here so that the dump depends on public names only
         rng = cs.make_rng(np.random.SeedSequence((config.seed, k, rep)))
         model = cs.simulation_params(k, config.rho, config.r, config.n_all, rng)
         adj = cs.sample_network(cs.mean_matrix(model), config.distribution, rng, zero_diagonal=config.zero_diagonal)
+        seed = int(np.random.SeedSequence((config.seed, k, rep, 1)).generate_state(1)[0])
         for spec in config.methods:
-            key = (config.seed, k, rep, zlib.crc32(spec.label.encode()))
-            seed = int(np.random.SeedSequence(key).generate_state(1)[0])
             m_max = max(12, k + 4) if spec.selector == "svps" else k + 4
             yield f"panel-K{k}-rep{rep}-{spec.label}", adj, spec, config.distribution, m_max, seed
 

@@ -11,6 +11,7 @@ share their clustered steps, as every cell of run_lesmis does.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
@@ -47,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.methods:
             raise ValueError("need at least one method")
         for key in ("k_list", "n_all"):
@@ -179,7 +182,7 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
     """Sample one network and run every method on it with one k-means seed."""
     adj = _network(config.seed, k, rep, config.rho, config.r, config.n_all, config.distribution, config.zero_diagonal)
     # one k-means seed for every method, on a stream apart from the network's
-    seed = int(np.random.SeedSequence((config.seed, k, rep, 1)).generate_state(1)[0])
+    seed = np.random.SeedSequence((config.seed, k, rep, 1)).generate_state(1)[0]
     return {
         spec.label: _k_hat(
             adj,
@@ -227,26 +230,25 @@ def run_lesmis(
     tau_list=(0.05, 0.1, 0.25, 0.5),
     seed: int = 0,
     epsilon: float = 0.05,
-    score_m_max: int = 10,
 ) -> Table:
     """The weighted-network study grid.
 
     For each clusterer: the sequential test on the regularized matrix at
     every tau, then CBIC and ICL on the raw weighted matrix with poisson
     likelihood, then CBIC and ICL on the binarized matrix with bernoulli
-    likelihood. CBIC and ICL evaluate m = 1..score_m_max. Cells that
-    fail record an empty estimate.
+    likelihood. Each cell takes select's m_max, 12 for svps and 10 for CBIC
+    and ICL. Cells that fail record an empty estimate.
     """
-    grid = []  # (network, spec, likelihood, m_max, variant); m_max None is svps's 12
+    grid = []  # (network, spec, likelihood, variant)
     for clusterer in ("score", "rsc"):
         svps = MethodSpec("svps", clusterer, epsilon=epsilon)
-        grid += [(regularize(adj, tau), svps, None, None, f"tau={tau:g}") for tau in tau_list]
-        grid += [(adj, MethodSpec(s, clusterer), "poisson", score_m_max, "weighted") for s in ("cbic", "icl")]
+        grid += [(regularize(adj, tau), svps, None, f"tau={tau:g}") for tau in tau_list]
+        grid += [(adj, MethodSpec(s, clusterer), "poisson", "weighted") for s in ("cbic", "icl")]
     flat = binarize(adj)
-    grid += [(flat, MethodSpec(s, "score"), "bernoulli", score_m_max, "binarized") for s in ("cbic", "icl")]
+    grid += [(flat, MethodSpec(s, "score"), "bernoulli", "binarized") for s in ("cbic", "icl")]
     rows = []
-    for network, spec, dist, m_max, variant in grid:
-        k_hat = _k_hat(network, spec, dist=dist, m_max=m_max, seed=seed)
+    for network, spec, dist, variant in grid:
+        k_hat = _k_hat(network, spec, dist=dist, seed=seed)
         rows.append((spec.clusterer, spec.selector, variant, "" if k_hat is None else k_hat))
     return Table(("clusterer", "selector", "variant", "k_hat"), tuple(rows))
 

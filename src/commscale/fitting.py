@@ -15,7 +15,7 @@ step's edge law (EdgeDistribution.variance), floored at 1e-8 times its
 mean positive entry so that the doubly-stochastic scaling downstream
 exists. The floor binds only near a zero entry of nu(M): at an isolated
 node or a zero between-block sum. Where it cannot bind, svps scales
-nu(M) in block form, O(n + m^2) per product (_block_variance).
+nu(M) in block form, O(n + m^2) per product (_variance_profile).
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _degree_range(fitted: FittedStep) -> tuple[np.ndarray, np.ndarray]:
     return dmin, dmax
 
 
-def _block_variance(fitted: FittedStep) -> _BlockProfile | None:
-    """fitted's variance profile in block form, or None where the floor may bind.
+def _variance_profile(fitted: FittedStep) -> _BlockProfile | np.ndarray:
+    """fitted's variance profile in block form, or fitted.variance where the floor may bind.
 
     Over block (k, l) the mean runs from C_kl dmin_k dmin_l to C_kl dmax_k dmax_l,
     and nu is monotone or concave, so nu at those ends bounds the profile
@@ -122,7 +122,7 @@ def _block_variance(fitted: FittedStep) -> _BlockProfile | None:
     profile = _BlockProfile(labels, ((d, c),) if q is None else ((d, c), (d * d, q)))
     smallest = np.minimum(law.variance(c * np.outer(dmin, dmin)), law.variance(top)).min()
     mean = (profile @ np.ones(d.size)).sum() / d.size**2
-    return profile if smallest > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * mean else None
+    return profile if smallest > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * mean else fitted.variance
 
 
 def fit_step(

@@ -145,20 +145,17 @@ def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> Weight
     return WeightedAdjacency(w, node_names=names)
 
 
-def write_edge_list(adj: WeightedAdjacency, sink, *, indexing: int = 0) -> None:
+def write_edge_list(adj: WeightedAdjacency, sink) -> None:
     """Write the nonzero upper triangle (incl. diagonal) as "u v w" lines.
 
-    Node ids are written in base ``indexing`` (0 or 1). Weights are
-    written with repr-roundtrip precision so that load(write(load(x)))
-    is bit-identical to load(x).
+    Node ids are written 0-based. Weights are written with repr-roundtrip
+    precision so that load(write(load(x))) is bit-identical to load(x).
     """
-    if indexing not in (0, 1):
-        raise ValueError("indexing must be 0 or 1")
     w = adj.weights
     iu, ju = np.nonzero(np.triu(w))
     with open_text(sink, "w") as stream:
         for i, j in zip(iu.tolist(), ju.tolist()):
-            stream.write(f"{i + indexing} {j + indexing} {float(w[i, j])!r}\n")
+            stream.write(f"{i} {j} {float(w[i, j])!r}\n")
 
 
 def regularize(adj: WeightedAdjacency, tau: float) -> WeightedAdjacency:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitError, FittedStep, _block_variance, fit_step, floor_positive
+from .fitting import FitError, FittedStep, _variance_profile, fit_step, floor_positive
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
@@ -97,22 +98,20 @@ class SelectionTrace:
 def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """|lambda_{m+1}| of the scaled adjacency Psi^{1/2} A Psi^{1/2}.
 
-    Psi solves the doubly-stochastic scaling of the step's fitted
-    variance profile, the variance of fitted.law at the fitted mean, in
-    block form where the variance floor cannot bind and as the dense
-    fitted.variance elsewhere (see fitting). Scaling
-    failures propagate as ScalingError. On the
-    Lanczos path (spectral._sparse_weights) ARPACK finds the m + 1 leading
-    magnitudes of the scaled CSR weights; no n x n matrix is built.
+    Psi solves the doubly-stochastic scaling of fitted.law's variance at
+    the fitted mean, in the form fitting._variance_profile gives. Scaling
+    failures propagate as ScalingError. On the Lanczos path
+    (spectral._sparse_weights) ARPACK finds the m + 1 leading magnitudes
+    of the scaled CSR weights, made dense only if ARPACK gives up.
     """
     if fitted.m + 1 > adj.n:
         raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")
-    profile = _block_variance(fitted)
-    scaling = sinkhorn_symmetric(fitted.variance if profile is None else profile)
+    scaling = sinkhorn_symmetric(_variance_profile(fitted))
     csr = _sparse_weights(adj)
-    values = None if csr is None else _lanczos(scaled_matrix(csr, scaling.psi), fitted.m + 1, vectors=False)
+    scaled = scaled_matrix(adj.weights if csr is None else csr, scaling.psi)
+    values = None if csr is None else _lanczos(scaled, fitted.m + 1, vectors=False)
     if values is None:
-        values = np.linalg.eigvalsh(scaled_matrix(adj.weights, scaling.psi))
+        values = np.linalg.eigvalsh(scaled if csr is None else scaled.toarray())
     mags = np.sort(np.abs(values))[::-1]
     return float(mags[fitted.m])
 
@@ -126,19 +125,16 @@ _steps: tuple = (None, {})
 
 
 def _cluster_and_fit(
-    adj: WeightedAdjacency, m: int, clusterer: str, seed, restarts: int, law=EDGE_LAWS["poisson"]
+    adj: WeightedAdjacency, m: int, clusterer: str, seed: int, restarts: int, law=EDGE_LAWS["poisson"]
 ) -> FittedStep:
     """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
 
-    An int seed's assignment is memoised in _steps, so selectors sharing
-    a network and seed cluster each m once. The clusterers and fit_step
-    are looked up in this module at call time, so a wrapper installed on
-    these attributes sees every clustering and fit.
+    The assignment is memoised in _steps, so selectors sharing a network
+    and seed cluster each m once. The clusterers and fit_step are looked
+    up in this module at call time, so a wrapper installed on these
+    attributes sees every clustering and fit.
     """
     global _steps
-    cluster = score_cluster if clusterer == "score" else rsc_cluster
-    if type(seed) is not int:
-        return fit_step(adj, cluster(adj, m, seed=seed, restarts=restarts), law)
     memo = vars(adj)
     if "_digest" not in memo:
         csr = _sparse_weights(adj)
@@ -155,7 +151,7 @@ def _cluster_and_fit(
         steps = _steps = (memo["_digest"], {})
     key = (clusterer, m, seed, restarts)
     if key not in steps[1]:
-        steps[1][key] = cluster(adj, m, seed=seed, restarts=restarts)
+        steps[1][key] = (score_cluster if clusterer == "score" else rsc_cluster)(adj, m, seed=seed, restarts=restarts)
     return fit_step(adj, steps[1][key], law)
 
 
@@ -186,24 +182,24 @@ def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
     return float(law.log_mass(_data_terms(adj, law), floor_positive(mean)).sum())
 
 
-def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, dist, lam: float = 1.0) -> float:
-    """log f(A | M) - [lam * n * log m + m(m+1)/2 * log n]."""
+def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, lam: float = 1.0) -> float:
+    """log f(A | M) - [lam * n * log m + m(m+1)/2 * log n], under fitted.law."""
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     n = adj.n
     m = fitted.m
     penalty = lam * n * math.log(m) + m * (m + 1) / 2.0 * math.log(n)
-    return log_likelihood(adj, fitted.mean, dist) - penalty
+    return log_likelihood(adj, fitted.mean, fitted.law) - penalty
 
 
-def icl_score(adj: WeightedAdjacency, fitted: FittedStep, dist) -> float:
-    """log f(A | M) - [sum_k n_k log(n/n_k) + m(m+2)/2 * log n]."""
+def icl_score(adj: WeightedAdjacency, fitted: FittedStep) -> float:
+    """log f(A | M) - [sum_k n_k log(n/n_k) + m(m+2)/2 * log n], under fitted.law."""
     n = adj.n
     m = fitted.m
     sizes = fitted.assignment.sizes
     entropy = float((sizes * np.log(n / sizes)).sum())
     penalty = entropy + m * (m + 2) / 2.0 * math.log(n)
-    return log_likelihood(adj, fitted.mean, dist) - penalty
+    return log_likelihood(adj, fitted.mean, fitted.law) - penalty
 
 
 def select(
@@ -212,7 +208,7 @@ def select(
     *,
     dist=None,
     m_max: int | None = None,
-    seed=0,
+    seed: int = 0,
     restarts: int = 50,
 ) -> SelectionTrace:
     """Run the selector a MethodSpec names over m = 1..m_max (12 for svps, 10 else).
@@ -224,12 +220,13 @@ def select(
     EDGE_LAWS name, and every step is fitted under it: svps scales by its
     variance (poisson when dist is None), cbic/icl need it as likelihood.
     Weights outside the law's range (svps) or support (cbic/icl, whose
-    data terms are built then) raise FitError before any clustering.
+    data terms are built then) raise FitError, and a k-means seed that is
+    not an integer >= 0 (numpy's pass) ValueError, before any clustering.
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo, the Lanczos path's CSR weights and
-    the likelihood's data terms last for this selection only; with an int seed, the step assignments are
-    shared with later selections on equal weights (_cluster_and_fit).
+    the likelihood's data terms last for this selection only; the step
+    assignments are shared with later selections on equal weights.
     """
     adj = copy.copy(adj)
     svps = spec.selector == "svps"
@@ -237,6 +234,8 @@ def select(
         m_max = 12 if svps else 10
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if dist is None and not svps:
         raise ValueError(f"{spec.selector} needs a likelihood law")
     law = edge_law("poisson" if dist is None else dist)
@@ -254,13 +253,13 @@ def select(
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
-            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, law)
+            fitted = _cluster_and_fit(adj, m, spec.clusterer, int(seed), restarts, law)
             if svps:
                 value = svps_statistic(adj, fitted)
             elif spec.selector == "cbic":
-                value = cbic_score(adj, fitted, law, lam=spec.lam)
+                value = cbic_score(adj, fitted, lam=spec.lam)
             else:
-                value = icl_score(adj, fitted, law)
+                value = icl_score(adj, fitted)
         except (FitError, ClusterError, ScalingError) as exc:
             steps.append(StepRecord(m=m, value=failed, status="failed", note=str(exc)))
             continue

@@ -33,7 +33,6 @@ from .network import WeightedAdjacency
 __all__ = [
     "Assignment",
     "ClusterError",
-    "leading_eigpairs",
     "kmeans",
     "score_cluster",
     "rsc_cluster",

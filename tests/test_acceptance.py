@@ -242,8 +242,8 @@ def test_criterion_8_penalty_transcription():
         icl_pen = float(sum(s * math.log(n / s) for s in sizes)) + m * (m + 2) / 2 * math.log(n)
         worst = max(
             worst,
-            abs(cbic_score(adj, fitted, "poisson") - (ll - cbic_pen)),
-            abs(icl_score(adj, fitted, "poisson") - (ll - icl_pen)),
+            abs(cbic_score(adj, fitted) - (ll - cbic_pen)),
+            abs(icl_score(adj, fitted) - (ll - icl_pen)),
         )
     report(8, worst <= 1e-12, f"worst penalty transcription error {worst:.2e}")
 

@@ -115,6 +115,26 @@ def test_config_validation():
         small_config(methods=())
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, None, (4, 2)], ids=["negative", "float", "none", "entropy-sequence"])
+def test_config_seed_checked_before_any_replicate(seed, monkeypatch):
+    # the seed rule is select's: an integer >= 0, numpy's included
+    calls = []
+    monkeypatch.setattr(bench, "_replicate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        run_experiment(small_config(seed=seed))
+    assert calls == []
+    assert small_config(seed=np.int64(7)).seed == 7
+
+
+def test_config_file_seed_checked_before_any_replicate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "_replicate", lambda *args: calls.append(args))
+    text = "distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\nmethod = svps score\nseed = -1\n"
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        run_experiment(parse_config(io.StringIO(text)))
+    assert calls == []
+
+
 def test_negative_binomial_cap_checked_up_front():
     # the sampler needs max M < trials; peak mean rho (1 + r) 1.5^2 = 9 here
     with pytest.raises(ValueError, match="negative_binomial mean cap exceeded: needs max mean < 5, got 9$"):
@@ -284,7 +304,7 @@ def test_emit_csv_shape_and_determinism(tmp_path):
 
 
 def test_run_lesmis_grid_layout():
-    table = run_lesmis(load_lesmis(), tau_list=(0.1,), seed=0, score_m_max=4)
+    table = run_lesmis(load_lesmis(), tau_list=(0.1,), seed=0)
     keys = [(r[0], r[1], r[2]) for r in table.rows]
     assert keys == [
         ("score", "svps", "tau=0.1"),
@@ -301,7 +321,7 @@ def test_run_lesmis_grid_layout():
 
 def test_run_lesmis_non_integer_weights_empty_only_the_weighted_likelihood_cells():
     half = WeightedAdjacency(load_lesmis().weights / 2)
-    table = run_lesmis(half, tau_list=(0.1,), score_m_max=3)
+    table = run_lesmis(half, tau_list=(0.1,))
     assert len(table.rows) == 8
     for clusterer, selector, variant, k_hat in table.rows:
         if variant == "weighted":
@@ -317,7 +337,7 @@ def test_domain_errors_count_as_failures(monkeypatch):
     monkeypatch.setattr(bench, "select", failing)
     table = run_experiment(small_config(replicates=2))
     assert table.rows == ((2, "svps-score-eps0.05", 0.0, 2, "", 2),)
-    table = run_lesmis(load_lesmis(), tau_list=(0.1,), score_m_max=2)
+    table = run_lesmis(load_lesmis(), tau_list=(0.1,))
     assert len(table.rows) == 8
     assert all(row[3] == "" for row in table.rows)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commscale import selection
-from commscale.fitting import FitError, _block_variance, fit_step
+from commscale.fitting import FitError, _variance_profile, fit_step
 from commscale.model import (
     EDGE_LAWS,
     EdgeDistribution,
@@ -137,7 +137,7 @@ def test_fitted_step_invariants():
                 # the binomial variance cap fails a step in the block form
                 try:
                     fitted = fit_step(adj, assignment, law)
-                    block = _block_variance(fitted)
+                    profile = _variance_profile(fitted)
                 except FitError:
                     continue
                 variance = fitted.variance
@@ -145,9 +145,9 @@ def test_fitted_step_invariants():
                 checked.add(name)
                 # where the floor cannot bind, svps scales the profile in block
                 # form; its psi and statistic agree with the dense ones to rounding
-                if block is not None:
+                if profile is not variance:
                     psi = sinkhorn_symmetric(variance).psi
-                    np.testing.assert_allclose(sinkhorn_symmetric(block).psi, psi, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(sinkhorn_symmetric(profile).psi, psi, rtol=1e-12, atol=0)
                     assert svps_statistic(adj, fitted) == pytest.approx(dense_statistic(adj, fitted), rel=1e-12, abs=0)
                     blocked.add(name)
     assert checked == blocked == set(EDGE_LAWS)
@@ -221,7 +221,7 @@ def test_floored_profile_stays_dense():
         adj = WeightedAdjacency(weights)
         for law in (EDGE_LAWS["poisson"], EDGE_LAWS["negbinom"]):
             fitted = fit_step(adj, Assignment(np.array(labels), 2), law)
-            assert _block_variance(fitted) is None
+            assert _variance_profile(fitted) is fitted.variance
             assert fitted.variance.min() < fitted.mean[fitted.mean > 0].min()  # floored
             assert svps_statistic(adj, fitted) == dense_statistic(adj, fitted)
 
@@ -252,7 +252,7 @@ def test_bernoulli_variance_domain():
     # the binomial cap, in block form and through svps_statistic alike
     adj, assignment = four_node_example()  # fitted mean[0, 1] = 1.5
     fitted = fit_step(adj, assignment, EDGE_LAWS["bernoulli"])
-    for profile in (_block_variance, partial(svps_statistic, adj)):
+    for profile in (_variance_profile, partial(svps_statistic, adj)):
         with pytest.raises(FitError) as raised:
             profile(fitted)
         assert str(raised.value) == "binomial variance needs means < 1, got max 1.5"
@@ -263,7 +263,7 @@ def test_bernoulli_variance_domain():
     # five trials: the cap is a mean of 5
     heavy = WeightedAdjacency(adj.weights * 4)
     fitted = fit_step(heavy, assignment, EDGE_LAWS["binomial"])
-    for profile in (_block_variance, partial(svps_statistic, heavy)):
+    for profile in (_variance_profile, partial(svps_statistic, heavy)):
         with pytest.raises(FitError) as raised:
             profile(fitted)
         assert str(raised.value) == "binomial variance needs means < 5, got max 6"

@@ -176,7 +176,13 @@ def test_no_convergence_falls_back_to_dense(lanczos_calls, monkeypatch):
     assert np.array_equal(spectral._basis(net, "score", 3), dense[:, :3])
     assert tries == [1, 2, 3, 4, 5] and lanczos_calls == [1, 2, 3, 4, 5]
     fitted = fit_step(adj, Assignment(np.repeat([0, 1, 2], (40, 50, 60)), 3))
+    # the dense fallback solves the scaled CSR weights made dense; they are scaled once
+    scalings = []
+    scale = selection.scaled_matrix
+    monkeypatch.setattr(selection, "scaled_matrix", lambda *args: scalings.append(1) or scale(*args))
     value = svps_statistic(copy.copy(adj), fitted)
+    assert len(scalings) == 1
+    monkeypatch.setattr(selection, "scaled_matrix", scale)
     assert tries[-1] == 4 and lanczos_calls[-1] == 4
     assert value == on_dense_path(lambda: svps_statistic(copy.copy(adj), fitted))
     run = lambda: select(adj, MethodSpec("svps"), restarts=5)

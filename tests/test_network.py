@@ -32,14 +32,14 @@ def test_load_one_indexed():
     adj = load_edge_list(io.StringIO("1 2 7\n"), indexing=1)
     assert adj.n == 2
     assert adj.weights[0, 1] == 7
+    assert adj.node_names == ("1", "2")
     buf = io.StringIO()
-    write_edge_list(adj, buf, indexing=1)
-    assert buf.getvalue() == "1 2 7.0\n"
+    write_edge_list(adj, buf)
+    assert buf.getvalue() == "0 1 7.0\n"
+    assert np.array_equal(load_edge_list(io.StringIO(buf.getvalue())).weights, adj.weights)
     for bad in (-1, 2):
         with pytest.raises(ValueError, match="indexing must be 0 or 1"):
             load_edge_list(io.StringIO("1 2 7\n"), indexing=bad)
-        with pytest.raises(ValueError, match="indexing must be 0 or 1"):
-            write_edge_list(adj, io.StringIO(), indexing=bad)
 
 
 def test_duplicate_edges_accumulate():

@@ -61,8 +61,11 @@ def test_edge_list_write_then_load_is_exact(case):
     assert adj.node_names == tuple(str(i) for i in ids)
     assert np.array_equal(adj.weights, expected)
     buf = io.StringIO()
-    write_edge_list(adj, buf, indexing=indexing)
-    again = load_edge_list(io.StringIO(buf.getvalue()), indexing=indexing, n=adj.n)
+    write_edge_list(adj, buf)
+    # the list is written 0-based; shift its ids to the base it is loaded in
+    text = "".join(f"{int(u) + indexing} {int(v) + indexing} {w}\n" for u, v, w in
+                   (line.split() for line in buf.getvalue().splitlines()))
+    again = load_edge_list(io.StringIO(text), indexing=indexing, n=adj.n)
     assert np.array_equal(again.weights, adj.weights)
 
 
@@ -121,7 +124,7 @@ PAIR = WeightedAdjacency(np.array([[1.0, 2.0], [2.0, 0.0]]))
     [
         (lambda: MethodSpec("svps", epsilon=NAN), "epsilon"),
         (lambda: MethodSpec("cbic", lam=NAN), "lam"),
-        (lambda: cbic_score(PAIR, fit_step(PAIR, Assignment(np.zeros(2, dtype=int), 1)), "poisson", lam=NAN), "lam"),
+        (lambda: cbic_score(PAIR, fit_step(PAIR, Assignment(np.zeros(2, dtype=int), 1)), lam=NAN), "lam"),
         (lambda: sinkhorn_symmetric(np.array([[1.0, 2.0], [2.0, 5.0]]), tol=NAN), "tol"),
         (lambda: regularize(PAIR, NAN), "tau"),
         (lambda: simulation_params(2, NAN, 3.0, (10, 10), make_rng(0)), "rho"),

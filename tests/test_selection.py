@@ -9,7 +9,7 @@ from scipy import stats
 from commscale import selection, spectral
 from commscale.datasets import load_lesmis
 from commscale.fitting import FitError, fit_step
-from commscale.model import EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
+from commscale.model import EDGE_LAWS, EdgeDistribution, make_rng, mean_matrix, sample_network, simulation_params
 from commscale.network import WeightedAdjacency, binarize, regularize
 from commscale.selection import (
     MethodSpec,
@@ -169,11 +169,11 @@ def test_penalties_match_closed_form():
     fitted = fitted_for(adj, labels, 3)
     ll = log_likelihood(adj, fitted.mean, "poisson")
     expected_pen = n * math.log(3) + 3 * 4 / 2 * math.log(n)
-    assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - expected_pen, rel=1e-12)
+    assert cbic_score(adj, fitted) == pytest.approx(ll - expected_pen, rel=1e-12)
     sizes = fitted.assignment.sizes
     entropy = float(sum(s * math.log(n / s) for s in sizes))
     expected_icl = entropy + 3 * 5 / 2 * math.log(n)
-    assert icl_score(adj, fitted, "poisson") == pytest.approx(ll - expected_icl, rel=1e-12)
+    assert icl_score(adj, fitted) == pytest.approx(ll - expected_icl, rel=1e-12)
 
 
 def test_penalty_m1_special_cases():
@@ -182,8 +182,8 @@ def test_penalty_m1_special_cases():
     fitted = fitted_for(adj, np.zeros(n, dtype=int), 1)
     ll = log_likelihood(adj, fitted.mean, "poisson")
     # cbic: n log 1 + log n = log n; icl: zero entropy + (3/2) log n
-    assert cbic_score(adj, fitted, "poisson") == pytest.approx(ll - math.log(n))
-    assert icl_score(adj, fitted, "poisson") == pytest.approx(ll - 1.5 * math.log(n))
+    assert cbic_score(adj, fitted) == pytest.approx(ll - math.log(n))
+    assert icl_score(adj, fitted) == pytest.approx(ll - 1.5 * math.log(n))
 
 
 def test_icl_entropy_equal_blocks():
@@ -192,7 +192,26 @@ def test_icl_entropy_equal_blocks():
     n = adj.n
     ll = log_likelihood(adj, fitted.mean, "poisson")
     expected = ll - (n * math.log(2) + 2 * 4 / 2 * math.log(n))
-    assert icl_score(adj, fitted, "poisson") == pytest.approx(expected)
+    assert icl_score(adj, fitted) == pytest.approx(expected)
+
+
+def test_scores_read_the_fitted_steps_law():
+    # a 0/1 network lies in every law's support; each law's step is scored
+    # under its own likelihood, with the penalties of the closed form
+    adj, labels = sampled_counts((10, 12, 14))
+    adj = binarize(adj)
+    n, m = adj.n, 3
+    lls = set()
+    for law in EDGE_LAWS.values():
+        fitted = fit_step(adj, Assignment(labels, m), law)
+        ll = log_likelihood(adj, fitted.mean, fitted.law)
+        cbic_pen = 0.5 * n * math.log(m) + m * (m + 1) / 2 * math.log(n)
+        assert cbic_score(adj, fitted, lam=0.5) == pytest.approx(ll - cbic_pen, rel=1e-12)
+        sizes = fitted.assignment.sizes
+        icl_pen = float(sum(s * math.log(n / s) for s in sizes)) + m * (m + 2) / 2 * math.log(n)
+        assert icl_score(adj, fitted) == pytest.approx(ll - icl_pen, rel=1e-12)
+        lls.add(ll)
+    assert len(lls) == len(EDGE_LAWS)
 
 
 def test_select_score_argmax_rules(monkeypatch):
@@ -201,7 +220,7 @@ def test_select_score_argmax_rules(monkeypatch):
     adj, _ = sampled_counts((10, 12, 14))
     scores = {}
 
-    def scripted(a, fitted, dist, lam=1.0):
+    def scripted(a, fitted, lam=1.0):
         if scores.get(fitted.m) is None:
             raise FitError("scripted failure")
         return scores[fitted.m]

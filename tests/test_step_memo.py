@@ -210,15 +210,30 @@ def test_memo_holds_only_the_last_networks_labels():
     assert all(a.shape == (other.n,) and a.base is None for a in arrays)
 
 
-@pytest.mark.parametrize("seed", [(4, 2), np.int64(4)], ids=["entropy-sequence", "numpy-int"])
-def test_seeds_that_are_not_int_bypass_the_memo(seed, monkeypatch):
-    counts = count_layers(monkeypatch)
+def test_a_numpy_integer_seed_is_memoised_as_its_int(monkeypatch):
     lesmis = load_lesmis()
-    traces = [select(lesmis, MethodSpec(selector), dist="poisson", m_max=3, seed=seed, restarts=2)
-              for selector in ("cbic", "icl")]
-    assert counts["kmeans"] == 2 * 2
+    runs = {}
+    for seed in (7, np.int64(7)):
+        monkeypatch.setattr(selection, "_steps", (None, {}))
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_layers(patch)
+            traces = [select(lesmis, MethodSpec(selector), dist="poisson", m_max=3, seed=seed, restarts=2).to_csv()
+                      for selector in ("cbic", "icl")]
+        runs[type(seed)] = (traces, counts["kmeans"], sorted(selection._steps[1]))
+    # ICL reuses CBIC's two clustered steps (m = 2, 3) under either spelling
+    assert runs[int] == runs[np.int64]
+    assert runs[int][1] == 2
+    assert runs[int][2] == [("score", m, 7, 2) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", [None, 7.0, (4, 2), -1], ids=["none", "float", "entropy-sequence", "negative"])
+def test_seeds_that_are_not_integers_at_least_zero_raise_before_clustering(seed, monkeypatch):
+    counts = count_layers(monkeypatch)
+    for selector, dist in (("svps", None), ("cbic", "poisson")):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            select(load_lesmis(), MethodSpec(selector), dist=dist, m_max=3, seed=seed, restarts=2)
+    assert counts["kmeans"] == 0
     assert selection._steps == (None, {})
-    assert [s.status for s in traces[0].steps] == ["ok"] * 3
 
 
 def test_a_memo_replaced_during_a_step_is_only_missed(monkeypatch):

@@ -31,8 +31,9 @@ The set covers:
   matrix one ulp off symmetric, on NaN and inf entries and from a NaN
   initial, scaled_matrix with a NaN psi, sample_network on an
   asymmetric and on a NaN mean, svps_select under the bernoulli law on
-  weighted Les Miserables, and EdgeDistribution with a trial count that
-  is not an integer >= 1;
+  weighted Les Miserables, EdgeDistribution with a trial count that
+  is not an integer >= 1, and select at a numpy integer seed (its trace
+  is the one at the equal int) and at a tuple seed;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
@@ -255,6 +256,9 @@ def api_error_runs(cs):
     poisson = cs.EdgeDistribution("poisson")
     for name, mean in (("asymmetric", [[1.0, 5.0], [0.0, 1.0]]), ("nan", [[1.0, nan], [nan, 1.0]])):
         yield f"api-sample_network-{name}-mean.txt", partial(cs.sample_network, np.array(mean), poisson, cs.make_rng(0))
+    cbic = cs.MethodSpec("cbic")
+    for name, seed in (("numpy-int", np.int64(7)), ("tuple", (4, 2))):
+        yield f"api-select-seed-{name}.txt", partial(cs.select, adj, cbic, dist="poisson", m_max=4, seed=seed, restarts=2)
     config = cs.parse_config(io.StringIO(VALID_CONFIG))
     for jobs in (0, -3):
         yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
@@ -325,9 +329,9 @@ def describe_scores(cs, law) -> str:
         mean[rng.random((n, n)) < 0.2] = 2.5 * trials
         mean[0, 0] = 0.4
         labels = np.arange(n) % 2
-        # the scores read only these three fields of a fitted step
-        fitted = SimpleNamespace(m=2, assignment=cs.Assignment(labels, 2), mean=mean)
-        text += f"n {n} cbic {cs.cbic_score(adj, fitted, law)!r} icl {cs.icl_score(adj, fitted, law)!r}\n"
+        # the scores read only these four fields of a fitted step
+        fitted = SimpleNamespace(m=2, assignment=cs.Assignment(labels, 2), mean=mean, law=cs.model.edge_law(law))
+        text += f"n {n} cbic {cs.cbic_score(adj, fitted)!r} icl {cs.icl_score(adj, fitted)!r}\n"
     return text
 
 

@@ -146,13 +146,19 @@ def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> Weight
 
 
 def write_edge_list(adj: WeightedAdjacency, sink) -> None:
-    """Write the nonzero upper triangle (incl. diagonal) as "u v w" lines.
+    """Write the nonzero upper triangle (incl. diagonal) as "u v w" lines,
+    and an "i i 0.0" line for each node i of degree zero.
 
-    Node ids are written 0-based. Weights are written with repr-roundtrip
-    precision so that load(write(load(x))) is bit-identical to load(x).
+    Node ids are written 0-based, in row-major order. Weights are written
+    with repr-roundtrip precision, and every node appears in some line, so
+    load_edge_list(write(adj)) gives adj's weights back exactly, isolated
+    nodes included.
     """
     w = adj.weights
-    iu, ju = np.nonzero(np.triu(w))
+    written = np.triu(w) != 0
+    isolated = np.flatnonzero(~w.any(axis=1))
+    written[isolated, isolated] = True
+    iu, ju = np.nonzero(written)
     with open_text(sink, "w") as stream:
         for i, j in zip(iu.tolist(), ju.tolist()):
             stream.write(f"{i} {j} {float(w[i, j])!r}\n")

@@ -102,7 +102,8 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     the fitted mean, in the form fitting._variance_profile gives. Scaling
     failures propagate as ScalingError. On the Lanczos path
     (spectral._sparse_weights) ARPACK finds the m + 1 leading magnitudes
-    of the scaled CSR weights, made dense only if ARPACK gives up.
+    of the scaled CSR weights to spectral.LANCZOS_VALUES_TOL relative,
+    made dense only if ARPACK gives up.
     """
     if fitted.m + 1 > adj.n:
         raise ValueError(f"statistic needs m+1 <= n, got m={fitted.m}, n={adj.n}")

@@ -4,13 +4,15 @@ Eigendecompositions are full dense symmetric solves, except on large
 sparse networks: from LANCZOS_MIN_N nodes up, with at most
 LANCZOS_MAX_DENSITY of the entries nonzero, the svps statistic and the
 SCORE basis come from ARPACK's Lanczos iteration (scipy's eigsh) on a
-CSR copy of the weights. Below that size, and on denser networks, a
-dense solve is faster (on one x86-64 core, an n = 1200 network with
-every entry nonzero took 0.2 s in eigvalsh and up to 0.5 s in eigsh),
-and it is more robust near eigenvalue multiplicities. SCORE and RSC
-decompose their clustering matrix once per network object and take the
-first m columns of that basis at every m, so a selection decomposes it
-once; on the Lanczos path SCORE finds the m leading pairs once per m.
+CSR copy of the weights, the statistic's values to LANCZOS_VALUES_TOL
+relative and the basis to machine precision. Below that size, and on
+denser networks, a dense solve is faster (on one x86-64 core, an
+n = 1200 network with every entry nonzero took 0.2 s in eigvalsh and up
+to 0.5 s in eigsh), and it is more robust near eigenvalue
+multiplicities. SCORE and RSC decompose their clustering matrix once
+per network object and take the first m columns of that basis at every
+m, so a selection decomposes it once; on the Lanczos path SCORE finds
+the m leading pairs once per m.
 
 k-means runs all of its k-means++ restarts together. One matmul gives
 each point's candidate centre in every restart; a forward-error bound
@@ -46,6 +48,13 @@ KMEANS_TOL = 1e-9
 # entries nonzero take the Lanczos path
 LANCZOS_MIN_N = 1000
 LANCZOS_MAX_DENSITY = 0.25
+# ARPACK's tolerance for a values-only solve (the svps statistic). It
+# accepts a Ritz value theta once its residual is <= tol * |theta|, and a
+# symmetric matrix then has an eigenvalue within that residual of theta,
+# so each value is within 1e-10 relative of an eigenvalue. From 1e-8 up
+# ARPACK missed the second copy of a double eigenvalue (a ring lattice).
+# Basis solves stay at 0, machine precision: k-means reads their vectors.
+LANCZOS_VALUES_TOL = 1e-10
 
 
 class ClusterError(RuntimeError):
@@ -77,9 +86,10 @@ class Assignment:
         return np.bincount(self.labels, minlength=self.m)
 
 
-def _csr(dense: np.ndarray):
+def _csr(dense: np.ndarray, mask: np.ndarray | None = None):
     """dense as a CSR array, bit for bit scipy.sparse.csr_array(dense): the
-    same indptr, indices, data and index dtype, built from one mask.
+    same indptr, indices, data and index dtype, built from one mask,
+    dense != 0 (passed in when the caller has it).
 
     Entries equal to zero (-0.0 too) are not stored. The indices are int32
     unless the shape or the number of stored entries needs int64, the rule
@@ -87,7 +97,8 @@ def _csr(dense: np.ndarray):
     """
     from scipy.sparse import csr_array, get_index_dtype
 
-    mask = dense != 0
+    if mask is None:
+        mask = dense != 0
     flat = np.flatnonzero(mask)
     index = get_index_dtype(maxval=max(flat.size, *dense.shape))
     indptr = np.zeros(dense.shape[0] + 1, dtype=index)
@@ -101,21 +112,25 @@ def _sparse_weights(adj: WeightedAdjacency):
     path, else None.
 
     The path is taken from LANCZOS_MIN_N nodes up when at most
-    LANCZOS_MAX_DENSITY of the n^2 entries are nonzero. Both constants
-    are read at call time; the answer is memoised on the network object
-    as the clusterers' basis is.
+    LANCZOS_MAX_DENSITY of the n^2 entries are nonzero, counted on the
+    mask that then builds the CSR array. Both constants are read at call
+    time; the answer is memoised on the network object as the clusterers'
+    basis is.
     """
     memo = vars(adj)
     if "_csr" not in memo:
         memo["_csr"] = None
-        if adj.n >= LANCZOS_MIN_N and np.count_nonzero(adj.weights) <= LANCZOS_MAX_DENSITY * adj.n ** 2:
-            memo["_csr"] = _csr(adj.weights)
+        if adj.n >= LANCZOS_MIN_N:
+            mask = adj.weights != 0
+            if np.count_nonzero(mask) <= LANCZOS_MAX_DENSITY * adj.n ** 2:
+                memo["_csr"] = _csr(adj.weights, mask)
     return memo["_csr"]
 
 
 def _lanczos(matrix, k: int, vectors: bool = True):
     """ARPACK's k largest-magnitude eigenvalues (and vectors) of a symmetric
-    CSR array, to full precision. None when k >= n - 1 or ARPACK does not
+    CSR array: pairs to machine precision, values alone to
+    LANCZOS_VALUES_TOL relative. None when k >= n - 1 or ARPACK does not
     converge: the caller then solves densely.
 
     The start vector is fixed, so the result is deterministic, and
@@ -130,8 +145,9 @@ def _lanczos(matrix, k: int, vectors: bool = True):
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    tol = 0 if vectors else LANCZOS_VALUES_TOL
     try:
-        return eigsh(matrix, k=k, which="LM", v0=v0, tol=0, return_eigenvectors=vectors)
+        return eigsh(matrix, k=k, which="LM", v0=v0, tol=tol, return_eigenvectors=vectors)
     except ArpackNoConvergence:
         return None
 

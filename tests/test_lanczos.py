@@ -17,9 +17,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_array
 
 from commscale import selection, spectral
-from commscale.fitting import FittedStep, fit_step
+from commscale.fitting import FittedStep, _variance_profile, fit_step
 from commscale.model import EDGE_LAWS
 from commscale.network import WeightedAdjacency, regularize
+from commscale.scaling import scaled_matrix, sinkhorn_symmetric
 from commscale.selection import MethodSpec, select, svps_statistic
 from commscale.spectral import Assignment
 from test_selection import sampled_counts
@@ -241,6 +242,38 @@ def test_regular_network_is_deterministic(lanczos_calls):
         first, second = (spectral._lanczos(spectral._csr(ring), k, vectors=False) for _ in range(2))
         assert np.array_equal(first, second), k
         assert np.allclose(np.sort(np.abs(first))[::-1], dense[:k], rtol=1e-10, atol=0), k
+
+
+def test_values_alone_are_solved_to_the_values_tolerance(lanczos_calls, monkeypatch):
+    import scipy.sparse.linalg as linalg
+
+    solves = []
+    original = linalg.eigsh
+
+    def recording(matrix, k, **kwargs):
+        solves.append((kwargs["return_eigenvectors"], kwargs["tol"]))
+        return original(matrix, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", recording)
+    trace = select(network("n150"), MethodSpec("svps"), restarts=5)
+    # a basis of m pairs at each m >= 2, and one values-only statistic per step
+    basis = [(True, 0)] * sum(step.m >= 2 for step in trace.steps)
+    values = [(False, spectral.LANCZOS_VALUES_TOL)] * len(trace.steps)
+    assert sorted(solves) == sorted(basis + values) and len(trace.steps) > 1
+    assert spectral.LANCZOS_VALUES_TOL == 1e-10
+
+
+def test_statistic_at_the_bulk_edge_matches_dense_values():
+    # n = 1200 takes the Lanczos path at the default LANCZOS_MIN_N; at m = K
+    # the wanted value sits at the edge of the bulk, where Lanczos is slowest
+    adj, labels = sampled_counts((400, 400, 400), rho=0.06)
+    assert spectral._sparse_weights(copy.copy(adj)) is not None
+    for m in (1, 2, 3):
+        fitted = fit_step(adj, Assignment(np.minimum(labels, m - 1), m))
+        value = svps_statistic(copy.copy(adj), fitted)
+        psi = sinkhorn_symmetric(_variance_profile(fitted)).psi
+        dense = np.sort(np.abs(np.linalg.eigvalsh(scaled_matrix(adj.weights, psi))))[::-1][m]
+        assert abs(value - dense) <= 1e-10 * dense, m
 
 
 # float64 matrices with empty rows, zero, -0.0 and diagonal entries

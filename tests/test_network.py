@@ -96,9 +96,10 @@ def test_all_zero_network_round_trips():
     adj = WeightedAdjacency(np.zeros((4, 4)))
     buf = io.StringIO()
     write_edge_list(adj, buf)
-    assert buf.getvalue() == ""
-    again = load_edge_list(io.StringIO(buf.getvalue()), n=4)
-    assert np.array_equal(again.weights, adj.weights)
+    assert buf.getvalue() == "0 0 0.0\n1 1 0.0\n2 2 0.0\n3 3 0.0\n"
+    for declared in (4, None):
+        again = load_edge_list(io.StringIO(buf.getvalue()), n=declared)
+        assert np.array_equal(again.weights, adj.weights)
 
 
 def test_noncontiguous_ids_relabel_and_keep_names():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from commscale import selection
 from commscale.datasets import load_lesmis
@@ -33,7 +34,7 @@ def edge_lists(draw):
     """(indexing, ids, records): a chain through every id plus extra records.
 
     Any weight may be zero, all of them included: the written list of an
-    all-zero network is empty and loads back through the declared n.
+    all-zero network holds one zero self-loop per node.
     """
     indexing = draw(st.sampled_from([0, 1]))
     ids = sorted(draw(st.sets(st.integers(indexing, indexing + 30), min_size=2, max_size=8)))
@@ -66,6 +67,35 @@ def test_edge_list_write_then_load_is_exact(case):
     text = "".join(f"{int(u) + indexing} {int(v) + indexing} {w}\n" for u, v, w in
                    (line.split() for line in buf.getvalue().splitlines()))
     again = load_edge_list(io.StringIO(text), indexing=indexing, n=adj.n)
+    assert np.array_equal(again.weights, adj.weights)
+
+
+@st.composite
+def networks_with_isolated_nodes(draw):
+    """Symmetric weights on 2..8 nodes, a drawn set of them of degree zero."""
+    n = draw(st.integers(2, 8))
+    w = draw(arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), weights)))
+    w = np.triu(w) + np.triu(w, 1).T
+    isolated = list(draw(st.sets(st.integers(0, n - 1))))
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks_with_isolated_nodes())
+@example(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 1.5, 0.0]]))
+@example(np.array([[0.0, 2.0, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+@example(np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+@example(np.zeros((3, 3)))
+def test_edge_list_round_trip_keeps_isolated_nodes(w):
+    # isolated first, in the middle, last and everywhere; loaded without n,
+    # so a node missing from the list would shift the later ones
+    adj = WeightedAdjacency(w)
+    buf = io.StringIO()
+    write_edge_list(adj, buf)
+    again = load_edge_list(io.StringIO(buf.getvalue()))
+    assert again.n == adj.n
     assert np.array_equal(again.weights, adj.weights)
 
 

@@ -9,8 +9,9 @@ The set covers:
   bench.run_experiment would, and again through svps_select and
   score_select as perfbench calls them (shorthand-*);
 - svps_select on the benchmark's n = 1200 network of seed 0, pass 0,
-  which takes the Lanczos path; its step values can differ from those
-  of a dense solve in the last digits;
+  which takes the Lanczos path: ARPACK solves the statistic to 1e-10
+  relative, so its step values can differ from those of a dense solve,
+  or of a change to that tolerance, in the last digits;
 - svps_select on both sides of the variance floor's rule: Les Miserables
   with one isolated node added, and two disconnected copies of it, where
   the floor can bind and the dense profile is scaled; Les Miserables
@@ -26,7 +27,9 @@ The set covers:
   and flags a command does not declare included (scale on a matrix one
   ulp off symmetric and on one with an inf entry, select under the
   bernoulli law on weighted Les Miserables, bench run on a config naming
-  its law negbinom), some with COMMSCALE_SEED set;
+  its law negbinom), some with COMMSCALE_SEED set, and select on the
+  list simulate writes at a rho small enough to leave nodes of degree
+  zero;
 - library calls with bad arguments, among them sinkhorn_symmetric on a
   matrix one ulp off symmetric, on NaN and inf entries and from a NaN
   initial, scaled_matrix with a NaN psi, sample_network on an
@@ -336,7 +339,8 @@ def describe_scores(cs, law) -> str:
 
 
 def cli_runs(cs, tmp: Path):
-    """(file name, argv) for the CLI; OUT in argv stands for a fresh --out path."""
+    """(file name, argv) for the CLI; OUT in argv stands for a fresh --out
+    path, and an --out file named outright is kept for the runs after it."""
     lesmis = str(cs.lesmis_path())
     matrix = tmp / "matrix.csv"
     matrix.write_text("1,2\n2,5\n", encoding="utf-8")
@@ -382,6 +386,12 @@ def cli_runs(cs, tmp: Path):
     yield "cli-simulate-rho-nan.txt", ["simulate", "--rho", "nan", "--r", "2", "--k", "2", "--out", "OUT"]
     yield "cli-simulate-rho-inf.txt", ["simulate", "--rho", "inf", "--r", "2", "--k", "2", "--out", "OUT"]
     yield "cli-simulate-k0.txt", ["simulate", "--rho", "0.12", "--r", "2", "--k", "0", "--out", "OUT"]
+    # at a tiny rho some nodes, not only the last, have degree zero; select
+    # reads the list simulate wrote, so a node lost in writing shows in both
+    tiny = tmp / "simulate-rho-tiny.tsv"
+    yield "cli-simulate-rho-tiny.txt", ["simulate", "--rho", "0.02", "--r", "2", "--k", "2", "--seed", "0",
+                                        "--out", str(tiny)]
+    yield "cli-select-simulated-rho-tiny.txt", ["select", "--input", str(tiny), "--seed", "0", "--out", "OUT"]
     yield "cli-simulate-replicate-negative.txt", [
         "simulate", "--rho", "0.12", "--r", "2", "--k", "2", "--replicate", "-1", "--out", "OUT"]
     yield "cli-bench-lesmis-seed3.txt", ["bench", "lesmis", "--seed", "3", "--out", "OUT"]
@@ -421,7 +431,10 @@ def cli_seed_variable_runs(cs):
 
 def run_cli(main, argv, out: Path, seed_variable=None) -> str:
     """Exit code, stdout, stderr and the --out file of one CLI run, with
-    COMMSCALE_SEED set to seed_variable, or unset when that is None."""
+    COMMSCALE_SEED set to seed_variable, or unset when that is None. OUT in
+    argv stands for out."""
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    out = Path(argv[argv.index("--out") + 1])
     if out.exists():
         out.unlink()
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -430,7 +443,7 @@ def run_cli(main, argv, out: Path, seed_variable=None) -> str:
         env["COMMSCALE_SEED"] = seed_variable
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             mock.patch.dict(os.environ, env, clear=True):
-        code = main([str(out) if arg == "OUT" else arg for arg in argv])
+        code = main(argv)
     written = out.read_text(encoding="utf-8") if out.exists() else "(not written)\n"
     return f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}--- out\n{written}"
 

@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from commscale import emit_csv, parse_config, run_experiment
+from commscale import parse_config, run_experiment
 
 DEFAULT_CONFIG = "configs/sim1_rho012.cfg"
 
@@ -33,7 +33,7 @@ def main(argv=None):
           file=sys.stderr)
 
     table = run_experiment(config, jobs=args.jobs)
-    emit_csv(table, sys.stdout)
+    sys.stdout.write(table.to_csv())
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "run_lesmis",
-    "emit_csv",
 ]
 
 
@@ -53,6 +52,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for key in ("k_list", "n_all"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
             if min(getattr(self, key)) < 1:
                 raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
         for key in ("rho", "r"):
@@ -74,6 +75,17 @@ class Table:
 
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+    def to_csv(self) -> str:
+        """The header, then the rows in order, RFC-4180 quoted, "\\n" line ends."""
+        import csv
+        import io
+
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(self.header)
+        writer.writerows(self.rows)
+        return sink.getvalue()
 
 
 def _parse_method(tokens, lineno) -> MethodSpec:
@@ -187,7 +199,7 @@ def _replicate(config: ExperimentConfig, k: int, rep: int) -> dict:
         spec.label: _k_hat(
             adj,
             spec,
-            # svps keeps the poisson variance until ROADMAP item 3 measures the law's own
+            # svps keeps the poisson variance until ROADMAP item 1 measures the law's own
             dist=None if spec.selector == "svps" else config.distribution,
             m_max=max(12, k + 4) if spec.selector == "svps" else k + 4,
             seed=seed,
@@ -252,13 +264,3 @@ def run_lesmis(
         rows.append((spec.clusterer, spec.selector, variant, "" if k_hat is None else k_hat))
     return Table(("clusterer", "selector", "variant", "k_hat"), tuple(rows))
 
-
-def emit_csv(table, sink) -> None:
-    """Write a table with a stable header and row order, RFC-4180 quoting."""
-    import csv
-
-    with open_text(sink, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow(row)

@@ -10,7 +10,6 @@ one-line human summary; machine-readable artifacts are written only to
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -21,7 +20,7 @@ from . import bench as bench_mod
 from .datasets import load_lesmis
 from .fitting import FitError
 from .model import EDGE_LAWS
-from .network import binarize, load_edge_list, open_text, regularize, write_edge_list
+from .network import binarize, load_edge_list, regularize
 from .scaling import ScalingError, sinkhorn_symmetric
 from .selection import MethodSpec, _cluster_and_fit, select
 from .spectral import ClusterError
@@ -49,8 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _comma_list(convert):
+    """An argparse type reading comma-separated values with convert; its
+    name is what argparse's message calls a value it cannot read."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(t) for t in text.split(","))
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def _add_network_flags(sub):
@@ -109,7 +113,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--rho", type=float, required=True)
     sim.add_argument("--r", type=float, required=True)
     sim.add_argument("--k", type=int, required=True, help="number of communities")
-    sim.add_argument("--n-all", default="50,100,150",
+    sim.add_argument("--n-all", type=_comma_list(int), default="50,100,150",
                      help="comma-separated block sizes; the first k are used")
     sim.add_argument("--replicate", type=int, default=0,
                      help="replicate index: bench run's network of that replicate at this k (default 0)")
@@ -128,7 +132,7 @@ def build_parser() -> _Parser:
     les.add_argument("--input", default=None,
                      help="edge list (default: the packaged co-occurrence network)")
     les.add_argument("--indexing", type=int, choices=(0, 1), default=0)
-    les.add_argument("--tau", type=_floats, default="0.05,0.1,0.25,0.5",
+    les.add_argument("--tau", type=_comma_list(float), default="0.05,0.1,0.25,0.5",
                      help="comma-separated regularization values")
     les.add_argument("--epsilon", type=float, default=0.05)
     _add_common_flags(les, cmd_bench_lesmis, seeded=True)
@@ -165,6 +169,11 @@ def _validate(args) -> None:
                         ("kmeans_restarts", 1), ("jobs", 1)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < least:
             raise UsageError(f"commscale {command}: --{flag.replace('_', '-')} must be >= {least}")
+    n_all = getattr(args, "n_all", None)
+    if n_all is not None and min(n_all) < 1:
+        raise UsageError(f"commscale {command}: --n-all sizes must be >= 1")
+    if n_all is not None and args.k > len(n_all):
+        raise UsageError(f"commscale {command}: --k must be <= {len(n_all)}, the number of --n-all sizes")
 
 
 def _load_network(args):
@@ -174,13 +183,6 @@ def _load_network(args):
     if args.tau:
         adj = regularize(adj, args.tau)
     return adj
-
-
-def _rendered(write, obj) -> str:
-    """What write(obj, sink) writes, as text."""
-    sink = io.StringIO()
-    write(obj, sink)
-    return sink.getvalue()
 
 
 def cmd_select(args) -> tuple[str, str]:
@@ -221,17 +223,16 @@ def cmd_scale(args) -> tuple[str, str]:
 
 
 def cmd_simulate(args) -> tuple[str, str]:
-    n_all = tuple(int(t) for t in args.n_all.split(","))
-    adj = bench_mod._network(args.seed, args.k, args.replicate, args.rho, args.r, n_all, EDGE_LAWS[args.dist],
+    adj = bench_mod._network(args.seed, args.k, args.replicate, args.rho, args.r, args.n_all, EDGE_LAWS[args.dist],
                              args.zero_diagonal)
     nonzero = int(np.count_nonzero(np.triu(adj.weights)))
-    return _rendered(write_edge_list, adj), f"n={adj.n} k={args.k} nonzero_pairs={nonzero}"
+    return adj.to_edge_list(), f"n={adj.n} k={args.k} nonzero_pairs={nonzero}"
 
 
 def cmd_bench_run(args) -> tuple[str, str]:
     config = bench_mod.parse_config(args.config)
     table = bench_mod.run_experiment(config, jobs=args.jobs)
-    return _rendered(bench_mod.emit_csv, table), f"rows={len(table.rows)} replicates={config.replicates}"
+    return table.to_csv(), f"rows={len(table.rows)} replicates={config.replicates}"
 
 
 def cmd_bench_lesmis(args) -> tuple[str, str]:
@@ -240,7 +241,7 @@ def cmd_bench_lesmis(args) -> tuple[str, str]:
     else:
         adj = load_edge_list(args.input, indexing=args.indexing)
     table = bench_mod.run_lesmis(adj, tau_list=args.tau, seed=args.seed, epsilon=args.epsilon)
-    return _rendered(bench_mod.emit_csv, table), f"cells={len(table.rows)}"
+    return table.to_csv(), f"cells={len(table.rows)}"
 
 
 def main(argv=None) -> int:
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     try:
         artifact, summary = args.func(args)
         if args.out:
-            with open_text(args.out, "w") as stream:
+            with open(args.out, "w", encoding="utf-8", newline="") as stream:
                 stream.write(artifact)
     except (FitError, ClusterError, ScalingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Weighted network container and edge-list I/O.
 
-Networks are dense symmetric nonnegative matrices. Up to n of about a
-thousand dense storage is both simpler and faster than sparse; on larger
-networks with few nonzero entries, spectral keeps a CSR copy of the
-weights for its Lanczos path (spectral.LANCZOS_MIN_N).
+load_edge_list reads a network from a path or a stream, and
+WeightedAdjacency.to_edge_list renders one as text; writing a file is
+the caller's. Networks are dense symmetric nonnegative matrices. Up to
+n of about a thousand dense storage is both simpler and faster than
+sparse; on larger networks with few nonzero entries, spectral keeps a
+CSR copy of the weights for its Lanczos path (spectral.LANCZOS_MIN_N).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "WeightedAdjacency",
     "EdgeListError",
     "load_edge_list",
-    "write_edge_list",
     "regularize",
     "binarize",
 ]
@@ -64,22 +65,32 @@ class WeightedAdjacency:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    def to_edge_list(self) -> str:
+        """The nonzero upper triangle (incl. diagonal) as "u v w" lines,
+        and an "i i 0.0" line for each node i of degree zero.
+
+        Node ids are 0-based, in row-major order. Weights have
+        repr-roundtrip precision, and every node appears in some line, so
+        load_edge_list of the text gives the weights back exactly,
+        isolated nodes included.
+        """
+        w = self.weights
+        written = np.triu(w) != 0
+        isolated = np.flatnonzero(~w.any(axis=1))
+        written[isolated, isolated] = True
+        iu, ju = np.nonzero(written)
+        return "".join(f"{i} {j} {float(w[i, j])!r}\n" for i, j in zip(iu.tolist(), ju.tolist()))
+
 
 @contextmanager
-def open_text(target, mode: str = "r"):
-    """Yield target if it is a stream, else the UTF-8 text file it names.
-
-    A file opened here is closed on exit, and written with "\\n" line
-    ends; a stream passed in stays open.
-    """
-    if hasattr(target, "read" if mode == "r" else "write"):
-        yield target
+def open_text(source):
+    """Yield source if it is a stream, else the UTF-8 text file it names,
+    closed on exit; a stream passed in stays open."""
+    if hasattr(source, "read"):
+        yield source
         return
-    stream = open(target, mode, encoding="utf-8", newline=None if mode == "r" else "")
-    try:
+    with open(source, encoding="utf-8") as stream:
         yield stream
-    finally:
-        stream.close()
 
 
 def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> WeightedAdjacency:
@@ -143,25 +154,6 @@ def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> Weight
             w[j, i] += val
     names = tuple(str(orig + indexing) for orig in sorted(index, key=index.get))
     return WeightedAdjacency(w, node_names=names)
-
-
-def write_edge_list(adj: WeightedAdjacency, sink) -> None:
-    """Write the nonzero upper triangle (incl. diagonal) as "u v w" lines,
-    and an "i i 0.0" line for each node i of degree zero.
-
-    Node ids are written 0-based, in row-major order. Weights are written
-    with repr-roundtrip precision, and every node appears in some line, so
-    load_edge_list(write(adj)) gives adj's weights back exactly, isolated
-    nodes included.
-    """
-    w = adj.weights
-    written = np.triu(w) != 0
-    isolated = np.flatnonzero(~w.any(axis=1))
-    written[isolated, isolated] = True
-    iu, ju = np.nonzero(written)
-    with open_text(sink, "w") as stream:
-        for i, j in zip(iu.tolist(), ju.tolist()):
-            stream.write(f"{i} {j} {float(w[i, j])!r}\n")
 
 
 def regularize(adj: WeightedAdjacency, tau: float) -> WeightedAdjacency:

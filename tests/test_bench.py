@@ -11,7 +11,6 @@ from commscale.bench import (
     ExperimentConfig,
     MethodSpec,
     Table,
-    emit_csv,
     parse_config,
     run_experiment,
     run_lesmis,
@@ -113,6 +112,12 @@ def test_config_validation():
         small_config(k_list=(5,))
     with pytest.raises(ValueError, match="need at least one method"):
         small_config(methods=())
+
+
+@pytest.mark.parametrize("key", ["k_list", "n_all"])
+def test_config_rejects_an_empty_list_by_key(key):
+    with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+        small_config(**{key: ()})
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, None, (4, 2)], ids=["negative", "float", "none", "entropy-sequence"])
@@ -285,22 +290,18 @@ def test_adding_methods_keeps_sampled_networks():
     assert svps_rows == list(one.rows)
 
 
-def test_emit_csv_shape_and_determinism(tmp_path):
+def test_table_to_csv_shape_and_determinism():
+    # the file main writes from this text is checked in test_cli
     header = ("K", "method", "accuracy", "replicates", "mean_khat", "failures")
-    table = Table(header, ((2, "svps-score-eps0.05", 1.0, 4, "2", 0),))
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    emit_csv(table, buf1)
-    emit_csv(table, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    lines = buf1.getvalue().splitlines()
-    assert lines[0] == "K,method,accuracy,replicates,mean_khat,failures"
-    assert len(lines) == 2
-    empty = io.StringIO()
-    emit_csv(Table(header, ()), empty)
-    assert empty.getvalue().splitlines() == ["K,method,accuracy,replicates,mean_khat,failures"]
-    path = tmp_path / "out.csv"
-    emit_csv(table, str(path))
-    assert path.read_text() == buf1.getvalue()
+    table = Table(header, ((2, "svps-score-eps0.05", 1.0, 4, "2", 0), (3, "a,b", 0.5, 4, "", 1)))
+    text = table.to_csv()
+    assert text == table.to_csv()
+    assert text == (
+        "K,method,accuracy,replicates,mean_khat,failures\n"
+        "2,svps-score-eps0.05,1.0,4,2,0\n"
+        '3,"a,b",0.5,4,,1\n'
+    )
+    assert Table(header, ()).to_csv() == "K,method,accuracy,replicates,mean_khat,failures\n"
 
 
 def test_run_lesmis_grid_layout():

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from commscale import bench
 from commscale.cli import build_parser, main
 from commscale.datasets import lesmis_path, load_lesmis
-from commscale.network import WeightedAdjacency, write_edge_list
+from commscale.model import EdgeDistribution
+from commscale.network import WeightedAdjacency
 
 
 @pytest.fixture()
@@ -215,6 +217,30 @@ def test_simulate_k_and_replicate_out_of_range_is_usage_error(flag, value, messa
     assert captured.out == "" and not out.exists()
 
 
+SIMULATE = ["simulate", "--rho", "0.1", "--r", "2"]
+
+
+# the message names the list's kind, not the function that reads it
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SIMULATE, "--k", "2", "--n-all", "50,abc"],
+         "commscale simulate: argument --n-all: invalid comma-separated int value: '50,abc'"),
+        ([*SIMULATE, "--k", "2", "--n-all", "0,5"], "commscale simulate: --n-all sizes must be >= 1"),
+        ([*SIMULATE, "--k", "3", "--n-all", "50,60"], "commscale simulate: --k must be <= 2, the number of --n-all sizes"),
+        (["bench", "lesmis", "--tau", "abc"],
+         "commscale bench lesmis: argument --tau: invalid comma-separated float value: 'abc'"),
+    ],
+    ids=["n-all-not-integer", "n-all-zero", "k-over-n-all", "tau-not-number"],
+)
+def test_bad_comma_list_is_usage_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["fit", "--input", lesmis_file, "--m", "3", "--seed", "0", "--out", str(out)])
@@ -231,7 +257,7 @@ def test_fit_emits_parameters(lesmis_file, tmp_path, capsys):
 def half_weights_file(tmp_path):
     # Les Miserables with every weight halved: outside the poisson support
     dest = tmp_path / "half.tsv"
-    write_edge_list(WeightedAdjacency(load_lesmis().weights / 2), str(dest))
+    dest.write_text(WeightedAdjacency(load_lesmis().weights / 2).to_edge_list(), encoding="utf-8")
     return str(dest)
 
 
@@ -299,8 +325,6 @@ def test_simulate_round_trip(tmp_path, capsys):
 def test_simulate_writes_the_replicate_network_of_bench_run(tmp_path, capsys, monkeypatch):
     # simulate --seed S --k K --replicate R and run_experiment's replicate R
     # at K sample through one recipe, so they are one network
-    from commscale import bench
-    from commscale.model import EdgeDistribution
     from commscale.network import load_edge_list
     from commscale.selection import MethodSpec
 
@@ -350,6 +374,38 @@ def test_bench_run_config(tmp_path, capsys):
     assert first.splitlines()[0] == "K,method,accuracy,replicates,mean_khat,failures"
     assert main(["bench", "run", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert out.read_text() == first
+
+
+TINY_CONFIG = "distribution = poisson\nrho = 0.3\nr = 3\nk_list = 2\nn_all = 20,30\nreplicates = 2\nmethod = svps score\n"
+# (argv, the artifact of the same call) of each command whose artifact renders itself
+RENDERED = {
+    "simulate": (
+        ["simulate", "--rho", "0.3", "--r", "3", "--k", "2", "--n-all", "15,20", "--seed", "7", "--replicate", "1"],
+        lambda cfg: bench._network(7, 2, 1, 0.3, 3.0, (15, 20), EdgeDistribution("poisson")).to_edge_list(),
+    ),
+    "bench run": (
+        ["bench", "run", "--config", "CONFIG"],
+        lambda cfg: bench.run_experiment(bench.parse_config(cfg)).to_csv(),
+    ),
+    "bench lesmis": (
+        ["bench", "lesmis", "--tau", "0.1", "--seed", "3"],
+        lambda cfg: bench.run_lesmis(load_lesmis(), tau_list=(0.1,), seed=3).to_csv(),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(RENDERED))
+def test_out_file_holds_the_rendered_artifact(command, tmp_path, capsys):
+    # main writes the text byte for byte: UTF-8 and "\n" line ends on every platform
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG, encoding="utf-8")
+    argv, render = RENDERED[command]
+    out = tmp_path / "artifact.txt"
+    assert main([str(cfg) if arg == "CONFIG" else arg for arg in argv] + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    assert written == render(str(cfg)).encode("utf-8")
+    assert written.endswith(b"\n") and b"\r" not in written
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["bench run", "scale"])

@@ -9,7 +9,6 @@ from commscale.network import (
     binarize,
     load_edge_list,
     regularize,
-    write_edge_list,
 )
 
 
@@ -33,10 +32,8 @@ def test_load_one_indexed():
     assert adj.n == 2
     assert adj.weights[0, 1] == 7
     assert adj.node_names == ("1", "2")
-    buf = io.StringIO()
-    write_edge_list(adj, buf)
-    assert buf.getvalue() == "0 1 7.0\n"
-    assert np.array_equal(load_edge_list(io.StringIO(buf.getvalue())).weights, adj.weights)
+    assert adj.to_edge_list() == "0 1 7.0\n"
+    assert np.array_equal(load_edge_list(io.StringIO(adj.to_edge_list())).weights, adj.weights)
     for bad in (-1, 2):
         with pytest.raises(ValueError, match="indexing must be 0 or 1"):
             load_edge_list(io.StringIO("1 2 7\n"), indexing=bad)
@@ -94,11 +91,9 @@ def test_empty_list_needs_declared_n():
 
 def test_all_zero_network_round_trips():
     adj = WeightedAdjacency(np.zeros((4, 4)))
-    buf = io.StringIO()
-    write_edge_list(adj, buf)
-    assert buf.getvalue() == "0 0 0.0\n1 1 0.0\n2 2 0.0\n3 3 0.0\n"
+    assert adj.to_edge_list() == "0 0 0.0\n1 1 0.0\n2 2 0.0\n3 3 0.0\n"
     for declared in (4, None):
-        again = load_edge_list(io.StringIO(buf.getvalue()), n=declared)
+        again = load_edge_list(io.StringIO(adj.to_edge_list()), n=declared)
         assert np.array_equal(again.weights, adj.weights)
 
 
@@ -116,9 +111,7 @@ def test_round_trip_is_bit_identical():
     w = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.5), 1)
     w = w + w.T
     adj = WeightedAdjacency(w)
-    buf = io.StringIO()
-    write_edge_list(adj, buf)
-    again = load_edge_list(io.StringIO(buf.getvalue()), n=6)
+    again = load_edge_list(io.StringIO(adj.to_edge_list()), n=6)
     assert np.array_equal(adj.weights, again.weights)
 
 

@@ -20,7 +20,7 @@ from commscale.model import (
     sample_network,
     simulation_params,
 )
-from commscale.network import WeightedAdjacency, load_edge_list, regularize, write_edge_list
+from commscale.network import WeightedAdjacency, load_edge_list, regularize
 from commscale.scaling import sinkhorn_symmetric
 from commscale.selection import MethodSpec, cbic_score, score_select, select, svps_select, svps_statistic
 from commscale.spectral import Assignment
@@ -61,11 +61,9 @@ def test_edge_list_write_then_load_is_exact(case):
             expected[j, i] += w
     assert adj.node_names == tuple(str(i) for i in ids)
     assert np.array_equal(adj.weights, expected)
-    buf = io.StringIO()
-    write_edge_list(adj, buf)
-    # the list is written 0-based; shift its ids to the base it is loaded in
+    # the list is rendered 0-based; shift its ids to the base it is loaded in
     text = "".join(f"{int(u) + indexing} {int(v) + indexing} {w}\n" for u, v, w in
-                   (line.split() for line in buf.getvalue().splitlines()))
+                   (line.split() for line in adj.to_edge_list().splitlines()))
     again = load_edge_list(io.StringIO(text), indexing=indexing, n=adj.n)
     assert np.array_equal(again.weights, adj.weights)
 
@@ -92,9 +90,7 @@ def test_edge_list_round_trip_keeps_isolated_nodes(w):
     # isolated first, in the middle, last and everywhere; loaded without n,
     # so a node missing from the list would shift the later ones
     adj = WeightedAdjacency(w)
-    buf = io.StringIO()
-    write_edge_list(adj, buf)
-    again = load_edge_list(io.StringIO(buf.getvalue()))
+    again = load_edge_list(io.StringIO(adj.to_edge_list()))
     assert again.n == adj.n
     assert np.array_equal(again.weights, adj.weights)
 

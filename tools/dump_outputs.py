@@ -20,16 +20,17 @@ The set covers:
   the last digits; and the binarized network under the bernoulli
   variance, whose fits all fail on a mean of 1 or more;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
-  replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as emit_csv
-  writes them;
+  replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as
+  Table.to_csv renders them;
 - CLI runs of select, fit, scale, simulate, bench run and bench lesmis,
   each with its exit code, stdout, stderr and --out file, error cases
   and flags a command does not declare included (scale on a matrix one
   ulp off symmetric and on one with an inf entry, select under the
   bernoulli law on weighted Les Miserables, bench run on a config naming
-  its law negbinom), some with COMMSCALE_SEED set, and select on the
-  list simulate writes at a rho small enough to leave nodes of degree
-  zero;
+  its law negbinom, simulate with --n-all sizes that are not integers,
+  below 1 or fewer than --k, bench lesmis with a --tau that is not a
+  number), some with COMMSCALE_SEED set, and select on the list
+  simulate writes at a rho small enough to leave nodes of degree zero;
 - library calls with bad arguments, among them sinkhorn_symmetric on a
   matrix one ulp off symmetric, on NaN and inf entries and from a NaN
   initial, scaled_matrix with a NaN psi, sample_network on an
@@ -394,10 +395,15 @@ def cli_runs(cs, tmp: Path):
     yield "cli-select-simulated-rho-tiny.txt", ["select", "--input", str(tiny), "--seed", "0", "--out", "OUT"]
     yield "cli-simulate-replicate-negative.txt", [
         "simulate", "--rho", "0.12", "--r", "2", "--k", "2", "--replicate", "-1", "--out", "OUT"]
+    for name, k, n_all in (("n-all-not-integer", "2", "50,abc"), ("n-all-zero", "2", "0,5"),
+                           ("k-over-n-all", "3", "50,60")):
+        yield f"cli-simulate-{name}.txt", [
+            "simulate", "--rho", "0.1", "--r", "2", "--k", k, "--n-all", n_all, "--out", "OUT"]
     yield "cli-bench-lesmis-seed3.txt", ["bench", "lesmis", "--seed", "3", "--out", "OUT"]
     yield "cli-bench-lesmis-epsilon-nan.txt", ["bench", "lesmis", "--epsilon", "nan", "--out", "OUT"]
     yield "cli-bench-lesmis-seed-negative.txt", ["bench", "lesmis", "--seed", "-1", "--out", "OUT"]
     yield "cli-bench-lesmis-tau-negative.txt", ["bench", "lesmis", "--tau", "0.1,-0.5", "--out", "OUT"]
+    yield "cli-bench-lesmis-tau-not-number.txt", ["bench", "lesmis", "--tau", "abc", "--out", "OUT"]
     copy = tmp / "lesmis.tsv"
     shutil.copy(lesmis, copy)
     yield "cli-bench-lesmis-input.txt", ["bench", "lesmis", "--input", str(copy), "--tau", "0.1", "--out", "OUT"]
@@ -444,7 +450,8 @@ def run_cli(main, argv, out: Path, seed_variable=None) -> str:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             mock.patch.dict(os.environ, env, clear=True):
         code = main(argv)
-    written = out.read_text(encoding="utf-8") if out.exists() else "(not written)\n"
+    # bytes, not text, so a change of line ends shows in the dump
+    written = out.read_bytes().decode("utf-8") if out.exists() else "(not written)\n"
     return f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}--- out\n{written}"
 
 
@@ -486,9 +493,7 @@ def main(argv=None) -> int:
     for name, call in (*kmeans_runs(cs), *likelihood_runs(cs)):
         write(name, call())
     for name, call in table_runs(cs):
-        buf = io.StringIO()
-        cs.emit_csv(call(), buf)
-        write(name, buf.getvalue())
+        write(name, call().to_csv())
     with tempfile.TemporaryDirectory() as tmp:
         for name, cli_argv in cli_runs(cs, Path(tmp)):
             write(name, run_cli(cli_main, cli_argv, Path(tmp) / "out"))

@@ -11,7 +11,6 @@ share their clustered steps, as every cell of run_lesmis does.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
@@ -22,6 +21,7 @@ from .fitting import FitError
 from .model import THETA_MIXTURE, EdgeDistribution, edge_law, make_rng, mean_matrix, sample_network, simulation_params
 from .network import WeightedAdjacency, binarize, open_text, regularize
 from .selection import MethodSpec, select
+from .spectral import _checked_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -47,8 +47,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _checked_seed(self.seed)
         if not self.methods:
             raise ValueError("need at least one method")
         for key in ("k_list", "n_all"):
@@ -59,6 +58,8 @@ class ExperimentConfig:
         for key in ("rho", "r"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        if len(set(self.k_list)) < len(self.k_list):
+            raise ValueError(f"k_list must not repeat a value, got {self.k_list}")
         if max(self.k_list) > len(self.n_all):
             raise ValueError("k_list exceeds available block sizes")
         # the sampler's mean cap, checked up front at the mixture's largest theta

@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .fitting import FitError, FittedStep, _variance_profile, fit_step, floor_po
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import ClusterError, _lanczos, _sparse_weights, rsc_cluster, score_cluster
+from .spectral import ClusterError, _checked_seed, _lanczos, _sparse_weights, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -235,8 +234,7 @@ def select(
         m_max = 12 if svps else 10
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = _checked_seed(seed)
     if dist is None and not svps:
         raise ValueError(f"{spec.selector} needs a likelihood law")
     law = edge_law("poisson" if dist is None else dist)
@@ -254,7 +252,7 @@ def select(
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
-            fitted = _cluster_and_fit(adj, m, spec.clusterer, int(seed), restarts, law)
+            fitted = _cluster_and_fit(adj, m, spec.clusterer, seed, restarts, law)
             if svps:
                 value = svps_statistic(adj, fitted)
             elif spec.selector == "cbic":

@@ -21,11 +21,17 @@ from the distances ((x - c) ** 2).sum() itself gives, so the labels do
 not depend on the BLAS. Distances and WCSS are summed in numpy's own
 order. Each restart draws from its own generator and stops at its own
 convergence test (or when its labels repeat), so its labels are those it
-would reach alone.
+would reach alone. The k-means++ draws of the last (seed, restarts, n)
+are memoised: each restart's first draw and a tape of its uniforms, which
+grows when a larger m needs more, so calls that share a seed, as the
+steps of a selection do, spawn their generators once. A seed is an integer >= 0
+(numpy integers too), the rule select and ExperimentConfig apply.
 """
 
 from __future__ import annotations
 
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,13 @@ LANCZOS_MAX_DENSITY = 0.25
 # ARPACK missed the second copy of a double eigenvalue (a ring lattice).
 # Basis solves stay at 0, machine precision: k-means reads their vectors.
 LANCZOS_VALUES_TOL = 1e-10
+
+
+def _checked_seed(seed) -> int:
+    """seed as an int, if it is an integer >= 0 (numpy integers too); else ValueError."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 class ClusterError(RuntimeError):
@@ -215,28 +228,76 @@ def _sq_dist(xt: np.ndarray, coord) -> np.ndarray:
     return total
 
 
-def _plusplus_init(x: np.ndarray, m: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """(r, m, d) k-means++ starts, one restart per generator.
+# The last k-means seed's k-means++ draws, ((seed, restarts, n), children,
+# first, tape, rngs): restart i's SeedSequence child, its first draw
+# integers(n), a (restarts, L) tape of its next L random() draws, and its
+# generator, advanced past them. A call on another (seed, restarts, n)
+# replaces the whole tuple, so a caller still holding the old one keeps
+# its arrays unchanged. The lock keeps two threads from advancing the
+# generators for one tape.
+_draws: tuple = (None,)
+_draws_lock = threading.Lock()
 
-    Each generator draws what Generator.choice(n, p=d2 / total) would:
-    one random() mapped through the normalized cumulative sum, or
-    integers(n) when every row sits on a centre already.
+
+def _plusplus_draws(seed: int, restarts: int, n: int, columns: int) -> tuple:
+    """(children, first, tape) of _draws for (seed, restarts, n), the tape
+    at least ``columns`` wide, read-only.
+
+    The tape grows with rng.random(extra) on the live generators, the same
+    values as extra single random() calls, so restart i's draws at any
+    width are a prefix of its draws at a greater one.
+    """
+    global _draws
+    key = (seed, restarts, n)
+    with _draws_lock:
+        if _draws[0] != key:
+            children = np.random.SeedSequence(seed).spawn(restarts)
+            rngs = [np.random.default_rng(child) for child in children]
+            first = np.array([rng.integers(n) for rng in rngs])
+            first.flags.writeable = False
+            _draws = (key, children, first, np.empty((restarts, 0)), rngs)
+        key, children, first, tape, rngs = _draws
+        if tape.shape[1] < columns:
+            extra = columns - tape.shape[1]
+            tape = np.hstack([tape, np.array([rng.random(extra) for rng in rngs])])
+            tape.flags.writeable = False
+            _draws = (key, children, first, tape, rngs)
+    return children, first, tape
+
+
+def _plusplus_init(x: np.ndarray, m: int, seed: int, restarts: int) -> np.ndarray:
+    """(restarts, m, d) k-means++ starts, restart i drawing what
+    default_rng(SeedSequence(seed).spawn(restarts)[i]) would.
+
+    Generator.choice(n, p=d2 / total) draws one random() mapped through
+    the normalized cumulative sum, or integers(n) when every row sits on a
+    centre already. Centre 0 takes the first draw of _plusplus_draws and
+    centre k its tape column k - 1. A restart whose rows all sit on
+    centres from centre k on (it stays so, as d2 only falls) replays its
+    own child instead: integers(n), k - 1 random(), then integers(n) per
+    further centre, leaving the memo untouched.
     """
     n = x.shape[0]
+    children, first, tape = _plusplus_draws(seed, restarts, n, m - 1)
     xt = np.ascontiguousarray(x.T)
-    centers = np.empty((len(rngs), m, x.shape[1]))
-    centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    centers = np.empty((restarts, m, x.shape[1]))
+    centers[:, 0] = x[first]
     d2 = _sq_dist(xt, lambda j: centers[:, 0, j, None])
+    replays = {}
     for k in range(1, m):
         total = d2.sum(axis=1)
-        spread = total > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             cdf = (d2 / total[:, None]).cumsum(axis=1)
             cdf /= cdf[:, -1:]
-        draws = np.array([rng.random() if s else rng.integers(n) for rng, s in zip(rngs, spread)])
         # a uniform draw u picks cdf.searchsorted(u, side="right"), the
-        # count of entries <= u; an integer draw is the index itself
-        idx = np.where(spread, (cdf <= draws[:, None]).sum(axis=1), draws.astype(np.intp))
+        # count of entries <= u
+        idx = (cdf <= tape[:, k - 1, None]).sum(axis=1)
+        for i in np.flatnonzero(~(total > 0)):
+            if i not in replays:
+                replays[i] = np.random.default_rng(children[i])
+                replays[i].integers(n)
+                replays[i].random(k - 1)
+            idx[i] = replays[i].integers(n)
         centers[:, k] = x[idx]
         d2 = np.minimum(d2, _sq_dist(xt, lambda j: centers[:, k, j, None]))
     return centers
@@ -248,10 +309,16 @@ def _exact_nearest(x: np.ndarray, centers: np.ndarray, rows: np.ndarray, points:
     return np.argmin(d2, axis=0)
 
 
-def _assign(x: np.ndarray, centers: np.ndarray):
+def _point_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[x, 1]^T, |x|^2 per row and x^T, contiguous: what _assign reads of x."""
+    return np.column_stack([x, np.ones(len(x))]).T, (x ** 2).sum(axis=1), np.ascontiguousarray(x.T)
+
+
+def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple | None = None):
     """Per restart: nearest-centre labels (r, n), their squared distances
     (r, n) and the cluster sizes (r, m), those of ((x - c) ** 2).sum() per
     row and centre with ties to the lower centre, whatever the BLAS.
+    parts is _point_parts(x), built here when not given.
 
     One matmul gives every h_k = |c_k|^2 - 2 c_k.x (|x|^2 is common to all
     k), the least naming the candidate. Let u = 2**-53, g_j = ju / (1 - ju),
@@ -266,10 +333,11 @@ def _assign(x: np.ndarray, centers: np.ndarray):
     near ties, inf, NaN) are labelled by _exact_nearest.
     """
     r, m, d = centers.shape
+    x1t, x_norms, xt = _point_parts(x) if parts is None else parts
     flat_centers = centers.reshape(r * m, d)
     norms = (flat_centers ** 2).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        h = np.column_stack([-2.0 * flat_centers, norms]) @ np.column_stack([x, np.ones(len(x))]).T
+        h = np.column_stack([-2.0 * flat_centers, norms]) @ x1t
         h = h.reshape(r, m, -1)
         labels = np.zeros(h[:, 0].shape, dtype=np.intp)
         best, second = h[:, 0].copy(), np.full_like(h[:, 0], np.inf)
@@ -278,20 +346,21 @@ def _assign(x: np.ndarray, centers: np.ndarray):
             np.maximum(labels, (h[:, k] < best) * k, out=labels)
             np.minimum(second, np.maximum(best, h[:, k]), out=second)
             np.minimum(best, h[:, k], out=best)
-        scale = norms.reshape(r, m).max(axis=1)[:, None] + (x ** 2).sum(axis=1)
+        scale = norms.reshape(r, m).max(axis=1)[:, None] + x_norms
         bound = 24 * (d + 1) * np.finfo(float).eps * scale + np.finfo(float).tiny
         rows, points = np.nonzero(~(second - best > bound))
     if rows.size:
         labels[rows, points] = _exact_nearest(x, centers, rows, points)
     flat = labels + m * np.arange(r)[:, None]
     coords = np.ascontiguousarray(flat_centers.T)
-    point_d2 = _sq_dist(np.ascontiguousarray(x.T), lambda j: coords[j].take(flat))
+    point_d2 = _sq_dist(xt, lambda j: coords[j].take(flat))
     counts = np.bincount(flat.ravel(), minlength=r * m).reshape(r, m)
     return labels, point_d2, counts
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
-    """Lloyd's algorithm on every restart at once, updating centers in place.
+def _lloyd(x: np.ndarray, centers: np.ndarray):
+    """Lloyd's algorithm on every restart at once, updating centers in
+    place; returns _assign of the final centres.
 
     A restart leaves the batch at its own convergence test, or when its
     labels repeat those of its last iteration: the same labels give the
@@ -303,6 +372,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
     n, d = x.shape
     r, m, _ = centers.shape
     tiled = np.tile(x.T, r)
+    parts = _point_parts(x)
     prev = np.full(r, np.inf)
     last = np.full((r, n), -1)
     active = np.arange(r)
@@ -310,7 +380,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
         if active.size == 0:
             break
         batch = centers[active]
-        labels, point_d2, counts = _assign(x, batch)
+        labels, point_d2, counts = _assign(x, batch, parts)
         empty = (counts == 0).any(axis=1)
         # reseed each empty cluster at the point farthest from its centre
         for i in np.flatnonzero(empty):
@@ -333,6 +403,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> None:
         last[active] = np.where(full[:, None], labels, -1)
         centers[active] = batch
         active = active[~converged]
+    return _assign(x, centers, parts)
 
 
 def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
@@ -340,10 +411,13 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
 
     The restarts run as one batch, each drawing from its own generator
     spawned from ``SeedSequence(seed)``, so the result does not depend on
-    the batching. Deterministic given the seed; WCSS ties keep the lowest
-    restart index. Raises ClusterError if every restart ends with an
-    empty cluster, which can only happen when m exceeds the number of
-    distinct rows.
+    the batching. Deterministic given the seed, an integer >= 0 (numpy
+    integers too; else ValueError); WCSS ties keep the lowest restart
+    index. The draws come from a memo of the last (seed, restarts, n),
+    whose entries are prefixes of each generator's stream, so labels do
+    not depend on the calls before. Raises ClusterError if every restart
+    ends with an empty cluster, which can only happen when m exceeds the
+    number of distinct rows.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -353,12 +427,10 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
         raise ValueError(f"m={m} out of range 1..{n}")
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
+    seed = _checked_seed(seed)
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
-    centers = _plusplus_init(x, m, rngs)
-    _lloyd(x, centers)
-    labels, point_d2, counts = _assign(x, centers)
+    labels, point_d2, counts = _lloyd(x, _plusplus_init(x, m, seed, restarts))
     valid = np.flatnonzero((counts > 0).all(axis=1))
     if valid.size == 0:
         raise ClusterError(f"every k-means restart left one of {m} clusters empty")
@@ -410,7 +482,9 @@ def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) ->
     Column k holds u_{k+1}(i) / u_1(i), clamped to [-log n, log n].
     Entries where u_1(i) = 0 are mapped to the clamp bound (0 when the
     numerator is also 0). m = 1 returns the single-cluster assignment.
+    The seed is checked as kmeans checks it, at every m.
     """
+    _checked_seed(seed)
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     vectors = _basis(adj, "score", m)
@@ -427,8 +501,10 @@ def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> A
     Adds 0.25 * mean degree / n to every entry, forms the normalized
     adjacency D^{-1/2} A_reg D^{-1/2} (zero-degree rows stay zero),
     takes the top-m eigenvectors by magnitude, l2-normalizes the rows
-    (zero rows stay zero) and k-means them.
+    (zero rows stay zero) and k-means them. The seed is checked as kmeans
+    checks it, at every m.
     """
+    _checked_seed(seed)
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     rows = _basis(adj, "rsc", m).copy()

@@ -114,6 +114,13 @@ def test_config_validation():
         small_config(methods=())
 
 
+@pytest.mark.parametrize("k_list", [(2, 2), (2, 3, 2)])
+def test_config_rejects_a_repeated_k(k_list):
+    # a repeat would sample and select every task of that K twice
+    with pytest.raises(ValueError, match=r"^k_list must not repeat a value, got \("):
+        small_config(k_list=k_list)
+
+
 @pytest.mark.parametrize("key", ["k_list", "n_all"])
 def test_config_rejects_an_empty_list_by_key(key):
     with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
@@ -225,6 +232,7 @@ def test_parse_config_rejects_bad_values_by_key_and_line(line, message):
         # well-formed numbers out of range, named by key
         ("k_list", "0", r"k_list entries must be >= 1, got \(0,\)"),
         ("k_list", "2,-1", r"k_list entries must be >= 1, got \(2, -1\)"),
+        ("k_list", "2,2", r"k_list must not repeat a value, got \(2, 2\)"),
         ("n_all", "0,20", r"n_all entries must be >= 1, got \(0, 20\)"),
         ("n_all", "-3,20", r"n_all entries must be >= 1, got \(-3, 20\)"),
         ("n_all", "20,30,0", r"n_all entries must be >= 1, got \(20, 30, 0\)"),

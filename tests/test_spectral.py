@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -298,7 +301,8 @@ def reference_lloyd(x, m, rng, reseeds):
 
 
 def assert_kmeans_matches_reference(rows, m, seed=0, restarts=50):
-    """Same labels in every restart and the same chosen Assignment.
+    """Same k-means++ starts and labels in every restart and the same
+    chosen Assignment.
 
     Returns the number of empty-cluster reseeds the reference made.
     """
@@ -307,9 +311,12 @@ def assert_kmeans_matches_reference(rows, m, seed=0, restarts=50):
     reseeds = []
     ref = [reference_lloyd(x, m, np.random.default_rng(c), reseeds) for c in children]
 
-    centers = spectral._plusplus_init(x, m, [np.random.default_rng(c) for c in children])
-    spectral._lloyd(x, centers)
-    labels, _, counts = spectral._assign(x, centers)
+    centers = spectral._plusplus_init(x, m, seed, restarts)
+    for i, child in enumerate(children):
+        # draws past a zero-distance centre show here only: the labels
+        # of m > distinct rows are an empty cluster whatever they are
+        assert np.array_equal(centers[i], reference_plusplus_init(x, m, np.random.default_rng(child))), f"restart {i}"
+    labels, _, counts = spectral._lloyd(x, centers)
     for i, result in enumerate(ref):
         assert (result is None) == (counts[i] == 0).any(), f"restart {i}"
         if result is not None:
@@ -375,6 +382,106 @@ def test_kmeans_matches_sequential_reference_when_every_restart_empties():
     rows = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), [4, 3, 5], axis=0)
     assert assert_kmeans_matches_reference(rows, 4, restarts=5) > 0
     assert_kmeans_matches_reference(rows, 3, restarts=5)
+
+
+# kmeans memoises the last (seed, restarts, n)'s k-means++ draws. Whatever
+# ran before, a call must give the labels it gives on an empty memo.
+
+def cold_kmeans(monkeypatch, rows, m, seed, restarts):
+    """kmeans's labels, or ClusterError, on an empty draw memo; the memo is restored after."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_draws", (None,))
+        return warm_kmeans(rows, m, seed, restarts)
+
+
+def warm_kmeans(rows, m, seed, restarts):
+    try:
+        return kmeans(rows, m, seed=seed, restarts=restarts).labels.tolist()
+    except ClusterError:
+        return ClusterError
+
+
+def assert_history_free(monkeypatch, calls):
+    """Each (rows, m, seed, restarts) in turn gives its cold labels, and the
+    first matches the sequential reference afterwards."""
+    expected = [cold_kmeans(monkeypatch, *call) for call in calls]
+    monkeypatch.setattr(spectral, "_draws", (None,))
+    assert [warm_kmeans(*call) for call in calls] == expected
+    assert_kmeans_matches_reference(calls[0][0], calls[0][1], seed=calls[0][2], restarts=calls[0][3])
+
+
+def spread_rows(n, seed=4):
+    return np.random.default_rng(seed).normal(size=(n, 2))
+
+
+def three_points(n):
+    """n rows on three distinct points: every k-means++ draw past the third
+    centre finds all distances zero and draws integers(n)."""
+    return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])[np.arange(n) % 3]
+
+
+def test_kmeans_draws_ignore_a_larger_m_run_first(monkeypatch):
+    rows = spread_rows(40)
+    assert_history_free(monkeypatch, [(rows, 2, 3, 8), (rows, 5, 3, 8), (rows, 2, 3, 8), (rows, 4, 3, 8)])
+
+
+def test_kmeans_draws_ignore_another_seed_restarts_or_n_between(monkeypatch):
+    rows = spread_rows(40)
+    calls = [(rows, 3, 1, 8), (rows, 3, 2, 8), (rows, 4, 1, 8), (rows, 3, 1, 5), (rows, 5, 1, 8)]
+    calls += [(spread_rows(30), 3, 1, 8), (rows, 6, 1, 8), (spread_rows(50), 6, 1, 8)]
+    assert_history_free(monkeypatch, calls)
+
+
+def test_kmeans_draws_ignore_a_zero_distance_call_between(monkeypatch):
+    # the three-point call falls back to integers(n) at the fourth centre
+    # of every restart, and grows the tape on the way; the calls after it
+    # read tape columns past the fallback
+    rows = spread_rows(30)
+    calls = [(rows, 2, 0, 6), (three_points(30), 6, 0, 6), (rows, 8, 0, 6), (three_points(30), 3, 0, 6)]
+    assert cold_kmeans(monkeypatch, *calls[1]) is ClusterError
+    assert_history_free(monkeypatch, calls)
+    # three draws of integers(n) per restart, past two uniforms: the first
+    # takes the half of a 64-bit word the first centre's draw left
+    # buffered, the next ones fresh words, so each must come at its place
+    assert_kmeans_matches_reference(three_points(30), 6, seed=0, restarts=6)
+
+
+def test_kmeans_draws_ignore_other_threads(monkeypatch):
+    # threads on two seeds and two n take turns at the one memo entry
+    calls = [(spread_rows(n), m, seed, 6) for n in (30, 31) for seed in (0, 1) for m in (2, 4, 7)]
+    expected = [cold_kmeans(monkeypatch, *call) for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(warm_kmeans, *call) for _ in range(8) for call in calls]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 8
+
+
+@pytest.mark.parametrize(
+    "seed", [None, 1.5, -1, [3], (4, 2), np.float64(3.0)], ids=["none", "float", "negative", "list", "tuple", "numpy-float"]
+)
+def test_clusterers_take_only_an_integer_seed(seed):
+    rows = spread_rows(12)
+    adj, _ = block_adjacency((6, 6))
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        kmeans(rows, 2, seed=seed)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            score_cluster(adj, m, seed=seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            rsc_cluster(adj, m, seed=seed)
+
+
+def test_clusterers_take_a_numpy_integer_seed():
+    rows = spread_rows(12)
+    adj, _ = block_adjacency((6, 6))
+    assert np.array_equal(kmeans(rows, 3, seed=np.int64(3)).labels, kmeans(rows, 3, seed=3).labels)
+    for clusterer in (score_cluster, rsc_cluster):
+        assert np.array_equal(clusterer(adj, 2, seed=np.uint8(3)).labels, clusterer(adj, 2, seed=3).labels)
 
 
 # The eigenpairs and SCORE ratios as they were computed before the basis

@@ -41,6 +41,8 @@ The set covers:
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
+  and at m = 5 then m = 2 on one seed and rows, so the second call
+  reads the k-means++ draws the first left memoised;
 - svps, cbic and icl traces on networks sampled from the binomial (5
   trials) and negative binomial laws, each selector given the sampling
   law, and cbic_score and icl_score under every
@@ -282,22 +284,20 @@ def kmeans_runs(cs):
     for name, (rows, m) in inputs.items():
         for seed in (0, 1):
             yield f"kmeans-{name}-m{m}-seed{seed}.txt", partial(describe_kmeans, cs, rows, m, seed)
+    # m = 2 right after m = 5 at one seed, which reads a prefix of the draws m = 5 made
+    spread = rng(14).normal(size=(40, 2))
+    yield "kmeans-m5-then-m2-seed0.txt", lambda: "".join(f"m {m}\n{describe_kmeans(cs, spread, m, 0)}" for m in (5, 2))
 
 
 def describe_kmeans(cs, rows, m, seed) -> str:
     """kmeans's labels (or its error), then each restart's final WCSS by repr."""
-    import numpy as np
-
     try:
         text = f"labels {cs.kmeans(rows, m, seed=seed, restarts=RESTARTS).labels.tolist()}\n"
     except cs.ClusterError as exc:
         text = f"ClusterError: {exc}\n"
-    # the restarts as kmeans runs them, through helpers present at both commits
+    # the restarts as kmeans runs them
     spectral = cs.spectral
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(RESTARTS)]
-    centers = spectral._plusplus_init(rows, m, rngs)
-    spectral._lloyd(rows, centers)
-    _, point_d2, counts = spectral._assign(rows, centers)
+    _, point_d2, counts = spectral._lloyd(rows, spectral._plusplus_init(rows, m, seed, RESTARTS))
     for i in range(RESTARTS):
         wcss = repr(float(point_d2[i].sum())) if (counts[i] > 0).all() else "empty cluster"
         text += f"restart {i} wcss {wcss}\n"

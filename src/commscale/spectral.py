@@ -22,17 +22,17 @@ not depend on the BLAS. Distances and WCSS are summed in numpy's own
 order. Each restart draws from its own generator and stops at its own
 convergence test (or when its labels repeat), so its labels are those it
 would reach alone. The k-means++ draws of the last (seed, restarts, n)
-are memoised: each restart's first draw and a tape of its uniforms, which
-grows when a larger m needs more, so calls that share a seed, as the
-steps of a selection do, spawn their generators once. A seed is an integer >= 0
+are memoised: each restart's first draw and a tape of its next n - 1
+uniforms, enough for any m, so calls that share a seed, as the steps of
+a selection do, spawn their generators once. A seed is an integer >= 0
 (numpy integers too), the rule select and ExperimentConfig apply.
 """
 
 from __future__ import annotations
 
 import numbers
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -228,40 +228,21 @@ def _sq_dist(xt: np.ndarray, coord) -> np.ndarray:
     return total
 
 
-# The last k-means seed's k-means++ draws, ((seed, restarts, n), children,
-# first, tape, rngs): restart i's SeedSequence child, its first draw
-# integers(n), a (restarts, L) tape of its next L random() draws, and its
-# generator, advanced past them. A call on another (seed, restarts, n)
-# replaces the whole tuple, so a caller still holding the old one keeps
-# its arrays unchanged. The lock keeps two threads from advancing the
-# generators for one tape.
-_draws: tuple = (None,)
-_draws_lock = threading.Lock()
+@lru_cache(maxsize=1)
+def _plusplus_draws(seed: int, restarts: int, n: int) -> tuple:
+    """(children, first, tape) of the last (seed, restarts, n), read-only:
+    restart i's SeedSequence child, its first draw integers(n) and a
+    (restarts, n - 1) tape of its next n - 1 random() draws.
 
-
-def _plusplus_draws(seed: int, restarts: int, n: int, columns: int) -> tuple:
-    """(children, first, tape) of _draws for (seed, restarts, n), the tape
-    at least ``columns`` wide, read-only.
-
-    The tape grows with rng.random(extra) on the live generators, the same
-    values as extra single random() calls, so restart i's draws at any
-    width are a prefix of its draws at a greater one.
+    rng.random(n - 1) gives the values of n - 1 single random() calls,
+    and m <= n centres read at most n - 1 of them, so every m reads a
+    prefix of one tape.
     """
-    global _draws
-    key = (seed, restarts, n)
-    with _draws_lock:
-        if _draws[0] != key:
-            children = np.random.SeedSequence(seed).spawn(restarts)
-            rngs = [np.random.default_rng(child) for child in children]
-            first = np.array([rng.integers(n) for rng in rngs])
-            first.flags.writeable = False
-            _draws = (key, children, first, np.empty((restarts, 0)), rngs)
-        key, children, first, tape, rngs = _draws
-        if tape.shape[1] < columns:
-            extra = columns - tape.shape[1]
-            tape = np.hstack([tape, np.array([rng.random(extra) for rng in rngs])])
-            tape.flags.writeable = False
-            _draws = (key, children, first, tape, rngs)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    rngs = [np.random.default_rng(child) for child in children]
+    first = np.array([rng.integers(n) for rng in rngs])
+    tape = np.array([rng.random(n - 1) for rng in rngs])
+    first.flags.writeable = tape.flags.writeable = False
     return children, first, tape
 
 
@@ -278,7 +259,7 @@ def _plusplus_init(x: np.ndarray, m: int, seed: int, restarts: int) -> np.ndarra
     further centre, leaving the memo untouched.
     """
     n = x.shape[0]
-    children, first, tape = _plusplus_draws(seed, restarts, n, m - 1)
+    children, first, tape = _plusplus_draws(seed, restarts, n)
     xt = np.ascontiguousarray(x.T)
     centers = np.empty((restarts, m, x.shape[1]))
     centers[:, 0] = x[first]
@@ -314,11 +295,11 @@ def _point_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.column_stack([x, np.ones(len(x))]).T, (x ** 2).sum(axis=1), np.ascontiguousarray(x.T)
 
 
-def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple | None = None):
+def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
     """Per restart: nearest-centre labels (r, n), their squared distances
     (r, n) and the cluster sizes (r, m), those of ((x - c) ** 2).sum() per
     row and centre with ties to the lower centre, whatever the BLAS.
-    parts is _point_parts(x), built here when not given.
+    parts is _point_parts(x).
 
     One matmul gives every h_k = |c_k|^2 - 2 c_k.x (|x|^2 is common to all
     k), the least naming the candidate. Let u = 2**-53, g_j = ju / (1 - ju),
@@ -333,7 +314,7 @@ def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple | None = None):
     near ties, inf, NaN) are labelled by _exact_nearest.
     """
     r, m, d = centers.shape
-    x1t, x_norms, xt = _point_parts(x) if parts is None else parts
+    x1t, x_norms, xt = parts
     flat_centers = centers.reshape(r * m, d)
     norms = (flat_centers ** 2).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -387,11 +384,10 @@ def test_kmeans_matches_sequential_reference_when_every_restart_empties():
 # kmeans memoises the last (seed, restarts, n)'s k-means++ draws. Whatever
 # ran before, a call must give the labels it gives on an empty memo.
 
-def cold_kmeans(monkeypatch, rows, m, seed, restarts):
-    """kmeans's labels, or ClusterError, on an empty draw memo; the memo is restored after."""
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_draws", (None,))
-        return warm_kmeans(rows, m, seed, restarts)
+def cold_kmeans(rows, m, seed, restarts):
+    """kmeans's labels, or ClusterError, on an empty draw memo."""
+    spectral._plusplus_draws.cache_clear()
+    return warm_kmeans(rows, m, seed, restarts)
 
 
 def warm_kmeans(rows, m, seed, restarts):
@@ -401,11 +397,11 @@ def warm_kmeans(rows, m, seed, restarts):
         return ClusterError
 
 
-def assert_history_free(monkeypatch, calls):
+def assert_history_free(calls):
     """Each (rows, m, seed, restarts) in turn gives its cold labels, and the
     first matches the sequential reference afterwards."""
-    expected = [cold_kmeans(monkeypatch, *call) for call in calls]
-    monkeypatch.setattr(spectral, "_draws", (None,))
+    expected = [cold_kmeans(*call) for call in calls]
+    spectral._plusplus_draws.cache_clear()
     assert [warm_kmeans(*call) for call in calls] == expected
     assert_kmeans_matches_reference(calls[0][0], calls[0][1], seed=calls[0][2], restarts=calls[0][3])
 
@@ -420,45 +416,30 @@ def three_points(n):
     return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])[np.arange(n) % 3]
 
 
-def test_kmeans_draws_ignore_a_larger_m_run_first(monkeypatch):
+def test_kmeans_draws_ignore_a_larger_m_run_first():
     rows = spread_rows(40)
-    assert_history_free(monkeypatch, [(rows, 2, 3, 8), (rows, 5, 3, 8), (rows, 2, 3, 8), (rows, 4, 3, 8)])
+    assert_history_free([(rows, 2, 3, 8), (rows, 5, 3, 8), (rows, 2, 3, 8), (rows, 4, 3, 8)])
 
 
-def test_kmeans_draws_ignore_another_seed_restarts_or_n_between(monkeypatch):
+def test_kmeans_draws_ignore_another_seed_restarts_or_n_between():
     rows = spread_rows(40)
     calls = [(rows, 3, 1, 8), (rows, 3, 2, 8), (rows, 4, 1, 8), (rows, 3, 1, 5), (rows, 5, 1, 8)]
     calls += [(spread_rows(30), 3, 1, 8), (rows, 6, 1, 8), (spread_rows(50), 6, 1, 8)]
-    assert_history_free(monkeypatch, calls)
+    assert_history_free(calls)
 
 
-def test_kmeans_draws_ignore_a_zero_distance_call_between(monkeypatch):
+def test_kmeans_draws_ignore_a_zero_distance_call_between():
     # the three-point call falls back to integers(n) at the fourth centre
-    # of every restart, and grows the tape on the way; the calls after it
-    # read tape columns past the fallback
+    # of every restart; the calls after it read tape columns past the
+    # fallback
     rows = spread_rows(30)
     calls = [(rows, 2, 0, 6), (three_points(30), 6, 0, 6), (rows, 8, 0, 6), (three_points(30), 3, 0, 6)]
-    assert cold_kmeans(monkeypatch, *calls[1]) is ClusterError
-    assert_history_free(monkeypatch, calls)
+    assert cold_kmeans(*calls[1]) is ClusterError
+    assert_history_free(calls)
     # three draws of integers(n) per restart, past two uniforms: the first
     # takes the half of a 64-bit word the first centre's draw left
     # buffered, the next ones fresh words, so each must come at its place
     assert_kmeans_matches_reference(three_points(30), 6, seed=0, restarts=6)
-
-
-def test_kmeans_draws_ignore_other_threads(monkeypatch):
-    # threads on two seeds and two n take turns at the one memo entry
-    calls = [(spread_rows(n), m, seed, 6) for n in (30, 31) for seed in (0, 1) for m in (2, 4, 7)]
-    expected = [cold_kmeans(monkeypatch, *call) for call in calls]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(warm_kmeans, *call) for _ in range(8) for call in calls]
-            got = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected * 8
 
 
 @pytest.mark.parametrize(

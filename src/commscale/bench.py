@@ -21,7 +21,7 @@ from .fitting import FitError
 from .model import THETA_MIXTURE, EdgeDistribution, edge_law, make_rng, mean_matrix, sample_network, simulation_params
 from .network import WeightedAdjacency, binarize, open_text, regularize
 from .selection import MethodSpec, select
-from .spectral import _checked_seed
+from .spectral import _checked_int
 
 __all__ = [
     "ExperimentConfig",
@@ -47,7 +47,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        _checked_seed(self.seed)
+        _checked_int(self.seed, "seed")
         if not self.methods:
             raise ValueError("need at least one method")
         for key in ("k_list", "n_all"):

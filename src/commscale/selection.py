@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .fitting import FitError, FittedStep, _variance_profile, fit_step, floor_po
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import ClusterError, _checked_seed, _lanczos, _sparse_weights, rsc_cluster, score_cluster
+from .spectral import ClusterError, _checked_int, _lanczos, _sparse_weights, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -221,7 +222,8 @@ def select(
     variance (poisson when dist is None), cbic/icl need it as likelihood.
     Weights outside the law's range (svps) or support (cbic/icl, whose
     data terms are built then) raise FitError, and a k-means seed that is
-    not an integer >= 0 (numpy's pass) ValueError, before any clustering.
+    not an integer >= 0, or an m_max or restarts that is not an integer
+    >= 1 (numpy's pass), ValueError, before any clustering.
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo, the Lanczos path's CSR weights and
@@ -232,9 +234,10 @@ def select(
     svps = spec.selector == "svps"
     if m_max is None:
         m_max = 12 if svps else 10
-    if m_max < 1:
+    elif isinstance(m_max, numbers.Integral) and m_max < 1:
         raise ValueError("m_max must be >= 1")
-    seed = _checked_seed(seed)
+    m_max, restarts = _checked_int(m_max, "m_max", 1), _checked_int(restarts, "restarts", 1)
+    seed = _checked_int(seed, "seed")
     if dist is None and not svps:
         raise ValueError(f"{spec.selector} needs a likelihood law")
     law = edge_law("poisson" if dist is None else dist)

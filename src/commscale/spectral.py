@@ -63,15 +63,15 @@ LANCZOS_MAX_DENSITY = 0.25
 LANCZOS_VALUES_TOL = 1e-10
 
 
-def _checked_seed(seed) -> int:
-    """seed as an int, if it is an integer >= 0 (numpy integers too); else ValueError."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+def _checked_int(value, name: str, least: int = 0) -> int:
+    """value as an int if it is an integer >= least (numpy integers too), else ValueError naming it."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class ClusterError(RuntimeError):
-    """Clustering produced an empty cluster in every restart."""
+    """Clustering left a cluster empty in every restart, or the rows cannot fill m clusters."""
 
 
 @dataclass(frozen=True)
@@ -230,20 +230,19 @@ def _sq_dist(xt: np.ndarray, coord) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _plusplus_draws(seed: int, restarts: int, n: int) -> tuple:
-    """(children, first, tape) of the last (seed, restarts, n), read-only:
-    restart i's SeedSequence child, its first draw integers(n) and a
-    (restarts, n - 1) tape of its next n - 1 random() draws.
+    """(first, tape) of the last (seed, restarts, n), read-only: restart
+    i's first draw integers(n) and a (restarts, n - 1) tape of its next
+    n - 1 random() draws.
 
     rng.random(n - 1) gives the values of n - 1 single random() calls,
     and m <= n centres read at most n - 1 of them, so every m reads a
     prefix of one tape.
     """
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    rngs = [np.random.default_rng(child) for child in children]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
     first = np.array([rng.integers(n) for rng in rngs])
     tape = np.array([rng.random(n - 1) for rng in rngs])
     first.flags.writeable = tape.flags.writeable = False
-    return children, first, tape
+    return first, tape
 
 
 def _plusplus_init(x: np.ndarray, m: int, seed: int, restarts: int) -> np.ndarray:
@@ -251,34 +250,29 @@ def _plusplus_init(x: np.ndarray, m: int, seed: int, restarts: int) -> np.ndarra
     default_rng(SeedSequence(seed).spawn(restarts)[i]) would.
 
     Generator.choice(n, p=d2 / total) draws one random() mapped through
-    the normalized cumulative sum, or integers(n) when every row sits on a
-    centre already. Centre 0 takes the first draw of _plusplus_draws and
-    centre k its tape column k - 1. A restart whose rows all sit on
-    centres from centre k on (it stays so, as d2 only falls) replays its
-    own child instead: integers(n), k - 1 random(), then integers(n) per
-    further centre, leaving the memo untouched.
+    the normalized cumulative sum. Centre 0 takes the first draw of
+    _plusplus_draws and centre k its tape column k - 1. Once a restart's
+    rows all sit on its first k centres (total = 0) it is doomed: every
+    assignment labels each row below k, each of those centres keeping its
+    own row, so clusters k.. stay empty through every reseed. Its further
+    centres are row 0; ClusterError once every restart is doomed.
     """
     n = x.shape[0]
-    children, first, tape = _plusplus_draws(seed, restarts, n)
+    first, tape = _plusplus_draws(seed, restarts, n)
     xt = np.ascontiguousarray(x.T)
     centers = np.empty((restarts, m, x.shape[1]))
     centers[:, 0] = x[first]
     d2 = _sq_dist(xt, lambda j: centers[:, 0, j, None])
-    replays = {}
     for k in range(1, m):
         total = d2.sum(axis=1)
+        if not (total > 0).any():
+            raise ClusterError(f"every k-means restart left one of {m} clusters empty")
         with np.errstate(divide="ignore", invalid="ignore"):
             cdf = (d2 / total[:, None]).cumsum(axis=1)
             cdf /= cdf[:, -1:]
         # a uniform draw u picks cdf.searchsorted(u, side="right"), the
-        # count of entries <= u
+        # count of entries <= u (none of a doomed restart's NaNs)
         idx = (cdf <= tape[:, k - 1, None]).sum(axis=1)
-        for i in np.flatnonzero(~(total > 0)):
-            if i not in replays:
-                replays[i] = np.random.default_rng(children[i])
-                replays[i].integers(n)
-                replays[i].random(k - 1)
-            idx[i] = replays[i].integers(n)
         centers[:, k] = x[idx]
         d2 = np.minimum(d2, _sq_dist(xt, lambda j: centers[:, k, j, None]))
     return centers
@@ -392,23 +386,25 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
 
     The restarts run as one batch, each drawing from its own generator
     spawned from ``SeedSequence(seed)``, so the result does not depend on
-    the batching. Deterministic given the seed, an integer >= 0 (numpy
-    integers too; else ValueError); WCSS ties keep the lowest restart
-    index. The draws come from a memo of the last (seed, restarts, n),
-    whose entries are prefixes of each generator's stream, so labels do
-    not depend on the calls before. Raises ClusterError if every restart
-    ends with an empty cluster, which can only happen when m exceeds the
-    number of distinct rows.
+    the batching. Deterministic given the seed; WCSS ties keep the lowest
+    restart index. The seed is an integer >= 0, m (<= n) and restarts
+    integers >= 1 (numpy integers too) and the rows finite, else
+    ValueError. The draws come from a memo of the last (seed, restarts,
+    n), whose entries are prefixes of each generator's stream, so labels
+    do not depend on the calls before. Raises ClusterError if every
+    restart ends with an empty cluster, known in k-means++ when m exceeds
+    the number of distinct rows (or distances underflow to 0).
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("rows must be 2-d with at least one column")
+    if not np.isfinite(x).all():
+        raise ValueError("rows must be finite")
     n = x.shape[0]
-    if not 1 <= m <= n:
+    m = _checked_int(m, "m", 1)
+    if m > n:
         raise ValueError(f"m={m} out of range 1..{n}")
-    if restarts < 1:
-        raise ValueError(f"restarts={restarts} must be >= 1")
-    seed = _checked_seed(seed)
+    restarts, seed = _checked_int(restarts, "restarts", 1), _checked_int(seed, "seed")
     if m == 1:
         return Assignment(np.zeros(n, dtype=int), 1)
     labels, point_d2, counts = _lloyd(x, _plusplus_init(x, m, seed, restarts))
@@ -465,7 +461,7 @@ def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) ->
     numerator is also 0). m = 1 returns the single-cluster assignment.
     The seed is checked as kmeans checks it, at every m.
     """
-    _checked_seed(seed)
+    _checked_int(seed, "seed")
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     vectors = _basis(adj, "score", m)
@@ -485,7 +481,7 @@ def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> A
     (zero rows stay zero) and k-means them. The seed is checked as kmeans
     checks it, at every m.
     """
-    _checked_seed(seed)
+    _checked_int(seed, "seed")
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     rows = _basis(adj, "rsc", m).copy()

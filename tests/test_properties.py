@@ -166,10 +166,12 @@ def test_positivity_guards_reject_nan(call, message):
 
 @st.composite
 def integer_row_sets(draw):
-    """(rows, m, seed, restarts): small integer rows, full of exact distance ties."""
+    """(rows, m, seed, restarts): small integer rows, full of exact distance
+    ties, some scaled so that squared distances underflow: every one at
+    1e-170, and those of rows one apart in a coordinate at 1e-162."""
     n, d = draw(st.integers(1, 30)), draw(st.integers(1, 10))
     values = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
-    rows = np.array(values, dtype=float).reshape(n, d)
+    rows = np.array(values, dtype=float).reshape(n, d) * draw(st.sampled_from([1.0, 1e-162, 1e-170]))
     return rows, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 5))
 
 

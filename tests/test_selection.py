@@ -347,13 +347,25 @@ def test_score_select_small_network_clamps_to_n():
         assert trace.k_hat is None
 
 
+def structureless_counts():
+    """Poisson counts of mean 5 between every pair of 40 nodes: svps stops at m = 1."""
+    return sample_network(np.full((40, 40), 5.0), EdgeDistribution("poisson"), make_rng(0))
+
+
 def test_selectors_reject_fewer_than_one_restart():
-    # a bad argument, not a failed step at every m
+    # a bad argument, not a failed step at every m, nor a k_hat from a
+    # selection that stops before it clusters
     adj = load_lesmis()
     with pytest.raises(ValueError, match="restarts"):
         svps_select(adj, restarts=0)
     with pytest.raises(ValueError, match="restarts"):
         score_select(adj, dist="poisson", method="cbic", clusterer="rsc", restarts=0)
+    flat = structureless_counts()
+    assert select(flat, MethodSpec("svps"), restarts=2).k_hat == 1
+    for selector in ("svps", "cbic", "icl"):
+        for restarts in (0, -1, 2.5, np.float64(2.0), None):
+            with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got "):
+                select(flat, MethodSpec(selector), dist="poisson", restarts=restarts)
 
 
 def test_select_rejects_m_max_below_one():
@@ -363,6 +375,12 @@ def test_select_rejects_m_max_below_one():
             select(adj, MethodSpec(selector), dist="poisson", m_max=0)
     with pytest.raises(ValueError, match="m_max"):
         svps_select(adj, m_max=0)
+    for m_max in (2.5, np.float64(3.0), "3", [3]):
+        with pytest.raises(ValueError, match=r"^m_max must be an integer >= 1, got "):
+            select(adj, MethodSpec("svps"), m_max=m_max, restarts=2)
+    cbic = MethodSpec("cbic")
+    trace = select(adj, cbic, dist="poisson", m_max=np.int64(3), restarts=np.int64(2))
+    assert trace.to_csv() == select(adj, cbic, dist="poisson", m_max=3, restarts=2).to_csv()
 
 
 def test_score_select_takes_only_cbic_icl_from_m_1():

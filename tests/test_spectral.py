@@ -121,8 +121,12 @@ def test_kmeans_single_cluster_and_determinism():
 
 def test_kmeans_validation():
     pts = np.zeros((3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m=4 out of range 1\.\.3$"):
         kmeans(pts, 4)
+    for m in (0, 2.5, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+            kmeans(pts, m)
+    assert kmeans(np.arange(6.0).reshape(3, 2), np.int64(2)).m == 2
     for rows in (np.zeros(3), np.zeros((3, 0))):
         with pytest.raises(ValueError, match="rows must be 2-d with at least one column"):
             kmeans(rows, 1)
@@ -239,11 +243,22 @@ def test_cluster_seed_changes_are_contained():
 
 def test_kmeans_rejects_fewer_than_one_restart():
     pts = np.arange(8.0).reshape(4, 2)
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="restarts"):
+    for restarts in (0, -1, 2.5, np.float64(2.0), None):
+        with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got "):
             kmeans(pts, 2, restarts=restarts)
-        with pytest.raises(ValueError, match="restarts"):
+        with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got "):
             kmeans(pts, 1, restarts=restarts)
+    assert np.array_equal(kmeans(pts, 2, restarts=np.int64(3)).labels, kmeans(pts, 2, restarts=3).labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_rows(bad, monkeypatch):
+    rows = np.random.default_rng(6).normal(size=(20, 2))
+    rows[7, 1] = bad
+    monkeypatch.setattr(spectral, "_plusplus_draws", None)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="^rows must be finite$"):
+            kmeans(rows, m)
 
 
 # Sequential k-means, one restart at a time, drawing k-means++ centres with
@@ -251,25 +266,29 @@ def test_kmeans_rejects_fewer_than_one_restart():
 # for label.
 
 def reference_plusplus_init(x, m, rng):
+    """(centres, doomed): the k-means++ starts, and whether a centre found
+    every distance zero and drew integers(n) instead."""
     n = x.shape[0]
     centers = np.empty((m, x.shape[1]))
     centers[0] = x[rng.integers(n)]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    doomed = False
     for k in range(1, m):
         total = d2.sum()
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
+            doomed = True
             idx = rng.integers(n)
         centers[k] = x[idx]
         d2 = np.minimum(d2, ((x - centers[k]) ** 2).sum(axis=1))
-    return centers
+    return centers, doomed
 
 
 def reference_lloyd(x, m, rng, reseeds):
     """One restart: (wcss, labels), or None if a cluster emptied."""
     n = x.shape[0]
-    centers = reference_plusplus_init(x, m, rng)
+    centers = reference_plusplus_init(x, m, rng)[0]
     prev = np.inf
     for _ in range(spectral.KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -301,30 +320,40 @@ def assert_kmeans_matches_reference(rows, m, seed=0, restarts=50):
     """Same k-means++ starts and labels in every restart and the same
     chosen Assignment.
 
+    A reference restart that draws past a zero-distance centre must end
+    with an empty cluster. When every restart does, _plusplus_init and
+    kmeans must raise ClusterError; else the other restarts' starts must
+    match and the doomed ones end empty whatever their further centres.
     Returns the number of empty-cluster reseeds the reference made.
     """
     x = np.asarray(rows, dtype=float)
     children = np.random.SeedSequence(seed).spawn(restarts)
     reseeds = []
     ref = [reference_lloyd(x, m, np.random.default_rng(c), reseeds) for c in children]
+    starts = [reference_plusplus_init(x, m, np.random.default_rng(c)) for c in children]
+    doomed = np.array([d for _, d in starts])
+    for i in np.flatnonzero(doomed):
+        assert ref[i] is None, f"restart {i}"
 
-    centers = spectral._plusplus_init(x, m, seed, restarts)
-    for i, child in enumerate(children):
-        # draws past a zero-distance centre show here only: the labels
-        # of m > distinct rows are an empty cluster whatever they are
-        assert np.array_equal(centers[i], reference_plusplus_init(x, m, np.random.default_rng(child))), f"restart {i}"
-    labels, _, counts = spectral._lloyd(x, centers)
-    for i, result in enumerate(ref):
-        assert (result is None) == (counts[i] == 0).any(), f"restart {i}"
-        if result is not None:
-            assert np.array_equal(labels[i], result[1]), f"restart {i}"
+    if doomed.all():
+        with pytest.raises(ClusterError, match=f"^every k-means restart left one of {m} clusters empty$"):
+            spectral._plusplus_init(x, m, seed, restarts)
+    else:
+        centers = spectral._plusplus_init(x, m, seed, restarts)
+        for i in np.flatnonzero(~doomed):
+            assert np.array_equal(centers[i], starts[i][0]), f"restart {i}"
+        labels, _, counts = spectral._lloyd(x, centers)
+        for i, result in enumerate(ref):
+            assert (result is None) == (counts[i] == 0).any(), f"restart {i}"
+            if result is not None:
+                assert np.array_equal(labels[i], result[1]), f"restart {i}"
 
     best = None
     for result in ref:
         if result is not None and (best is None or result[0] < best[0]):
             best = result
     if best is None:
-        with pytest.raises(ClusterError):
+        with pytest.raises(ClusterError, match=f"^every k-means restart left one of {m} clusters empty$"):
             kmeans(rows, m, seed=seed, restarts=restarts)
     else:
         assert np.array_equal(kmeans(rows, m, seed=seed, restarts=restarts).labels, best[1])
@@ -411,8 +440,8 @@ def spread_rows(n, seed=4):
 
 
 def three_points(n):
-    """n rows on three distinct points: every k-means++ draw past the third
-    centre finds all distances zero and draws integers(n)."""
+    """n rows on three distinct points: every k-means++ restart finds all
+    distances zero at the fourth centre, so m >= 4 raises ClusterError."""
     return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])[np.arange(n) % 3]
 
 
@@ -429,17 +458,39 @@ def test_kmeans_draws_ignore_another_seed_restarts_or_n_between():
 
 
 def test_kmeans_draws_ignore_a_zero_distance_call_between():
-    # the three-point call falls back to integers(n) at the fourth centre
-    # of every restart; the calls after it read tape columns past the
-    # fallback
+    # the three-point call stops at the fourth centre of every restart;
+    # the calls after it read tape columns past that point
     rows = spread_rows(30)
     calls = [(rows, 2, 0, 6), (three_points(30), 6, 0, 6), (rows, 8, 0, 6), (three_points(30), 3, 0, 6)]
     assert cold_kmeans(*calls[1]) is ClusterError
     assert_history_free(calls)
-    # three draws of integers(n) per restart, past two uniforms: the first
-    # takes the half of a 64-bit word the first centre's draw left
-    # buffered, the next ones fresh words, so each must come at its place
+    # the reference draws integers(n) three times per restart there, past
+    # two uniforms, and ends every restart with an empty cluster
     assert_kmeans_matches_reference(three_points(30), 6, seed=0, restarts=6)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_rows_that_cannot_fill_m_clusters_fail_before_any_assignment(m, monkeypatch):
+    calls = []
+    assign = spectral._assign
+    monkeypatch.setattr(spectral, "_assign", lambda *args: calls.append(args) or assign(*args))
+    with pytest.raises(ClusterError, match=f"^every k-means restart left one of {m} clusters empty$"):
+        kmeans(three_points(30), m)
+    assert calls == []
+    kmeans(three_points(30), 3)
+    assert calls
+
+
+def test_restarts_whose_distances_underflow_unevenly_are_kept_apart():
+    # 0 and 3e-162 are 1e-323 apart squared, but 1.5e-162 is at distance 0
+    # from both: a restart that starts there finds every distance zero and
+    # ends empty, while one that starts at either end splits the rows
+    rows = np.array([[0.0], [1.5e-162], [3e-162]])
+    for seed in range(4):
+        first, _ = spectral._plusplus_draws(seed, 5, 3)
+        assert 1 in first and set(first) - {1}
+        assert_kmeans_matches_reference(rows, 2, seed=seed, restarts=5)
+        assert sorted(kmeans(rows, 2, seed=seed, restarts=5).sizes) == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -538,9 +589,11 @@ def test_shared_basis_matches_per_m_decomposition(adj, ms, monkeypatch):
 
 
 # Inputs on which the matmul candidates cannot certify every label, so
-# _assign recomputes those points exactly: exact distance ties, repeated
-# rows, a large offset that cancels in |x|^2 - 2 x.c + |c|^2, and d = 17,
-# where numpy's pairwise sum runs two blocks of 8 and a remainder.
+# _assign recomputes those points exactly: exact distance ties, a large
+# offset that cancels in |x|^2 - 2 x.c + |c|^2, and d = 17, where numpy's
+# pairwise sum runs two blocks of 8 and a remainder. Repeated rows tie
+# only at centres that coincide, which takes m above the 4 distinct rows:
+# k-means++ then raises ClusterError before any assignment.
 
 def tie_grid():
     return np.array([[i, j] for i in range(6) for j in range(6)], dtype=float)
@@ -574,15 +627,16 @@ def exact_points(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows, ms",
-    [(tie_grid(), (2, 4, 5)), (duplicated_rows(), (3, 5)), (offset_rows(), (2, 3)), (integer_rows_d17(), (17,))],
+    "rows, ms, exact",
+    [(tie_grid(), (2, 4, 5), True), (duplicated_rows(), (3, 5), False), (offset_rows(), (2, 3), True),
+     (integer_rows_d17(), (17,), True)],
     ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17"],
 )
-def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact_points):
+def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact, exact_points):
     for seed in (0, 1):
         for m in ms:
             assert_kmeans_matches_reference(rows, m, seed=seed, restarts=10)
-    assert exact_points() > 0
+    assert (exact_points() > 0) == exact
 
 
 def test_certified_labels_skip_the_exact_fallback(exact_points):

@@ -36,8 +36,10 @@ The set covers:
   initial, scaled_matrix with a NaN psi, sample_network on an
   asymmetric and on a NaN mean, svps_select under the bernoulli law on
   weighted Les Miserables, EdgeDistribution with a trial count that
-  is not an integer >= 1, and select at a numpy integer seed (its trace
-  is the one at the equal int) and at a tuple seed;
+  is not an integer >= 1, select at a numpy integer seed (its trace
+  is the one at the equal int) and at a tuple seed, kmeans on a NaN row
+  and at an m or restarts of 2.5, and select at an m_max of 2.5 and at
+  0 restarts on a structureless network, where svps stops at m = 1;
 - kmeans on inputs full of distance ties, on rows offset by 1e6 and on
   17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
   restart's WCSS, so the exact fallback of the assignment shows too;
@@ -265,6 +267,13 @@ def api_error_runs(cs):
     cbic = cs.MethodSpec("cbic")
     for name, seed in (("numpy-int", np.int64(7)), ("tuple", (4, 2))):
         yield f"api-select-seed-{name}.txt", partial(cs.select, adj, cbic, dist="poisson", m_max=4, seed=seed, restarts=2)
+    rows = np.random.default_rng(15).normal(size=(20, 2))
+    yield "api-kmeans-nan-row.txt", partial(cs.kmeans, np.vstack([rows, [nan, 0.0]]), 3)
+    yield "api-kmeans-m2.5.txt", partial(cs.kmeans, rows, 2.5)
+    yield "api-kmeans-restarts2.5.txt", partial(cs.kmeans, rows, 3, restarts=2.5)
+    yield "api-select-m_max2.5.txt", partial(cs.select, adj, cbic, dist="poisson", m_max=2.5, restarts=2)
+    flat = cs.sample_network(np.full((40, 40), 5.0), poisson, cs.make_rng(0))
+    yield "api-svps-structureless-restarts0.txt", partial(cs.select, flat, cs.MethodSpec("svps"), restarts=0)
     config = cs.parse_config(io.StringIO(VALID_CONFIG))
     for jobs in (0, -3):
         yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
@@ -295,9 +304,13 @@ def describe_kmeans(cs, rows, m, seed) -> str:
         text = f"labels {cs.kmeans(rows, m, seed=seed, restarts=RESTARTS).labels.tolist()}\n"
     except cs.ClusterError as exc:
         text = f"ClusterError: {exc}\n"
-    # the restarts as kmeans runs them
+    # the restarts as kmeans runs them; k-means++ raises when no restart
+    # can fill m clusters, and each would end with one empty
     spectral = cs.spectral
-    _, point_d2, counts = spectral._lloyd(rows, spectral._plusplus_init(rows, m, seed, RESTARTS))
+    try:
+        _, point_d2, counts = spectral._lloyd(rows, spectral._plusplus_init(rows, m, seed, RESTARTS))
+    except cs.ClusterError:
+        return text + "".join(f"restart {i} wcss empty cluster\n" for i in range(RESTARTS))
     for i in range(RESTARTS):
         wcss = repr(float(point_d2[i].sum())) if (counts[i] > 0).all() else "empty cluster"
         text += f"restart {i} wcss {wcss}\n"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,24 +116,19 @@ def svps_statistic(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     return float(mags[fitted.m])
 
 
-# The last network's step assignments, (weights digest, {(clusterer, m,
-# seed, restarts): Assignment}). The digest is (shape, SHA-1 of the dense
-# weights), or ("csr", shape, SHA-1 of the CSR weights' indptr, indices
-# and data) on the Lanczos path. A new network replaces the whole pair, so
-# a caller still holding the old pair can only miss.
+# The last network's step assignments and clustering bases, (weights
+# digest, {(clusterer, m, seed, restarts): Assignment, (clusterer,): basis}).
+# A basis is the leading min(n, m_max) columns, read-only, of the dense
+# eigenvectors spectral._basis memoises. The digest is (shape, SHA-1 of the
+# dense weights), or ("csr", shape, SHA-1 of the CSR weights' indptr,
+# indices and data) on the Lanczos path. A new network replaces the whole
+# pair, so a caller still holding the old pair can only miss.
 _steps: tuple = (None, {})
 
 
-def _cluster_and_fit(
-    adj: WeightedAdjacency, m: int, clusterer: str, seed: int, restarts: int, law=EDGE_LAWS["poisson"]
-) -> FittedStep:
-    """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
-
-    The assignment is memoised in _steps, so selectors sharing a network
-    and seed cluster each m once. The clusterers and fit_step are looked
-    up in this module at call time, so a wrapper installed on these
-    attributes sees every clustering and fit.
-    """
+def _memo_entries(adj: WeightedAdjacency) -> dict:
+    """The step memo's entries for adj's weights, replacing the memo when it
+    holds another network's."""
     global _steps
     memo = vars(adj)
     if "_digest" not in memo:
@@ -150,10 +144,24 @@ def _cluster_and_fit(
     steps = _steps
     if steps[0] != memo["_digest"]:
         steps = _steps = (memo["_digest"], {})
+    return steps[1]
+
+
+def _cluster_and_fit(
+    adj: WeightedAdjacency, m: int, clusterer: str, seed: int, restarts: int, law=EDGE_LAWS["poisson"]
+) -> FittedStep:
+    """Cluster adj into m groups with SCORE ("score") or RSC ("rsc"), then fit.
+
+    The assignment is memoised in _steps, so selectors sharing a network
+    and seed cluster each m once. The clusterers and fit_step are looked
+    up in this module at call time, so a wrapper installed on these
+    attributes sees every clustering and fit.
+    """
+    entries = _memo_entries(adj)
     key = (clusterer, m, seed, restarts)
-    if key not in steps[1]:
-        steps[1][key] = (score_cluster if clusterer == "score" else rsc_cluster)(adj, m, seed=seed, restarts=restarts)
-    return fit_step(adj, steps[1][key], law)
+    if key not in entries:
+        entries[key] = (score_cluster if clusterer == "score" else rsc_cluster)(adj, m, seed=seed, restarts=restarts)
+    return fit_step(adj, entries[key], law)
 
 
 def _data_terms(adj: WeightedAdjacency, law: EdgeDistribution) -> tuple[np.ndarray, ...]:
@@ -227,15 +235,16 @@ def select(
 
     The steps run on a shallow copy of adj, which shares its weights, so
     the clusterers' eigenvector memo, the Lanczos path's CSR weights and
-    the likelihood's data terms last for this selection only; the step
-    assignments are shared with later selections on equal weights.
+    the likelihood's data terms last for this selection only. The step
+    memo shares the step assignments with later selections on equal
+    weights, and the clusterer's dense basis cut to its leading
+    min(n, m_max) columns: the copy starts from it, and a wider basis
+    decomposed here replaces it.
     """
     adj = copy.copy(adj)
     svps = spec.selector == "svps"
     if m_max is None:
         m_max = 12 if svps else 10
-    elif isinstance(m_max, numbers.Integral) and m_max < 1:
-        raise ValueError("m_max must be >= 1")
     m_max, restarts = _checked_int(m_max, "m_max", 1), _checked_int(restarts, "restarts", 1)
     seed = _checked_int(seed, "seed")
     if dist is None and not svps:
@@ -252,6 +261,11 @@ def select(
         last, failed, threshold = adj.n - 1, math.inf, 2.0 + spec.epsilon
     else:
         last, failed, threshold = adj.n, -math.inf, None
+    # seed the copy with the basis an earlier selection on these weights
+    # decomposed, and keep its leading columns for later ones
+    entries, basis_key = _memo_entries(adj), f"_{spec.clusterer}_basis"
+    if (spec.clusterer,) in entries:
+        vars(adj).setdefault(basis_key, entries[spec.clusterer,])
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
@@ -268,6 +282,12 @@ def select(
         steps.append(StepRecord(m=m, value=value, status="ok"))
         if svps and value < threshold:
             break
+    basis, kept = vars(adj).get(basis_key), entries.get((spec.clusterer,))
+    width = 0 if basis is None else min(basis.shape[1], m_max)
+    if width > (0 if kept is None else kept.shape[1]):
+        kept = basis[:, :width].copy()
+        kept.flags.writeable = False
+        entries[spec.clusterer,] = kept
     ok = [step for step in steps if step.status == "ok"]
     if svps:
         k_hat = ok[-1].m if ok and ok[-1].value < threshold else None

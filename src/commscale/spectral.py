@@ -11,17 +11,22 @@ n = 1200 network with every entry nonzero took 0.2 s in eigvalsh and up
 to 0.5 s in eigsh), and it is more robust near eigenvalue
 multiplicities. SCORE and RSC decompose their clustering matrix once
 per network object and take the first m columns of that basis at every
-m, so a selection decomposes it once; on the Lanczos path SCORE finds
-the m leading pairs once per m.
+m; selection.select starts each selection from the leading columns the
+step memo kept for the same weights, so selections on one network
+decompose it once between them. On the Lanczos path SCORE finds the m
+leading pairs once per m.
 
 k-means runs all of its k-means++ restarts together. One matmul gives
 each point's candidate centre in every restart; a forward-error bound
 certifies it, and points it cannot certify (ties, near ties) are labelled
 from the distances ((x - c) ** 2).sum() itself gives, so the labels do
-not depend on the BLAS. Distances and WCSS are summed in numpy's own
-order. Each restart draws from its own generator and stops at its own
-convergence test (or when its labels repeat), so its labels are those it
-would reach alone. The k-means++ draws of the last (seed, restarts, n)
+not depend on the BLAS. The same matmul estimates each restart's WCSS
+within a closed-form bound, which decides the convergence test where it
+can; exact distances, summed in numpy's own order, are computed for the
+tests it cannot decide, for empty-cluster reseeds and once for every
+restart's final labels. Each restart draws from its own generator and
+stops at its own convergence test (or when its labels repeat), so its
+labels are those it would reach alone. The k-means++ draws of the last (seed, restarts, n)
 are memoised: each restart's first draw and a tape of its next n - 1
 uniforms, enough for any m, so calls that share a seed, as the steps of
 a selection do, spawn their generators once. A seed is an integer >= 0
@@ -284,16 +289,27 @@ def _exact_nearest(x: np.ndarray, centers: np.ndarray, rows: np.ndarray, points:
     return np.argmin(d2, axis=0)
 
 
-def _point_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[x, 1]^T, |x|^2 per row and x^T, contiguous: what _assign reads of x."""
-    return np.column_stack([x, np.ones(len(x))]).T, (x ** 2).sum(axis=1), np.ascontiguousarray(x.T)
+def _point_parts(x: np.ndarray) -> tuple:
+    """[x, 1]^T, |x|^2 per row, their sum and x^T, contiguous: what _nearest
+    and _assign read of x, and the x^T _point_d2 reads."""
+    x_norms = (x ** 2).sum(axis=1)
+    return np.column_stack([x, np.ones(len(x))]).T, x_norms, x_norms.sum(), np.ascontiguousarray(x.T)
 
 
-def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
-    """Per restart: nearest-centre labels (r, n), their squared distances
-    (r, n) and the cluster sizes (r, m), those of ((x - c) ** 2).sum() per
-    row and centre with ties to the lower centre, whatever the BLAS.
-    parts is _point_parts(x).
+def _point_d2(xt: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """((x - c) ** 2).sum() of each point to its labelled centre, (r, n), bit
+    for bit, from xt = x.T contiguous, (r, m, d) centres and (r, n) labels."""
+    r, m, d = centers.shape
+    flat = labels + m * np.arange(r)[:, None]
+    coords = np.ascontiguousarray(centers.reshape(r * m, d).T)
+    return _sq_dist(xt, lambda j: coords[j].take(flat))
+
+
+def _nearest(x: np.ndarray, centers: np.ndarray, parts: tuple):
+    """Per restart: nearest-centre labels (r, n), those of ((x - c) ** 2).sum()
+    per row and centre with ties to the lower centre, whatever the BLAS;
+    with the least h + |x|^2 per point (r, n) and M per restart (r,), which
+    _assign reads. parts is _point_parts(x).
 
     One matmul gives every h_k = |c_k|^2 - 2 c_k.x (|x|^2 is common to all
     k), the least naming the candidate. Let u = 2**-53, g_j = ju / (1 - ju),
@@ -308,7 +324,7 @@ def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
     near ties, inf, NaN) are labelled by _exact_nearest.
     """
     r, m, d = centers.shape
-    x1t, x_norms, xt = parts
+    x1t, x_norms = parts[:2]
     flat_centers = centers.reshape(r * m, d)
     norms = (flat_centers ** 2).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -321,64 +337,122 @@ def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
             np.maximum(labels, (h[:, k] < best) * k, out=labels)
             np.minimum(second, np.maximum(best, h[:, k]), out=second)
             np.minimum(best, h[:, k], out=best)
-        scale = norms.reshape(r, m).max(axis=1)[:, None] + x_norms
-        bound = 24 * (d + 1) * np.finfo(float).eps * scale + np.finfo(float).tiny
+        peak = norms.reshape(r, m).max(axis=1)
+        bound = 24 * (d + 1) * np.finfo(float).eps * (peak[:, None] + x_norms) + np.finfo(float).tiny
         rows, points = np.nonzero(~(second - best > bound))
+        best += x_norms
     if rows.size:
         labels[rows, points] = _exact_nearest(x, centers, rows, points)
-    flat = labels + m * np.arange(r)[:, None]
-    coords = np.ascontiguousarray(flat_centers.T)
-    point_d2 = _sq_dist(xt, lambda j: coords[j].take(flat))
-    counts = np.bincount(flat.ravel(), minlength=r * m).reshape(r, m)
-    return labels, point_d2, counts
+    return labels, best, peak
+
+
+def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
+    """Per restart: _nearest's labels (r, n), the cluster sizes (r, m), and
+    an estimate of the WCSS (r,) with a bound (r,) on its distance from the
+    exact one, _point_d2 of these labels summed. parts is _point_parts(x).
+
+    The estimate sums least h + |x|^2 over the points. Each term is within
+    half the point's bound of its exact distance (the least of values each
+    that close to a reference distance is that close to the least), so the
+    sums differ by at most the bounds summed, 24 (d + 1) eps (n M + sum
+    |x|^2) + n tiny, in closed form per restart. The error returned is
+    twice that, plus n eps (|estimate| + twice that sum) for the rounding
+    of both sums.
+    """
+    r, m, d = centers.shape
+    n, x_norm_sum = x.shape[0], parts[2]
+    eps = np.finfo(float).eps
+    labels, least, peak = _nearest(x, centers, parts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        wcss = least.sum(axis=1)
+        bound_sum = 24 * (d + 1) * eps * (n * peak + x_norm_sum) + n * np.finfo(float).tiny
+        err = 2 * bound_sum + n * eps * (np.abs(wcss) + 2 * bound_sum)
+    counts = np.bincount((labels + m * np.arange(r)[:, None]).ravel(), minlength=r * m).reshape(r, m)
+    return labels, counts, wcss, err
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray):
     """Lloyd's algorithm on every restart at once, updating centers in
-    place; returns _assign of the final centres.
+    place; returns each restart's final labels (r, n), their exact squared
+    distances (_point_d2) and the cluster sizes (r, m), those _nearest of
+    the final centres gives.
 
-    A restart leaves the batch at its own convergence test, or when its
-    labels repeat those of its last iteration: the same labels give the
-    same centres, so the test would pass next time with nothing moved. Its
-    centres are not touched again. A restart whose assignment empties a
-    cluster reseeds each empty one at its farthest remaining point and
-    spends the iteration on that, as a single run would.
+    A restart leaves the batch at its own convergence test, prev - wcss <=
+    KMEANS_TOL * wcss on the exact WCSS of its last two assignments that
+    left no cluster empty, or when its labels repeat those of its last
+    iteration: the same labels give the same centres, so the test would
+    pass next time with nothing moved, and that iteration's labels are its
+    final ones. Its centres are not touched again. The test is decided from
+    _assign's estimates when their error bounds cannot change its outcome;
+    else from the exact WCSS of both assignments, the earlier one from the
+    centres kept for it. A restart whose assignment empties a cluster
+    reseeds each empty one at its farthest remaining point by exact
+    distance and spends the iteration on that, as a single run would. So
+    exact distances are computed once more, for every restart's final
+    assignment, and a fresh assignment only for restarts that did not stop
+    on a repeat.
     """
     n, d = x.shape
     r, m, _ = centers.shape
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     tiled = np.tile(x.T, r)
     parts = _point_parts(x)
-    prev = np.full(r, np.inf)
-    last = np.full((r, n), -1)
+    xt = parts[3]
+    prev, prev_err = np.full(r, np.inf), np.zeros(r)
+    prev_centers = np.empty_like(centers)
+    last = np.full((r, n), -1, dtype=np.intp)
+    repeated = np.zeros(r, dtype=bool)
     active = np.arange(r)
     for _ in range(KMEANS_MAX_ITER):
         if active.size == 0:
             break
         batch = centers[active]
-        labels, point_d2, counts = _assign(x, batch, parts)
-        empty = (counts == 0).any(axis=1)
+        labels, counts, wcss, err = _assign(x, batch, parts)
+        full = (counts > 0).all(axis=1)
+        repeat = full & (labels == last[active]).all(axis=1)
+        # the margin of prev - wcss <= KMEANS_TOL * max(wcss, tiny) is within
+        # doubt of the exact one; an exact inf prev (a first test) fails it,
+        # and a margin not clear of doubt is decided by the exact WCSS
+        p, p_err = prev[active], prev_err[active]
+        with np.errstate(invalid="ignore", over="ignore"):
+            margin = KMEANS_TOL * np.maximum(wcss, tiny) - (p - wcss)
+            doubt = 2 * (p_err + err) + 4 * eps * (np.abs(p) + np.abs(wcss))
+            converged = margin > doubt
+            sure = (np.abs(margin) > doubt) | (p == np.inf) & (p_err == 0) | ~full | repeat
+        if not sure.all():
+            i = np.flatnonzero(~sure)
+            wcss[i], err[i] = _point_d2(xt, batch[i], labels[i]).sum(axis=1), 0.0
+            redo = i[p_err[i] != 0]
+            if redo.size:
+                before = prev_centers[active[redo]]
+                p[redo] = _point_d2(xt, before, _nearest(x, before, parts)[0]).sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                converged[i] = p[i] - wcss[i] <= KMEANS_TOL * np.maximum(wcss[i], tiny)
         # reseed each empty cluster at the point farthest from its centre
-        for i in np.flatnonzero(empty):
-            pd = point_d2[i].copy()
-            for k in np.flatnonzero(counts[i] == 0):
-                far = int(pd.argmax())
-                batch[i, k] = x[far]
-                pd[far] = -1.0
-        full = ~empty
+        empty = np.flatnonzero(~full)
+        if empty.size:
+            for i, pd in zip(empty, _point_d2(xt, batch[empty], labels[empty])):
+                for k in np.flatnonzero(counts[i] == 0):
+                    far = int(pd.argmax())
+                    batch[i, k] = x[far]
+                    pd[far] = -1.0
+        done = active[full]
+        prev[done], prev_err[done], prev_centers[done] = wcss[full], err[full], batch[full]
         # one bin per (restart, cluster) and coordinate; bincount adds the
         # rows in order, as x[labels == k].sum(axis=0) does
         a = len(active)
         bins = (labels + m * np.arange(a)[:, None]).ravel()
         sums = np.stack([np.bincount(bins, col[:a * n], a * m) for col in tiled], axis=1)
         batch[full] = sums.reshape(a, m, d)[full] / counts[full][:, :, None]
-        wcss = point_d2.sum(axis=1)
-        converged = full & (prev[active] - wcss <= KMEANS_TOL * np.maximum(wcss, np.finfo(float).tiny))
-        converged |= full & (labels == last[active]).all(axis=1)
-        prev[active[full]] = wcss[full]
+        repeated[active[repeat]] = True
         last[active] = np.where(full[:, None], labels, -1)
         centers[active] = batch
-        active = active[~converged]
-    return _assign(x, centers, parts)
+        active = active[~(full & (converged | repeat))]
+    rest = np.flatnonzero(~repeated)
+    if rest.size:
+        last[rest] = _nearest(x, centers[rest], parts)[0]
+    counts = np.bincount((last + m * np.arange(r)[:, None]).ravel(), minlength=r * m).reshape(r, m)
+    return last, _point_d2(xt, centers, last), counts
 
 
 def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
@@ -418,7 +492,9 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
 
 def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
     """The m leading eigenvectors of the clusterer's matrix, whose full
-    basis is computed once per network object.
+    basis is computed once per network object, and again when the memo
+    holds fewer than m columns (select seeds it with those the step memo
+    kept).
 
     On the Lanczos path (_sparse_weights), SCORE's basis holds only the m
     leading pairs of the CSR weights instead, computed once per m, so its
@@ -426,7 +502,8 @@ def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
     they are the first m columns of the dense basis. RSC's regularised
     matrix has no zero entry, so it is always solved densely. The memo
     lives in the network's instance dict, so it goes when the network
-    does; select runs on a shallow copy to keep it per selection.
+    does; select runs on a shallow copy, so the n x n basis lasts for one
+    selection only.
     """
     if not 1 <= m <= adj.n:
         raise ValueError(f"m={m} out of range 1..{adj.n}")
@@ -440,7 +517,7 @@ def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
         if memo[key] is not None:
             return memo[key]
     key = f"_{clusterer}_basis"
-    if key not in memo:
+    if key not in memo or memo[key].shape[1] < m:
         if clusterer == "score":
             matrix = adj.weights
         else:
@@ -459,9 +536,10 @@ def score_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) ->
     Column k holds u_{k+1}(i) / u_1(i), clamped to [-log n, log n].
     Entries where u_1(i) = 0 are mapped to the clamp bound (0 when the
     numerator is also 0). m = 1 returns the single-cluster assignment.
-    The seed is checked as kmeans checks it, at every m.
+    m, restarts and the seed are checked as kmeans checks them, at every m.
     """
-    _checked_int(seed, "seed")
+    m = _checked_int(m, "m", 1)
+    _checked_int(restarts, "restarts", 1), _checked_int(seed, "seed")
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     vectors = _basis(adj, "score", m)
@@ -478,10 +556,11 @@ def rsc_cluster(adj: WeightedAdjacency, m: int, seed=0, restarts: int = 50) -> A
     Adds 0.25 * mean degree / n to every entry, forms the normalized
     adjacency D^{-1/2} A_reg D^{-1/2} (zero-degree rows stay zero),
     takes the top-m eigenvectors by magnitude, l2-normalizes the rows
-    (zero rows stay zero) and k-means them. The seed is checked as kmeans
-    checks it, at every m.
+    (zero rows stay zero) and k-means them. m, restarts and the seed are
+    checked as kmeans checks them, at every m.
     """
-    _checked_int(seed, "seed")
+    m = _checked_int(m, "m", 1)
+    _checked_int(restarts, "restarts", 1), _checked_int(seed, "seed")
     if m == 1:
         return Assignment(np.zeros(adj.n, dtype=int), 1)
     rows = _basis(adj, "rsc", m).copy()

@@ -371,10 +371,10 @@ def test_selectors_reject_fewer_than_one_restart():
 def test_select_rejects_m_max_below_one():
     adj, _ = sampled_counts((6, 6))
     for selector in ("svps", "cbic", "icl"):
-        with pytest.raises(ValueError, match="m_max"):
+        with pytest.raises(ValueError, match=r"^m_max must be an integer >= 1, got 0$"):
             select(adj, MethodSpec(selector), dist="poisson", m_max=0)
-    with pytest.raises(ValueError, match="m_max"):
-        svps_select(adj, m_max=0)
+    with pytest.raises(ValueError, match=r"^m_max must be an integer >= 1, got -1$"):
+        svps_select(adj, m_max=-1)
     for m_max in (2.5, np.float64(3.0), "3", [3]):
         with pytest.raises(ValueError, match=r"^m_max must be an integer >= 1, got "):
             select(adj, MethodSpec("svps"), m_max=m_max, restarts=2)
@@ -469,15 +469,18 @@ def test_each_selection_decomposes_its_clustering_matrix_once(clusterer, monkeyp
     monkeypatch.setattr(spectral, "leading_eigpairs", counting)
     adj, _ = sampled_counts((12, 14, 16))
     fields = dict(vars(adj))
-    # on one network and seed, svps stops before m = 6, so cbic decomposes
-    # for its later steps; icl finds every step in the step memo
-    for spec, dist, decompositions in ((MethodSpec("svps", clusterer), None, 1),
-                                       (MethodSpec("cbic", clusterer), "poisson", 1),
-                                       (MethodSpec("icl", clusterer), "poisson", 0)):
+    # on one network and seed, svps stops before m = 6 but keeps the first 6
+    # columns of its basis, so cbic clusters its later steps from them; cbic
+    # at m_max = 8 decomposes again and widens the kept basis for icl
+    for spec, dist, m_max, decompositions in ((MethodSpec("svps", clusterer), None, 6, 1),
+                                              (MethodSpec("cbic", clusterer), "poisson", 6, 0),
+                                              (MethodSpec("cbic", clusterer), "poisson", 8, 1),
+                                              (MethodSpec("icl", clusterer), "poisson", 8, 0)):
         calls.clear()
-        trace = select(adj, spec, dist=dist, m_max=6, restarts=2)
-        assert 1 < len(trace.steps) < 6 if spec.selector == "svps" else len(trace.steps) == 6
-        assert calls == [(adj.n, adj.n)] * decompositions, spec.label
+        trace = select(adj, spec, dist=dist, m_max=m_max, restarts=2)
+        assert 1 < len(trace.steps) < 6 if spec.selector == "svps" else len(trace.steps) == m_max
+        assert calls == [(adj.n, adj.n)] * decompositions, (spec.label, m_max)
+        assert selection._steps[1][clusterer,].shape == (adj.n, m_max)
     # the memo went with the selection's copy of the network
     assert vars(adj).keys() == fields.keys()
     assert all(vars(adj)[key] is value for key, value in fields.items())

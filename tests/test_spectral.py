@@ -508,6 +508,21 @@ def test_clusterers_take_only_an_integer_seed(seed):
             rsc_cluster(adj, m, seed=seed)
 
 
+def test_clusterers_check_m_and_restarts_at_every_m():
+    lesmis = load_lesmis()
+    with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got 2\.5$"):
+        score_cluster(lesmis, 2.5)
+    with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got 0$"):
+        score_cluster(lesmis, 1, restarts=0)
+    with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got 2\.5$"):
+        rsc_cluster(lesmis, 1, restarts=2.5)
+    for clusterer in (score_cluster, rsc_cluster):
+        for m in (0, np.float64(2.0), None):
+            with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
+                clusterer(lesmis, m)
+        assert clusterer(lesmis, np.int64(1), restarts=np.int64(1)).m == 1
+
+
 def test_clusterers_take_a_numpy_integer_seed():
     rows = spread_rows(12)
     adj, _ = block_adjacency((6, 6))
@@ -589,9 +604,10 @@ def test_shared_basis_matches_per_m_decomposition(adj, ms, monkeypatch):
 
 
 # Inputs on which the matmul candidates cannot certify every label, so
-# _assign recomputes those points exactly: exact distance ties, a large
-# offset that cancels in |x|^2 - 2 x.c + |c|^2, and d = 17, where numpy's
-# pairwise sum runs two blocks of 8 and a remainder. Repeated rows tie
+# _nearest recomputes those points exactly: exact distance ties, a large
+# offset that cancels in |x|^2 - 2 x.c + |c|^2, d = 17, where numpy's
+# pairwise sum runs two blocks of 8 and a remainder, and rows so far out
+# that |x|^2 overflows. Repeated rows tie
 # only at centres that coincide, which takes m above the 4 distinct rows:
 # k-means++ then raises ClusterError before any assignment.
 
@@ -612,9 +628,14 @@ def integer_rows_d17():
     return np.random.default_rng(13).integers(0, 3, size=(40, 17)).astype(float)
 
 
+def huge_rows():
+    # |x|^2 overflows, so every matmul candidate and WCSS estimate is NaN
+    return 1e160 + 1e150 * np.random.default_rng(14).normal(size=(30, 2))
+
+
 @pytest.fixture
 def exact_points(monkeypatch):
-    """The number of points _assign has sent to _exact_nearest so far."""
+    """The number of points _nearest has sent to _exact_nearest so far."""
     seen = []
     exact = spectral._exact_nearest
 
@@ -629,8 +650,9 @@ def exact_points(monkeypatch):
 @pytest.mark.parametrize(
     "rows, ms, exact",
     [(tie_grid(), (2, 4, 5), True), (duplicated_rows(), (3, 5), False), (offset_rows(), (2, 3), True),
-     (integer_rows_d17(), (17,), True)],
-    ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17"],
+     (integer_rows_d17(), (17,), True),
+     pytest.param(huge_rows(), (2, 3), True, marks=pytest.mark.filterwarnings("ignore:overflow encountered"))],
+    ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17", "huge-1e160"],
 )
 def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact, exact_points):
     for seed in (0, 1):
@@ -643,6 +665,66 @@ def test_certified_labels_skip_the_exact_fallback(exact_points):
     rows = np.random.default_rng(2).normal(size=(40, 3))
     assert_kmeans_matches_reference(rows, 3, restarts=5)
     assert exact_points() == 0
+
+
+# _lloyd decides its WCSS test from _assign's estimates, and computes exact
+# distances only where their bound cannot decide it, for empty-cluster
+# reseeds and for the final pick. A restart that stops on a label repeat
+# keeps that iteration's labels; the others are labelled afresh.
+
+@pytest.fixture
+def lloyd_work(monkeypatch):
+    """What _lloyd has done so far: "exact", the restarts whose exact
+    distances _point_d2 computed, and "outside", the restarts labelled by
+    _nearest outside an iteration's _assign (a fresh final assignment, or
+    the earlier assignment of an exact WCSS test)."""
+    work = {"exact": 0, "outside": 0}
+    point_d2, nearest, assign = spectral._point_d2, spectral._nearest, spectral._assign
+
+    def recording_point_d2(xt, centers, labels):
+        work["exact"] += len(centers)
+        return point_d2(xt, centers, labels)
+
+    def recording_nearest(x, centers, parts):
+        work["outside"] += len(centers)
+        return nearest(x, centers, parts)
+
+    def recording_assign(x, centers, parts):
+        work["outside"] -= len(centers)
+        return assign(x, centers, parts)
+
+    monkeypatch.setattr(spectral, "_point_d2", recording_point_d2)
+    monkeypatch.setattr(spectral, "_nearest", recording_nearest)
+    monkeypatch.setattr(spectral, "_assign", recording_assign)
+    return work
+
+
+def test_exact_wcss_only_where_the_bound_cannot_decide(lloyd_work):
+    # one _lloyd and one kmeans call per reference check; neither reseeds
+    rows = np.random.default_rng(2).normal(size=(40, 3))
+    assert assert_kmeans_matches_reference(rows, 3, restarts=5) == 0
+    assert lloyd_work["exact"] == 2 * 5
+    # a 1e6 offset puts the bound far above 1e-9 * WCSS, so every test
+    # after the first computes the WCSS exactly
+    for m in (2, 3):
+        lloyd_work["exact"] = 0
+        assert assert_kmeans_matches_reference(offset_rows(), m, restarts=10) == 0
+        assert lloyd_work["exact"] > 2 * 10
+
+
+@pytest.mark.parametrize(
+    "constant, value, fresh",
+    [("KMEANS_TOL", spectral.KMEANS_TOL, 0), ("KMEANS_TOL", 1e-2, 2), ("KMEANS_MAX_ITER", 1, 5)],
+    ids=["default-all-repeat", "tol-1e-2-mixed", "one-iteration-all-fresh"],
+)
+def test_final_labels_reuse_a_repeat_or_come_fresh(constant, value, fresh, lloyd_work, monkeypatch):
+    # the reference reads the same constants; on these rows no WCSS test
+    # needs the exact sums, so every restart labelled outside an iteration
+    # was labelled afresh
+    monkeypatch.setattr(spectral, constant, value)
+    rows = np.random.default_rng(2).normal(size=(40, 3))
+    assert_kmeans_matches_reference(rows, 3, restarts=5)
+    assert lloyd_work == {"exact": 2 * 5, "outside": 2 * fresh}
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 24, 129, 300])

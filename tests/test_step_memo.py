@@ -109,6 +109,31 @@ def test_run_experiment_clusters_each_step_of_a_replicate_once(monkeypatch):
     assert counts["kmeans"] == len(evaluated) == 12
 
 
+def test_selections_on_one_network_decompose_each_clustering_matrix_once(monkeypatch):
+    # the six methods of a sim-panel network, each with its own seed: no
+    # step is shared, but each clusterer's basis is decomposed once
+    rng = make_rng(4)
+    adj = sample_network(mean_matrix(simulation_params(3, 0.2, 3, (30, 40, 50), rng)), EdgeDistribution("poisson"), rng)
+    runs = [(MethodSpec(s, c), seed) for seed, (s, c) in enumerate(
+        (s, c) for s in ("svps", "cbic", "icl") for c in ("score", "rsc"))]
+
+    def traces(cold):
+        out = []
+        for spec, seed in runs:
+            if cold:
+                selection._steps = (None, {})
+            dist = None if spec.selector == "svps" else "poisson"
+            out.append(select(adj, spec, dist=dist, m_max=7, seed=seed, restarts=3).to_csv())
+        return out
+
+    cold = traces(cold=True)
+    selection._steps = (None, {})
+    counts = count_layers(monkeypatch)
+    assert traces(cold=False) == cold
+    assert counts["leading_eigpairs"] == 2
+    assert counts["kmeans"] == sum(len(csv.splitlines()) - 2 for csv in cold)
+
+
 def test_separate_binarized_copies_share_steps(monkeypatch):
     counts = count_layers(monkeypatch)
     lesmis = load_lesmis()
@@ -193,9 +218,10 @@ def test_memo_holds_only_the_last_networks_labels():
     select(other, MethodSpec("cbic", "rsc"), dist="poisson", m_max=4, restarts=2)
     digest, entries = selection._steps
     assert digest == (other.weights.shape, hashlib.sha1(other.weights).digest())
-    assert sorted(entries) == [("rsc", m, 0, 2) for m in range(1, 5)]
-    assert all(isinstance(value, Assignment) for value in entries.values())
-    # every array the memo reaches is one network-B label vector
+    assert sorted(entries) == [("rsc",)] + [("rsc", m, 0, 2) for m in range(1, 5)]
+    assert all(isinstance(entries[key], Assignment) for key in entries if len(key) == 4)
+    # every array the memo reaches is one network-B label vector, or the
+    # leading m_max columns of its RSC basis: nothing n x n
     arrays, seen, stack = [], set(), [selection._steps]
     while stack:
         obj = stack.pop()
@@ -206,8 +232,11 @@ def test_memo_holds_only_the_last_networks_labels():
             arrays.append(obj)
         else:
             stack.extend(gc.get_referents(obj))
-    assert len(arrays) == 4
-    assert all(a.shape == (other.n,) and a.base is None for a in arrays)
+    assert sorted(a.shape for a in arrays) == [(other.n,)] * 4 + [(other.n, 4)]
+    assert all(a.base is None for a in arrays)
+    basis = entries["rsc",]
+    assert not basis.flags.writeable
+    assert np.array_equal(basis, spectral._basis(copy.copy(other), "rsc", 4))
 
 
 def test_a_numpy_integer_seed_is_memoised_as_its_int(monkeypatch):
@@ -223,7 +252,7 @@ def test_a_numpy_integer_seed_is_memoised_as_its_int(monkeypatch):
     # ICL reuses CBIC's two clustered steps (m = 2, 3) under either spelling
     assert runs[int] == runs[np.int64]
     assert runs[int][1] == 2
-    assert runs[int][2] == [("score", m, 7, 2) for m in (1, 2, 3)]
+    assert runs[int][2] == [("score",)] + [("score", m, 7, 2) for m in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("seed", [None, 7.0, (4, 2), -1], ids=["none", "float", "entropy-sequence", "negative"])

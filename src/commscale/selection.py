@@ -25,7 +25,7 @@ from .fitting import FitError, FittedStep, _variance_profile, fit_step, floor_po
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import ClusterError, _checked_int, _lanczos, _sparse_weights, rsc_cluster, score_cluster
+from .spectral import ClusterError, _basis_key, _checked_int, _lanczos, _sparse_weights, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -263,9 +263,10 @@ def select(
         last, failed, threshold = adj.n, -math.inf, None
     # seed the copy with the basis an earlier selection on these weights
     # decomposed, and keep its leading columns for later ones
-    entries, basis_key = _memo_entries(adj), f"_{spec.clusterer}_basis"
-    if (spec.clusterer,) in entries:
-        vars(adj).setdefault(basis_key, entries[spec.clusterer,])
+    entries, basis_key = _memo_entries(adj), _basis_key(spec.clusterer)
+    kept = entries.get((spec.clusterer,))
+    if kept is not None:
+        vars(adj).setdefault(basis_key, kept)
     steps = []
     for m in range(1, min(m_max, last) + 1):
         try:
@@ -282,7 +283,7 @@ def select(
         steps.append(StepRecord(m=m, value=value, status="ok"))
         if svps and value < threshold:
             break
-    basis, kept = vars(adj).get(basis_key), entries.get((spec.clusterer,))
+    basis = vars(adj).get(basis_key)
     width = 0 if basis is None else min(basis.shape[1], m_max)
     if width > (0 if kept is None else kept.shape[1]):
         kept = basis[:, :width].copy()

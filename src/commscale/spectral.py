@@ -26,11 +26,12 @@ can; exact distances, summed in numpy's own order, are computed for the
 tests it cannot decide, for empty-cluster reseeds and once for every
 restart's final labels. Each restart draws from its own generator and
 stops at its own convergence test (or when its labels repeat), so its
-labels are those it would reach alone. The k-means++ draws of the last (seed, restarts, n)
-are memoised: each restart's first draw and a tape of its next n - 1
-uniforms, enough for any m, so calls that share a seed, as the steps of
-a selection do, spawn their generators once. A seed is an integer >= 0
-(numpy integers too), the rule select and ExperimentConfig apply.
+labels are those it would reach alone. The k-means++ draws of the last
+(seed, restarts, n) are memoised: each restart's first draw and a tape
+of its next n - 1 uniforms, enough for any m, so calls that share a
+seed, as the steps of a selection do, spawn their generators once. A
+seed is an integer >= 0 (numpy integers too), the rule select and
+ExperimentConfig apply.
 """
 
 from __future__ import annotations
@@ -490,6 +491,11 @@ def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:
     return Assignment(labels[best], m)
 
 
+def _basis_key(clusterer: str) -> str:
+    """The instance-dict key under which _basis memoises a clusterer's dense basis."""
+    return f"_{clusterer}_basis"
+
+
 def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
     """The m leading eigenvectors of the clusterer's matrix, whose full
     basis is computed once per network object, and again when the memo
@@ -516,7 +522,7 @@ def _basis(adj: WeightedAdjacency, clusterer: str, m: int) -> np.ndarray:
             memo[key] = None if pairs is None else _ordered(*pairs)[1]
         if memo[key] is not None:
             return memo[key]
-    key = f"_{clusterer}_basis"
+    key = _basis_key(clusterer)
     if key not in memo or memo[key].shape[1] < m:
         if clusterer == "score":
             matrix = adj.weights

@@ -1,8 +1,9 @@
 """The step memo: selectors that share a network, clusterer, m, seed and
 restart count cluster that step once, and reuse it bit for bit.
 
-The memo holds only the last network's assignments, keyed by a digest of
-its weights, so it can never hand one network's labels to another.
+The memo holds only the last network's assignments and clustering bases,
+keyed by a digest of its weights, so it can never hand one network's
+labels or basis to another.
 """
 
 import copy
@@ -114,12 +115,11 @@ def test_selections_on_one_network_decompose_each_clustering_matrix_once(monkeyp
     # step is shared, but each clusterer's basis is decomposed once
     rng = make_rng(4)
     adj = sample_network(mean_matrix(simulation_params(3, 0.2, 3, (30, 40, 50), rng)), EdgeDistribution("poisson"), rng)
-    runs = [(MethodSpec(s, c), seed) for seed, (s, c) in enumerate(
-        (s, c) for s in ("svps", "cbic", "icl") for c in ("score", "rsc"))]
+    methods = [MethodSpec(s, c) for s in ("svps", "cbic", "icl") for c in ("score", "rsc")]
 
     def traces(cold):
         out = []
-        for spec, seed in runs:
+        for seed, spec in enumerate(methods):
             if cold:
                 selection._steps = (None, {})
             dist = None if spec.selector == "svps" else "poisson"

@@ -9,8 +9,9 @@ S_kl = 1_k' A 1_l, the block degree totals t_k = 1_k' A 1 and the degrees d:
     M_ij    = C_kl * d_i * d_j                (i in k, j in l, C_kl = S_kl / (t_k * t_l))
 
 fit_step forms S, t and d only. theta, B, the n x n mean M and the
-variance profile nu(M) are built on first read; CBIC, ICL and
-`commscale fit` read them, svps does not. nu is the variance of the
+variance profile nu(M) are built on first read: `commscale fit` reads
+them, and CBIC and ICL read M only where the likelihood does not split
+into blocks (_mean_unfloored); svps does not. nu is the variance of the
 step's edge law (EdgeDistribution.variance), floored at 1e-8 times its
 mean positive entry so that the doubly-stochastic scaling downstream
 exists. The floor binds only near a zero entry of nu(M): at an isolated
@@ -100,6 +101,20 @@ def _degree_range(fitted: FittedStep) -> tuple[np.ndarray, np.ndarray]:
     np.minimum.at(dmin, labels, d)
     np.maximum.at(dmax, labels, d)
     return dmin, dmax
+
+
+def _mean_unfloored(fitted: FittedStep) -> bool:
+    """Whether floor_positive leaves fitted.mean as it is.
+
+    The least mean of block (k, l) is C_kl dmin_k dmin_l, rounded as
+    fitted.mean rounds it. Where each clears the floor, 1e-8 times the
+    mean entry sum S / n^2 (with the margin _variance_profile allows for
+    rounding), every entry is positive and above the floor.
+    """
+    dmin, _ = _degree_range(fitted)
+    s, totals, n = fitted.block_sums, fitted.totals, fitted.degrees.size
+    least = (s / np.outer(totals, totals) * np.outer(dmin, dmin)).min()
+    return bool(least > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * s.sum() / n**2)
 
 
 def _variance_profile(fitted: FittedStep) -> _BlockProfile | np.ndarray:

@@ -104,6 +104,15 @@ class EdgeDistribution:
         p = 1.0 - p
         return (c + self.trials * np.log(p)) + xlog1py(f, -p)
 
+    def block_log_mass(self, s: np.ndarray, t: np.ndarray, d: np.ndarray) -> float | None:
+        """The log mass summed over all ordered pairs, less its mean-free term c,
+        at means mu_ij = C_kl d_i d_j with C = s / t t^T, for counts with block
+        sums s, group totals t and degrees d: sum S log C + 2 sum d log d - sum S
+        (poisson). None for the binomial laws, whose log(1 - p) does not split."""
+        if self.kind != "poisson":
+            return None
+        return float(xlogy(s, s / np.outer(t, t)).sum() + 2.0 * xlogy(d, d).sum() - s.sum())
+
     def variance(self, mu: np.ndarray) -> np.ndarray:
         """The law's variance at actual mean mu: mu (poisson), mu*(1 - mu/t)
         (binomial) or mu*(1 + mu/t) (negative binomial), t = trials."""

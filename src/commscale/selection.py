@@ -7,9 +7,12 @@ largest eigenvalue magnitude of the adjacency, scaled by the fitted
 variance profile, falls below 2 + epsilon. The penalized-likelihood
 baselines (CBIC, ICL) score every m and take the argmax.
 
-Every step is fitted under the selection's one edge law. The
-log-likelihood sums the law's log mass over data terms built once per
-selection; it equals the scipy.stats logpmf sum bit for bit.
+Every step is fitted under the selection's one edge law. log_likelihood
+sums the law's log mass over data terms built once per selection; it
+equals the scipy.stats logpmf sum bit for bit. CBIC and ICL take it at
+the step's n x n mean only where the mean floor may bind or the law's
+log mass does not split into blocks; a Poisson step otherwise scores
+from its block sums, totals and degrees, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitError, FittedStep, _variance_profile, fit_step, floor_positive
+from .fitting import FitError, FittedStep, _mean_unfloored, _variance_profile, fit_step, floor_positive
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
 from .network import WeightedAdjacency
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
@@ -173,6 +176,18 @@ def _data_terms(adj: WeightedAdjacency, law: EdgeDistribution) -> tuple[np.ndarr
     return memo[key]
 
 
+def _mean_free_sum(adj: WeightedAdjacency, law: EdgeDistribution) -> float | None:
+    """The data terms' mean-free term c summed (sum log A_ij! for poisson),
+    memoised beside them; None where a weight is not its count k exactly,
+    since block sums of the weights then miss the counts' k log mu."""
+    key = f"_{law.kind}{law.trials}_sum"
+    memo = vars(adj)
+    if key not in memo:
+        counts, c, _ = _data_terms(adj, law)
+        memo[key] = float(c.sum()) if np.array_equal(counts, adj.weights) else None
+    return memo[key]
+
+
 def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
     """Log mass of adj's weights given entrywise means of the same shape.
 
@@ -191,6 +206,23 @@ def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
     return float(law.log_mass(_data_terms(adj, law), floor_positive(mean)).sum())
 
 
+def _step_log_likelihood(adj: WeightedAdjacency, fitted: FittedStep) -> float:
+    """log f(A | M) at a fitted step's mean M, under fitted.law.
+
+    In block form, O(m^2 + n) (EdgeDistribution.block_log_mass), where the
+    law's log mass splits, every weight is its count and the mean floor
+    cannot bind (fitting._mean_unfloored); it then differs from the dense
+    sum in rounding only. Otherwise log_likelihood of fitted.mean.
+    """
+    law = fitted.law
+    if _mean_unfloored(fitted):
+        part = law.block_log_mass(fitted.block_sums, fitted.totals, fitted.degrees)
+        constant = None if part is None else _mean_free_sum(adj, law)
+        if constant is not None:
+            return part - constant
+    return log_likelihood(adj, fitted.mean, law)
+
+
 def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, lam: float = 1.0) -> float:
     """log f(A | M) - [lam * n * log m + m(m+1)/2 * log n], under fitted.law."""
     if not lam >= 0:
@@ -198,7 +230,7 @@ def cbic_score(adj: WeightedAdjacency, fitted: FittedStep, lam: float = 1.0) -> 
     n = adj.n
     m = fitted.m
     penalty = lam * n * math.log(m) + m * (m + 1) / 2.0 * math.log(n)
-    return log_likelihood(adj, fitted.mean, fitted.law) - penalty
+    return _step_log_likelihood(adj, fitted) - penalty
 
 
 def icl_score(adj: WeightedAdjacency, fitted: FittedStep) -> float:
@@ -208,7 +240,7 @@ def icl_score(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     sizes = fitted.assignment.sizes
     entropy = float((sizes * np.log(n / sizes)).sum())
     penalty = entropy + m * (m + 2) / 2.0 * math.log(n)
-    return log_likelihood(adj, fitted.mean, fitted.law) - penalty
+    return _step_log_likelihood(adj, fitted) - penalty
 
 
 def select(

@@ -293,7 +293,8 @@ def _exact_nearest(x: np.ndarray, centers: np.ndarray, rows: np.ndarray, points:
 def _point_parts(x: np.ndarray) -> tuple:
     """[x, 1]^T, |x|^2 per row, their sum and x^T, contiguous: what _nearest
     and _assign read of x, and the x^T _point_d2 reads."""
-    x_norms = (x ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        x_norms = (x ** 2).sum(axis=1)
     return np.column_stack([x, np.ones(len(x))]).T, x_norms, x_norms.sum(), np.ascontiguousarray(x.T)
 
 
@@ -327,8 +328,8 @@ def _nearest(x: np.ndarray, centers: np.ndarray, parts: tuple):
     r, m, d = centers.shape
     x1t, x_norms = parts[:2]
     flat_centers = centers.reshape(r * m, d)
-    norms = (flat_centers ** 2).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
+        norms = (flat_centers ** 2).sum(axis=1)
         h = np.column_stack([-2.0 * flat_centers, norms]) @ x1t
         h = h.reshape(r, m, -1)
         labels = np.zeros(h[:, 0].shape, dtype=np.intp)

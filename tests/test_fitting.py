@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commscale import selection
-from commscale.fitting import FitError, _variance_profile, fit_step
+from commscale.fitting import FitError, _mean_unfloored, _variance_profile, fit_step
 from commscale.model import (
     EDGE_LAWS,
     EdgeDistribution,
@@ -206,7 +206,9 @@ def dense_statistic(adj, fitted):
 
 def test_floored_profile_stays_dense():
     # an isolated node and two disconnected components at m = 2 give zero
-    # entries in nu(M), so the floor binds and svps scales the dense profile
+    # entries in nu(M), so the floor binds and svps scales the dense profile;
+    # zero entries of M bind the mean floor, so CBIC and ICL take the dense
+    # likelihood
     lesmis = load_lesmis()
     n = lesmis.n
     isolated = np.zeros((n + 1, n + 1))
@@ -224,11 +226,14 @@ def test_floored_profile_stays_dense():
             assert _variance_profile(fitted) is fitted.variance
             assert fitted.variance.min() < fitted.mean[fitted.mean > 0].min()  # floored
             assert svps_statistic(adj, fitted) == dense_statistic(adj, fitted)
+            assert not _mean_unfloored(fitted)
+            assert selection._step_log_likelihood(adj, fitted) == log_likelihood(adj, fitted.mean, law)
 
 
 def test_svps_builds_no_dense_fit_arrays(monkeypatch):
     # svps reads the block sums only; the n x n mean and variance are
-    # built on first read, which CBIC and ICL make
+    # built on first read, which CBIC and ICL make only where the
+    # likelihood does not split into blocks
     steps = []
     original = selection.fit_step
 
@@ -244,6 +249,9 @@ def test_svps_builds_no_dense_fit_arrays(monkeypatch):
     steps.clear()
     small = sampled_counts((20, 25), seed=5)[0]
     score_select(small, "poisson", "cbic", m_range=range(1, 3), restarts=5)
+    assert steps and not any({"mean", "variance"} & vars(step).keys() for step in steps)
+    steps.clear()
+    score_select(small, "negbinom", "cbic", m_range=range(1, 3), restarts=5)
     assert steps and all("mean" in vars(step) for step in steps)
 
 

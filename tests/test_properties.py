@@ -1,12 +1,13 @@
 """Property tests: edge-list round trips, relabelling invariance, isolated nodes,
-NaN at every positivity guard, batched k-means on tie-heavy rows, and
-selections with a warm step memo."""
+NaN at every positivity guard, batched k-means on tie-heavy rows,
+selections with a warm step memo, and the step likelihood against the
+dense sum."""
 
 import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +15,7 @@ from commscale import selection
 from commscale.datasets import load_lesmis
 from commscale.fitting import FitError, fit_step
 from commscale.model import (
+    EDGE_LAWS,
     EdgeDistribution,
     make_rng,
     mean_matrix,
@@ -22,7 +24,15 @@ from commscale.model import (
 )
 from commscale.network import WeightedAdjacency, load_edge_list, regularize
 from commscale.scaling import sinkhorn_symmetric
-from commscale.selection import MethodSpec, cbic_score, score_select, select, svps_select, svps_statistic
+from commscale.selection import (
+    MethodSpec,
+    cbic_score,
+    log_likelihood,
+    score_select,
+    select,
+    svps_select,
+    svps_statistic,
+)
 from commscale.spectral import Assignment
 from test_spectral import assert_kmeans_matches_reference
 
@@ -208,3 +218,45 @@ def test_warm_step_memo_equals_cold(n, net_seed, seed, mean):
         return out
 
     assert outputs(cold=False) == outputs(cold=True)
+
+
+@st.composite
+def fitted_count_steps(draw):
+    """(network, fitted step) under a drawn law: counts on 2..30 nodes in m
+    groups, some nodes drawn isolated, maybe no weight between group 0 and
+    the rest, and maybe every positive weight 5e-10 off its count."""
+    law = EDGE_LAWS[draw(st.sampled_from(sorted(EDGE_LAWS)))]
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, min(n, 4)))
+    labels = np.array(draw(st.permutations(np.arange(n) % m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.poisson(draw(st.sampled_from([0.5, 2.0, 6.0])), size=(n, n))).astype(float)
+    w = upper + np.triu(upper, 1).T
+    if law.kind == "binomial":
+        w = np.minimum(w, law.trials)
+    if draw(st.booleans()):
+        w[np.not_equal.outer(labels == 0, labels == 0)] = 0.0
+    isolated = list(draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    w[isolated, :] = w[:, isolated] = 0.0
+    if draw(st.booleans()):
+        w[w > 0] += 5e-10
+    adj = WeightedAdjacency(w)
+    try:
+        return adj, fit_step(adj, Assignment(labels, m), law)
+    except FitError:  # a group with no weight inside
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fitted_count_steps())
+def test_step_likelihood_equals_the_dense_sum(case):
+    # a poisson step with integer weights and no zero mean scores in block
+    # form, equal up to rounding; every other step is the dense sum itself
+    adj, fitted = case
+    dense = log_likelihood(adj, fitted.mean, fitted.law)
+    value = selection._step_log_likelihood(adj, fitted)
+    counts = np.array_equal(adj.weights, np.round(adj.weights))
+    if fitted.law.kind == "poisson" and counts and (fitted.mean > 0).all():
+        assert value == pytest.approx(dense, rel=1e-13, abs=0)
+    else:
+        assert value == dense

@@ -497,18 +497,24 @@ def test_each_selection_decomposes_its_clustering_matrix_once(clusterer, monkeyp
 
 @pytest.mark.parametrize("selector,law", [("cbic", "poisson"), ("icl", "bernoulli"), ("cbic", "negbinom")])
 def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypatch):
-    builds, scores = [], []
+    builds, steps, dense = [], [], []
     terms, likelihood = EdgeDistribution.data_terms, selection.log_likelihood
+    step_likelihood = selection._step_log_likelihood
 
     def counting_terms(law, values):
         builds.append(law)
         return terms(law, values)
 
+    def counting_steps(*args):
+        steps.append(args[1].m)
+        return step_likelihood(*args)
+
     def counting_likelihood(*args):
-        scores.append(args[1].shape)
+        dense.append(args[1].shape)
         return likelihood(*args)
 
     monkeypatch.setattr(EdgeDistribution, "data_terms", counting_terms)
+    monkeypatch.setattr(selection, "_step_log_likelihood", counting_steps)
     monkeypatch.setattr(selection, "log_likelihood", counting_likelihood)
     adj, _ = sampled_counts((12, 14, 16))
     if law == "bernoulli":
@@ -516,7 +522,9 @@ def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypa
     fields = dict(vars(adj))
     trace = select(adj, MethodSpec(selector), dist=law, m_max=5, restarts=2)
     ok = [step for step in trace.steps if step.status == "ok"]
-    assert len(ok) > 1 and len(scores) == len(ok)
+    assert len(ok) > 1 and len(steps) == len(ok)
+    # poisson steps on this network score in block form, the others at the dense mean
+    assert len(dense) == (0 if law == "poisson" else len(ok))
     assert len(builds) == 1
     # the memo went with the selection's copy of the network
     assert vars(adj).keys() == fields.keys()

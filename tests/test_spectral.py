@@ -651,7 +651,7 @@ def exact_points(monkeypatch):
     "rows, ms, exact",
     [(tie_grid(), (2, 4, 5), True), (duplicated_rows(), (3, 5), False), (offset_rows(), (2, 3), True),
      (integer_rows_d17(), (17,), True),
-     pytest.param(huge_rows(), (2, 3), True, marks=pytest.mark.filterwarnings("ignore:overflow encountered"))],
+     pytest.param(huge_rows(), (2, 3), True, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))],
     ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17", "huge-1e160"],
 )
 def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact, exact_points):

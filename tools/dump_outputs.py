@@ -18,7 +18,9 @@ The set covers:
   under the negative binomial variance, whose two-term profile is scaled
   in block form, so step values can differ from the dense scaling's in
   the last digits; and the binarized network under the bernoulli
-  variance, whose fits all fail on a mean of 1 or more;
+  variance, whose fits all fail on a mean of 1 or more; and cbic and icl
+  under the poisson law on the first two, where zero means bind the mean
+  floor, so their steps take the dense likelihood;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
   replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as
   Table.to_csv renders them;
@@ -47,7 +49,7 @@ The set covers:
   reads the k-means++ draws the first left memoised;
 - svps, cbic and icl traces on networks sampled from the binomial (5
   trials) and negative binomial laws, each selector given the sampling
-  law, and cbic_score and icl_score under every
+  law, and log_likelihood less the cbic and icl penalties under every
   likelihood law on random counts whose means include zeros (floored)
   and values at or past the trial cap, so every branch of the
   likelihood shows.
@@ -79,7 +81,6 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 HERE = Path(__file__).resolve().parents[1]
@@ -182,7 +183,8 @@ def large_svps_run(cs):
 
 
 def floor_rule_runs(cs):
-    """(file name, call) for svps_select on networks on both sides of the variance floor's rule."""
+    """(file name, call) for svps_select on networks on both sides of the variance floor's rule,
+    and select with cbic and icl under the poisson law on the two where the mean floor can bind."""
     import numpy as np
 
     adj = cs.load_lesmis()
@@ -196,6 +198,11 @@ def floor_rule_runs(cs):
     yield "svps-lesmis-two-copies.csv", partial(cs.svps_select, cs.WeightedAdjacency(two), **common)
     yield "svps-lesmis-binarized-bernoulli.csv", partial(cs.svps_select, cs.binarize(adj), "bernoulli", **common)
     yield "svps-lesmis-negbinom.csv", partial(cs.svps_select, adj, "negbinom", **common)
+    for method in ("cbic", "icl"):
+        spec = cs.MethodSpec(method)
+        for name, weights in (("isolated-node", isolated), ("two-copies", two)):
+            yield f"{method}-lesmis-{name}.csv", partial(cs.select, cs.WeightedAdjacency(weights), spec,
+                                                         dist="poisson", **common)
 
 
 def trace_runs(cs):
@@ -318,17 +325,21 @@ def describe_kmeans(cs, rows, m, seed) -> str:
 
 
 def likelihood_runs(cs):
-    """(file name, call) for cbic_score and icl_score on random counts, per law."""
+    """(file name, call) for the cbic and icl scores on random counts, per law."""
     for law in ("poisson", "binomial", "bernoulli", "negbinom"):
         yield f"likelihood-{law}.txt", partial(describe_scores, cs, law)
 
 
 def describe_scores(cs, law) -> str:
-    """repr of cbic_score and icl_score at m = 2 on symmetric counts, one line per n.
+    """repr of the cbic and icl scores at m = 2 on symmetric counts, one line per n.
 
     The inputs are built like those of the exact likelihood test in
-    tests/test_selection.py, with another seed and other sizes.
+    tests/test_selection.py, with another seed and other sizes. Their means
+    are not block-model means, so each score is log_likelihood at the mean
+    less its penalty, spelled as cbic_score (lam = 1) and icl_score spell it.
     """
+    import math
+
     import numpy as np
 
     rng = np.random.default_rng(21)
@@ -345,10 +356,11 @@ def describe_scores(cs, law) -> str:
         mean[rng.random((n, n)) < 0.2] = trials
         mean[rng.random((n, n)) < 0.2] = 2.5 * trials
         mean[0, 0] = 0.4
-        labels = np.arange(n) % 2
-        # the scores read only these four fields of a fitted step
-        fitted = SimpleNamespace(m=2, assignment=cs.Assignment(labels, 2), mean=mean, law=cs.model.edge_law(law))
-        text += f"n {n} cbic {cs.cbic_score(adj, fitted)!r} icl {cs.icl_score(adj, fitted)!r}\n"
+        sizes = cs.Assignment(np.arange(n) % 2, 2).sizes
+        ll = cs.log_likelihood(adj, mean, law)
+        cbic = ll - (1.0 * n * math.log(2) + 2 * 3 / 2.0 * math.log(n))
+        icl = ll - (float((sizes * np.log(n / sizes)).sum()) + 2 * 4 / 2.0 * math.log(n))
+        text += f"n {n} cbic {cbic!r} icl {icl!r}\n"
     return text
 
 

@@ -215,9 +215,9 @@ def _step_log_likelihood(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     sum in rounding only. Otherwise log_likelihood of fitted.mean.
     """
     law = fitted.law
-    if _mean_unfloored(fitted):
-        part = law.block_log_mass(fitted.block_sums, fitted.totals, fitted.degrees)
-        constant = None if part is None else _mean_free_sum(adj, law)
+    part = law.block_log_mass(fitted.block_sums, fitted.totals, fitted.degrees)
+    if part is not None and _mean_unfloored(fitted):
+        constant = _mean_free_sum(adj, law)
         if constant is not None:
             return part - constant
     return log_likelihood(adj, fitted.mean, law)

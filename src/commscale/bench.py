@@ -45,8 +45,7 @@ class ExperimentConfig:
     zero_diagonal: bool = False
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _checked_int(self.replicates, "replicates", 1)
         _checked_int(self.seed, "seed")
         if not self.methods:
             raise ValueError("need at least one method")

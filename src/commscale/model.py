@@ -5,7 +5,10 @@ community connectivity; simulation_params rescales the usual recipe
 with connectivity rho*(1 + r*1{k==l}) into that form, which leaves the
 mean matrix unchanged. Inputs are checked where they enter:
 simulation_params checks its numbers, sample_network its mean.
-EdgeDistribution is the one place that knows each edge law's rules.
+EdgeDistribution is the one place that knows each edge law's rules. Its
+log mass methods import scipy.special when first called, so importing
+commscale, or a selection that evaluates no likelihood, loads no scipy
+module.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .network import WeightedAdjacency
 
@@ -81,6 +83,8 @@ class EdgeDistribution:
         """Counts k, mean-free term c and failures f of the log mass, or
         ValueError off the support (integers in range). c is log k!, log C(t, k)
         with f = t - k, or log C(t + k - 1, k) with f = k, as scipy.stats forms them."""
+        from scipy.special import gammaln
+
         k = np.round(weights)
         if not np.allclose(weights, k, rtol=0, atol=1e-9):
             raise ValueError(f"{self.kind.replace('_', ' ')} likelihood needs integer weights")
@@ -95,6 +99,8 @@ class EdgeDistribution:
     def log_mass(self, terms: tuple[np.ndarray, ...], mu: np.ndarray) -> np.ndarray:
         """Entrywise log mass, grouped as scipy.stats groups it, of the counts of terms
         (data_terms) at means mu > 0; probabilities are capped at 1 - 1e-8."""
+        from scipy.special import xlog1py, xlogy
+
         k, c, f = terms
         if self.kind == "poisson":
             return (xlogy(k, mu) - c) - mu
@@ -111,6 +117,8 @@ class EdgeDistribution:
         (poisson). None for the binomial laws, whose log(1 - p) does not split."""
         if self.kind != "poisson":
             return None
+        from scipy.special import xlogy
+
         return float(xlogy(s, s / np.outer(t, t)).sum() + 2.0 * xlogy(d, d).sum() - s.sum())
 
     def variance(self, mu: np.ndarray) -> np.ndarray:

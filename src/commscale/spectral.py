@@ -16,22 +16,26 @@ step memo kept for the same weights, so selections on one network
 decompose it once between them. On the Lanczos path SCORE finds the m
 leading pairs once per m.
 
-k-means runs all of its k-means++ restarts together. One matmul gives
-each point's candidate centre in every restart; a forward-error bound
-certifies it, and points it cannot certify (ties, near ties) are labelled
-from the distances ((x - c) ** 2).sum() itself gives, so the labels do
-not depend on the BLAS. The same matmul estimates each restart's WCSS
-within a closed-form bound, which decides the convergence test where it
-can; exact distances, summed in numpy's own order, are computed for the
-tests it cannot decide, for empty-cluster reseeds and once for every
-restart's final labels. Each restart draws from its own generator and
-stops at its own convergence test (or when its labels repeat), so its
-labels are those it would reach alone. The k-means++ draws of the last
-(seed, restarts, n) are memoised: each restart's first draw and a tape
-of its next n - 1 uniforms, enough for any m, so calls that share a
-seed, as the steps of a selection do, spawn their generators once. A
-seed is an integer >= 0 (numpy integers too), the rule select and
-ExperimentConfig apply.
+k-means runs all of its k-means++ restarts together, as one compact
+batch of the restarts still active. One matmul gives h = |c|^2 - 2 c.x
+for every point and centre of every restart; reductions over the centre
+axis take each point's least h and count the centres within a
+forward-error bound of it, and a point where that count is one is
+certified and labelled with that centre. Points it cannot certify (ties,
+near ties) are labelled from the distances ((x - c) ** 2).sum() itself
+gives, so the labels do not depend on the BLAS, and a Lloyd iteration
+is a fixed number of array passes whatever m. The same matmul estimates
+each restart's WCSS within a closed-form bound, which decides the
+convergence test where it can; exact distances, summed in numpy's own
+order, are computed for the tests it cannot decide, for empty-cluster
+reseeds and once for every restart's final labels. Each restart draws
+from its own generator and stops at its own convergence test (or when
+its labels repeat), so its labels are those it would reach alone. The
+k-means++ draws of the last (seed, restarts, n) are memoised: each
+restart's first draw and a tape of its next n - 1 uniforms, enough for
+any m, so calls that share a seed, as the steps of a selection do, spawn
+their generators once. A seed is an integer >= 0 (numpy integers too,
+a bool not), the rule select and ExperimentConfig apply.
 """
 
 from __future__ import annotations
@@ -67,11 +71,13 @@ LANCZOS_MAX_DENSITY = 0.25
 # ARPACK missed the second copy of a double eigenvalue (a ring lattice).
 # Basis solves stay at 0, machine precision: k-means reads their vectors.
 LANCZOS_VALUES_TOL = 1e-10
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def _checked_int(value, name: str, least: int = 0) -> int:
-    """value as an int if it is an integer >= least (numpy integers too), else ValueError naming it."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """value as an int if it is an integer >= least (numpy integers too, a
+    bool not), else ValueError naming it."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -291,11 +297,12 @@ def _exact_nearest(x: np.ndarray, centers: np.ndarray, rows: np.ndarray, points:
 
 
 def _point_parts(x: np.ndarray) -> tuple:
-    """[x, 1]^T, |x|^2 per row, their sum and x^T, contiguous: what _nearest
-    and _assign read of x, and the x^T _point_d2 reads."""
-    with np.errstate(over="ignore"):
-        x_norms = (x ** 2).sum(axis=1)
-    return np.column_stack([x, np.ones(len(x))]).T, x_norms, x_norms.sum(), np.ascontiguousarray(x.T)
+    """[x, 1]^T, |x|^2 per row, the part of _nearest's bound each row adds,
+    24 (d + 1) eps |x|^2 + tiny, the sum of |x|^2 and x^T, contiguous: what
+    _nearest and _assign read of x, and the x^T _point_d2 reads."""
+    x_norms = (x ** 2).sum(axis=1)
+    x_bound = 24 * (x.shape[1] + 1) * _EPS * x_norms + _TINY
+    return np.column_stack([x, np.ones(len(x))]).T, x_norms, x_bound, x_norms.sum(), np.ascontiguousarray(x.T)
 
 
 def _point_d2(xt: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -311,47 +318,60 @@ def _nearest(x: np.ndarray, centers: np.ndarray, parts: tuple):
     """Per restart: nearest-centre labels (r, n), those of ((x - c) ** 2).sum()
     per row and centre with ties to the lower centre, whatever the BLAS;
     with the least h + |x|^2 per point (r, n) and M per restart (r,), which
-    _assign reads. parts is _point_parts(x).
+    _assign reads. parts is _point_parts(x). Called under _lloyd's errstate.
 
     One matmul gives every h_k = |c_k|^2 - 2 c_k.x (|x|^2 is common to all
-    k), the least naming the candidate. Let u = 2**-53, g_j = ju / (1 - ju),
-    M = max_k |c_k|^2 and s = 2 (M + |x|^2) >= (|c_k| + |x|)^2. h_k, a
-    rounded |c_k|^2 added by a length-(d + 1) dot product in any order,
-    fused or not, is within g_(2d+1) s of its exact value; the reference
-    distance is within g_(d+2) s of |x - c_k|^2. A gap from the least h to
-    the next above 2 (g_(2d+1) + g_(d+2)) s <= 24 (d + 1) u (M + |x|^2)
-    thus leaves every other reference distance strictly larger. The bound
-    doubles that, for the rounding of M, |x|^2, the bound and the gap, and
-    adds the least normal number for underflow; points that miss it (ties,
-    near ties, inf, NaN) are labelled by _exact_nearest.
+    k); a reduction over the centre axis gives the least, b. Let u = 2**-53,
+    g_j = ju / (1 - ju), M = max_k |c_k|^2 and s = 2 (M + |x|^2) >= (|c_k|
+    + |x|)^2. h_k, a rounded |c_k|^2 added by a length-(d + 1) dot product
+    in any order, fused or not, is within g_(2d+1) s of its exact value; the
+    reference distance is within g_(d+2) s of |x - c_k|^2. So every centre
+    whose h exceeds b by more than G = 2 (g_(2d+1) + g_(d+2)) s <= 24 (d +
+    1) u (M + |x|^2) is strictly farther by reference distance than the
+    centre of b. The bound is 24 (d + 1) eps (M + |x|^2) + tiny, at least
+    twice G plus the least normal number for underflow, added as 24 (d + 1)
+    eps M and _point_parts's 24 (d + 1) eps |x|^2 + tiny; one comparison
+    marks every centre with h <= b + bound, rounded, b's own among them. A
+    point is certified where exactly one centre is marked: every other h
+    then exceeds the rounded b + bound, so exceeds b by more than bound - u
+    (|b| + bound). |b| <= 2 s makes u |b| at most a twelfth of G's bound 24
+    (d + 1) u (M + |x|^2), so the gap is more than G, the rest of the
+    factor 2 covering the rounding of M, |x|^2 and the bound. The certified
+    label is that centre, read as the sum of k over the marked centres. The
+    count is a uint8 reduce, or the least unsigned type that holds m, so it
+    cannot wrap to 1. An h that overflows needs M + |x|^2 to overflow too:
+    the bound is then inf and every centre, or none, is marked; a NaN h
+    makes b NaN and marks none. Points not certified (ties, near ties, inf,
+    NaN) are labelled by _exact_nearest.
     """
     r, m, d = centers.shape
-    x1t, x_norms = parts[:2]
+    x1t, x_norms, x_bound = parts[:3]
     flat_centers = centers.reshape(r * m, d)
-    with np.errstate(invalid="ignore", over="ignore"):
-        norms = (flat_centers ** 2).sum(axis=1)
-        h = np.column_stack([-2.0 * flat_centers, norms]) @ x1t
-        h = h.reshape(r, m, -1)
-        labels = np.zeros(h[:, 0].shape, dtype=np.intp)
-        best, second = h[:, 0].copy(), np.full_like(h[:, 0], np.inf)
-        for k in range(1, m):
-            # a new minimum moves the label up to k, so a maximum keeps it
-            np.maximum(labels, (h[:, k] < best) * k, out=labels)
-            np.minimum(second, np.maximum(best, h[:, k]), out=second)
-            np.minimum(best, h[:, k], out=best)
-        peak = norms.reshape(r, m).max(axis=1)
-        bound = 24 * (d + 1) * np.finfo(float).eps * (peak[:, None] + x_norms) + np.finfo(float).tiny
-        rows, points = np.nonzero(~(second - best > bound))
-        best += x_norms
-    if rows.size:
+    norms = (flat_centers ** 2).sum(axis=1)
+    h = (np.column_stack([-2.0 * flat_centers, norms]) @ x1t).reshape(r, m, -1)
+    best = np.minimum.reduce(h, axis=1)
+    peak = norms.reshape(r, m).max(axis=1)
+    limit = (24 * (d + 1) * _EPS * peak)[:, None] + x_bound
+    limit += best
+    marked = (h <= limit[:, None]).view(np.uint8)
+    count_type = np.min_scalar_type(m)
+    count = np.add.reduce(marked, axis=1, dtype=count_type)
+    labels = np.einsum("k,rkn->rn", np.arange(m, dtype=count_type), marked).astype(np.intp)
+    unsure = np.flatnonzero(count != 1)
+    if unsure.size:
+        rows, points = np.divmod(unsure, h.shape[2])
         labels[rows, points] = _exact_nearest(x, centers, rows, points)
+    best += x_norms
     return labels, best, peak
 
 
-def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
-    """Per restart: _nearest's labels (r, n), the cluster sizes (r, m), and
-    an estimate of the WCSS (r,) with a bound (r,) on its distance from the
-    exact one, _point_d2 of these labels summed. parts is _point_parts(x).
+def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple, offsets: np.ndarray):
+    """Per restart: _nearest's labels (r, n), the cluster sizes (r, m), an
+    estimate of the WCSS (r,) with a bound (r,) on its distance from the
+    exact one, _point_d2 of these labels summed, and the flat bins labels +
+    offsets, offsets being m times each restart's row (r, 1), which the
+    centre sums read. parts is _point_parts(x). Called under _lloyd's
+    errstate.
 
     The estimate sums least h + |x|^2 over the points. Each term is within
     half the point's bound of its exact distance (the least of values each
@@ -362,99 +382,113 @@ def _assign(x: np.ndarray, centers: np.ndarray, parts: tuple):
     of both sums.
     """
     r, m, d = centers.shape
-    n, x_norm_sum = x.shape[0], parts[2]
-    eps = np.finfo(float).eps
+    n, x_norm_sum = x.shape[0], parts[3]
     labels, least, peak = _nearest(x, centers, parts)
-    with np.errstate(invalid="ignore", over="ignore"):
-        wcss = least.sum(axis=1)
-        bound_sum = 24 * (d + 1) * eps * (n * peak + x_norm_sum) + n * np.finfo(float).tiny
-        err = 2 * bound_sum + n * eps * (np.abs(wcss) + 2 * bound_sum)
-    counts = np.bincount((labels + m * np.arange(r)[:, None]).ravel(), minlength=r * m).reshape(r, m)
-    return labels, counts, wcss, err
+    wcss = least.sum(axis=1)
+    bound_sum = 24 * (d + 1) * _EPS * (n * peak + x_norm_sum) + n * _TINY
+    err = 2 * bound_sum + n * _EPS * (np.abs(wcss) + 2 * bound_sum)
+    bins = (labels + offsets).ravel()
+    counts = np.bincount(bins, minlength=r * m).reshape(r, m)
+    return labels, counts, wcss, err, bins
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray):
-    """Lloyd's algorithm on every restart at once, updating centers in
-    place; returns each restart's final labels (r, n), their exact squared
-    distances (_point_d2) and the cluster sizes (r, m), those _nearest of
-    the final centres gives.
+    """Lloyd's algorithm on every restart at once, leaving each restart's
+    final centres in centers; returns each restart's final labels (r, n),
+    their exact squared distances (_point_d2) and the cluster sizes (r, m),
+    those _nearest of the final centres gives.
 
     A restart leaves the batch at its own convergence test, prev - wcss <=
     KMEANS_TOL * wcss on the exact WCSS of its last two assignments that
     left no cluster empty, or when its labels repeat those of its last
     iteration: the same labels give the same centres, so the test would
     pass next time with nothing moved, and that iteration's labels are its
-    final ones. Its centres are not touched again. The test is decided from
-    _assign's estimates when their error bounds cannot change its outcome;
-    else from the exact WCSS of both assignments, the earlier one from the
-    centres kept for it. A restart whose assignment empties a cluster
-    reseeds each empty one at its farthest remaining point by exact
-    distance and spends the iteration on that, as a single run would. So
-    exact distances are computed once more, for every restart's final
-    assignment, and a fresh assignment only for restarts that did not stop
-    on a repeat.
+    final ones. The test is decided from _assign's estimates when their
+    error bounds cannot change its outcome; else from the exact WCSS of
+    both assignments, the earlier one from the centres kept for it. A
+    restart whose assignment empties a cluster reseeds each empty one at
+    its farthest remaining point by exact distance and spends the iteration
+    on that, as a single run would. So exact distances are computed once
+    more, for every restart's final assignment, and a fresh assignment only
+    for restarts that did not stop on a repeat.
+
+    The active restarts are one compact batch, in restart order: their
+    ids, centres, last labels and what their test reads. A restart's
+    centres and labels are written back to centers and last when it
+    leaves, and the batch shrinks then only. Every iteration is a fixed
+    number of array operations, whatever the batch size and m, besides one
+    bincount per coordinate for the centre sums and the work on restarts
+    whose test or assignment needs exact distances.
     """
     n, d = x.shape
     r, m, _ = centers.shape
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    tiled = np.tile(x.T, r)
-    parts = _point_parts(x)
-    xt = parts[3]
-    prev, prev_err = np.full(r, np.inf), np.zeros(r)
-    prev_centers = np.empty_like(centers)
-    last = np.full((r, n), -1, dtype=np.intp)
+    offsets = m * np.arange(r)[:, None]
+    last = np.empty((r, n), dtype=np.intp)
     repeated = np.zeros(r, dtype=bool)
-    active = np.arange(r)
-    for _ in range(KMEANS_MAX_ITER):
-        if active.size == 0:
-            break
-        batch = centers[active]
-        labels, counts, wcss, err = _assign(x, batch, parts)
-        full = (counts > 0).all(axis=1)
-        repeat = full & (labels == last[active]).all(axis=1)
-        # the margin of prev - wcss <= KMEANS_TOL * max(wcss, tiny) is within
-        # doubt of the exact one; an exact inf prev (a first test) fails it,
-        # and a margin not clear of doubt is decided by the exact WCSS
-        p, p_err = prev[active], prev_err[active]
-        with np.errstate(invalid="ignore", over="ignore"):
-            margin = KMEANS_TOL * np.maximum(wcss, tiny) - (p - wcss)
-            doubt = 2 * (p_err + err) + 4 * eps * (np.abs(p) + np.abs(wcss))
+    with np.errstate(invalid="ignore", over="ignore"):
+        parts = _point_parts(x)
+        xt = parts[4]
+        tiled = np.tile(x.T, r)
+        # the batch: restart ids, centres, last full labels (-1 after an
+        # empty cluster), and the WCSS, its error and the centres of the
+        # last assignment that left no cluster empty
+        ids, batch, batch_last = np.arange(r), centers.copy(), np.full((r, n), -1, dtype=np.intp)
+        prev, prev_err, prev_centers = np.full(r, np.inf), np.zeros(r), np.empty_like(centers)
+        for _ in range(KMEANS_MAX_ITER):
+            if ids.size == 0:
+                break
+            a = ids.size
+            labels, counts, wcss, err, bins = _assign(x, batch, parts, offsets[:a])
+            full = (counts > 0).all(axis=1)
+            all_full = full.all()
+            repeat = full & (labels == batch_last).all(axis=1)
+            # the margin of prev - wcss <= KMEANS_TOL * max(wcss, tiny) is
+            # within doubt of the exact one; an exact inf prev (a first test)
+            # fails it, and a margin not clear of doubt is decided by the
+            # exact WCSS
+            margin = KMEANS_TOL * np.maximum(wcss, _TINY) - (prev - wcss)
+            doubt = 2 * (prev_err + err) + 4 * _EPS * (np.abs(prev) + np.abs(wcss))
             converged = margin > doubt
-            sure = (np.abs(margin) > doubt) | (p == np.inf) & (p_err == 0) | ~full | repeat
-        if not sure.all():
-            i = np.flatnonzero(~sure)
-            wcss[i], err[i] = _point_d2(xt, batch[i], labels[i]).sum(axis=1), 0.0
-            redo = i[p_err[i] != 0]
-            if redo.size:
-                before = prev_centers[active[redo]]
-                p[redo] = _point_d2(xt, before, _nearest(x, before, parts)[0]).sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                converged[i] = p[i] - wcss[i] <= KMEANS_TOL * np.maximum(wcss[i], tiny)
-        # reseed each empty cluster at the point farthest from its centre
-        empty = np.flatnonzero(~full)
-        if empty.size:
-            for i, pd in zip(empty, _point_d2(xt, batch[empty], labels[empty])):
-                for k in np.flatnonzero(counts[i] == 0):
-                    far = int(pd.argmax())
-                    batch[i, k] = x[far]
-                    pd[far] = -1.0
-        done = active[full]
-        prev[done], prev_err[done], prev_centers[done] = wcss[full], err[full], batch[full]
-        # one bin per (restart, cluster) and coordinate; bincount adds the
-        # rows in order, as x[labels == k].sum(axis=0) does
-        a = len(active)
-        bins = (labels + m * np.arange(a)[:, None]).ravel()
-        sums = np.stack([np.bincount(bins, col[:a * n], a * m) for col in tiled], axis=1)
-        batch[full] = sums.reshape(a, m, d)[full] / counts[full][:, :, None]
-        repeated[active[repeat]] = True
-        last[active] = np.where(full[:, None], labels, -1)
-        centers[active] = batch
-        active = active[~(full & (converged | repeat))]
-    rest = np.flatnonzero(~repeated)
-    if rest.size:
-        last[rest] = _nearest(x, centers[rest], parts)[0]
-    counts = np.bincount((last + m * np.arange(r)[:, None]).ravel(), minlength=r * m).reshape(r, m)
-    return last, _point_d2(xt, centers, last), counts
+            sure = (np.abs(margin) > doubt) | (prev == np.inf) & (prev_err == 0) | ~full | repeat
+            if not sure.all():
+                i = np.flatnonzero(~sure)
+                wcss[i], err[i] = _point_d2(xt, batch[i], labels[i]).sum(axis=1), 0.0
+                redo = i[prev_err[i] != 0]
+                if redo.size:
+                    before = prev_centers[redo]
+                    prev[redo] = _point_d2(xt, before, _nearest(x, before, parts)[0]).sum(axis=1)
+                converged[i] = prev[i] - wcss[i] <= KMEANS_TOL * np.maximum(wcss[i], _TINY)
+            # one bin per (restart, cluster) and coordinate; bincount adds the
+            # rows in order, as x[labels == k].sum(axis=0) does
+            sums = np.stack([np.bincount(bins, col[:a * n], a * m) for col in tiled], axis=1).reshape(a, m, d)
+            if all_full:
+                prev, prev_err, prev_centers = wcss, err, batch
+                batch, batch_last = sums / counts[:, :, None], labels
+            else:
+                # reseed each empty cluster at the point farthest from its centre
+                empty = np.flatnonzero(~full)
+                for i, pd in zip(empty, _point_d2(xt, batch[empty], labels[empty])):
+                    for k in np.flatnonzero(counts[i] == 0):
+                        far = int(pd.argmax())
+                        batch[i, k] = x[far]
+                        pd[far] = -1.0
+                prev[full], prev_err[full], prev_centers[full] = wcss[full], err[full], batch[full]
+                batch[full] = sums[full] / counts[full][:, :, None]
+                batch_last = np.where(full[:, None], labels, -1)
+            leave = full & (converged | repeat)
+            if leave.any():
+                gone = ids[leave]
+                centers[gone], last[gone], repeated[gone] = batch[leave], batch_last[leave], repeat[leave]
+                stay = ~leave
+                ids, batch, batch_last = ids[stay], batch[stay], batch_last[stay]
+                prev, prev_err, prev_centers = prev[stay], prev_err[stay], prev_centers[stay]
+        # the restarts still active after KMEANS_MAX_ITER iterations
+        centers[ids], last[ids] = batch, batch_last
+        rest = np.flatnonzero(~repeated)
+        if rest.size:
+            last[rest] = _nearest(x, centers[rest], parts)[0]
+        counts = np.bincount((last + offsets).ravel(), minlength=r * m).reshape(r, m)
+        return last, _point_d2(xt, centers, last), counts
 
 
 def kmeans(rows: np.ndarray, m: int, seed=0, restarts: int = 50) -> Assignment:

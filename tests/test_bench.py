@@ -103,8 +103,10 @@ def test_method_spec_validation_and_labels():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="replicates"):
-        small_config(replicates=0)
+    for replicates in (0, 2.5, True, None):
+        with pytest.raises(ValueError, match=rf"^replicates must be an integer >= 1, got {replicates}$"):
+            small_config(replicates=replicates)
+    assert small_config(replicates=np.int64(2)).replicates == 2
     # peak mean rho (1 + r) 1.5^2 = 11.25
     with pytest.raises(ValueError, match="binomial mean cap exceeded: needs max mean <= 5, got 11.25"):
         small_config(distribution=EdgeDistribution("binomial"), rho=1.0, r=4.0)
@@ -127,7 +129,9 @@ def test_config_rejects_an_empty_list_by_key(key):
         small_config(**{key: ()})
 
 
-@pytest.mark.parametrize("seed", [-1, 2.0, None, (4, 2)], ids=["negative", "float", "none", "entropy-sequence"])
+@pytest.mark.parametrize(
+    "seed", [-1, 2.0, None, (4, 2), True], ids=["negative", "float", "none", "entropy-sequence", "true"]
+)
 def test_config_seed_checked_before_any_replicate(seed, monkeypatch):
     # the seed rule is select's: an integer >= 0, numpy's included
     calls = []

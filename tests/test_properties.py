@@ -1,7 +1,7 @@
 """Property tests: edge-list round trips, relabelling invariance, isolated nodes,
-NaN at every positivity guard, batched k-means on tie-heavy rows,
-selections with a warm step memo, and the step likelihood against the
-dense sum."""
+NaN at every positivity guard, batched k-means on tie-heavy rows, the
+certified nearest centre against the exact one, selections with a warm
+step memo, and the step likelihood against the dense sum."""
 
 import io
 
@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from commscale import selection
+from commscale import selection, spectral
 from commscale.datasets import load_lesmis
 from commscale.fitting import FitError, fit_step
 from commscale.model import (
@@ -190,6 +190,35 @@ def integer_row_sets(draw):
 def test_batched_kmeans_matches_sequential_reference_on_integer_rows(case):
     rows, m, seed, restarts = case
     assert_kmeans_matches_reference(rows, m, seed=seed, restarts=restarts)
+
+
+@st.composite
+def rows_and_centres(draw):
+    """(rows (n, d), centres (r, m, d)) on one small integer grid, full of
+    exact distance ties and centres that coincide, mapped by one of: as
+    they are, offset by 1e6 at 1e-4 apart (|x|^2 - 2 x.c + |c|^2 cancels),
+    scaled by 1e-162 (squared distances underflow unevenly) or by 1e160
+    (|x|^2 overflows)."""
+    n, d, r, m = (draw(st.integers(1, top)) for top in (20, 4, 3, 6))
+    size = n * d + r * m * d
+    grid = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)), dtype=float)
+    scale, offset = draw(st.sampled_from([(1.0, 0.0), (1e-4, 1e6), (1e-162, 0.0), (1e160, 0.0)]))
+    grid = grid * scale + offset
+    return grid[:n * d].reshape(n, d), grid[n * d:].reshape(r, m, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_and_centres())
+# the least h is that of the farther centre, 9e-8 away against 2e-8
+@example((1e6 + 1e-4 * np.array([[-1.0, -1, -1]]), 1e6 + 1e-4 * np.array([[[2.0, -1, -1], [0, 0, -1]]])))
+def test_certified_nearest_equals_exact_nearest(case):
+    x, centers = case
+    r, n = centers.shape[0], x.shape[0]
+    rows, points = np.divmod(np.arange(r * n), n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        labels = spectral._nearest(x, centers, spectral._point_parts(x))[0]
+        exact = spectral._exact_nearest(x, centers, rows, points)
+    assert np.array_equal(labels, exact.reshape(r, n))
 
 
 @settings(max_examples=25, deadline=None)

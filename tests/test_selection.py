@@ -531,7 +531,18 @@ def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypa
 
 
 def test_import_does_not_load_scipy_stats():
-    code = "import sys, commscale; print('scipy.stats' in sys.modules)"
+    # no scipy module at all until the first likelihood, which loads
+    # scipy.special (and never scipy.stats); svps on Les Miserables takes
+    # the dense path, so it loads none
+    code = (
+        "import sys, commscale\n"
+        "loaded = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "adj = commscale.load_lesmis()\n"
+        "commscale.select(adj, commscale.MethodSpec('svps'), restarts=2)\n"
+        "print(loaded())\n"
+        "commscale.select(adj, commscale.MethodSpec('cbic'), dist='poisson', m_max=3, restarts=2)\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\nTrue False\n"

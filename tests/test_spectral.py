@@ -123,9 +123,17 @@ def test_kmeans_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError, match=r"^m=4 out of range 1\.\.3$"):
         kmeans(pts, 4)
-    for m in (0, 2.5, np.float64(2.0), "2", None):
+    for m in (0, 2.5, np.float64(2.0), "2", None, True):
         with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got "):
             kmeans(pts, m)
+    # a bool is not an integer here, though Python counts it as one
+    with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got True$"):
+        kmeans(pts, True, seed=False)
+    for seed in (True, False):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+            kmeans(pts, 2, seed=seed)
+    with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got True$"):
+        kmeans(pts, 2, restarts=True)
     assert kmeans(np.arange(6.0).reshape(3, 2), np.int64(2)).m == 2
     for rows in (np.zeros(3), np.zeros((3, 0))):
         with pytest.raises(ValueError, match="rows must be 2-d with at least one column"):
@@ -606,10 +614,12 @@ def test_shared_basis_matches_per_m_decomposition(adj, ms, monkeypatch):
 # Inputs on which the matmul candidates cannot certify every label, so
 # _nearest recomputes those points exactly: exact distance ties, a large
 # offset that cancels in |x|^2 - 2 x.c + |c|^2, d = 17, where numpy's
-# pairwise sum runs two blocks of 8 and a remainder, and rows so far out
-# that |x|^2 overflows. Repeated rows tie
-# only at centres that coincide, which takes m above the 4 distinct rows:
-# k-means++ then raises ClusterError before any assignment.
+# pairwise sum runs two blocks of 8 and a remainder, rows so far out
+# that |x|^2 overflows, and m = 257, past what a uint8 count holds (on
+# the offset rows every point marks all 257 centres at first, which a
+# uint8 would read as one). Repeated rows tie only at centres that
+# coincide, which takes m above the 4 distinct rows: k-means++ then
+# raises ClusterError before any assignment.
 
 def tie_grid():
     return np.array([[i, j] for i in range(6) for j in range(6)], dtype=float)
@@ -620,8 +630,8 @@ def duplicated_rows():
     return np.repeat(rng.normal(size=(4, 3)), [12, 9, 7, 2], axis=0)
 
 
-def offset_rows():
-    return 1e6 + 0.01 * np.random.default_rng(12).normal(size=(60, 2))
+def offset_rows(n=60):
+    return 1e6 + 0.01 * np.random.default_rng(12).normal(size=(n, 2))
 
 
 def integer_rows_d17():
@@ -650,9 +660,9 @@ def exact_points(monkeypatch):
 @pytest.mark.parametrize(
     "rows, ms, exact",
     [(tie_grid(), (2, 4, 5), True), (duplicated_rows(), (3, 5), False), (offset_rows(), (2, 3), True),
-     (integer_rows_d17(), (17,), True),
+     (integer_rows_d17(), (17,), True), (offset_rows(300), (257,), True), (spread_rows(300), (257,), False),
      pytest.param(huge_rows(), (2, 3), True, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))],
-    ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17", "huge-1e160"],
+    ids=["integer-grid-ties", "duplicated-rows", "offset-1e6", "d17-m17", "offset-1e6-m257", "spread-m257", "huge-1e160"],
 )
 def test_kmeans_matches_sequential_reference_through_exact_fallback(rows, ms, exact, exact_points):
     for seed in (0, 1):
@@ -689,9 +699,9 @@ def lloyd_work(monkeypatch):
         work["outside"] += len(centers)
         return nearest(x, centers, parts)
 
-    def recording_assign(x, centers, parts):
+    def recording_assign(x, centers, parts, offsets):
         work["outside"] -= len(centers)
-        return assign(x, centers, parts)
+        return assign(x, centers, parts, offsets)
 
     monkeypatch.setattr(spectral, "_point_d2", recording_point_d2)
     monkeypatch.setattr(spectral, "_nearest", recording_nearest)

@@ -255,7 +255,9 @@ def test_a_numpy_integer_seed_is_memoised_as_its_int(monkeypatch):
     assert runs[int][2] == [("score",)] + [("score", m, 7, 2) for m in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("seed", [None, 7.0, (4, 2), -1], ids=["none", "float", "entropy-sequence", "negative"])
+@pytest.mark.parametrize(
+    "seed", [None, 7.0, (4, 2), -1, True, False], ids=["none", "float", "entropy-sequence", "negative", "true", "false"]
+)
 def test_seeds_that_are_not_integers_at_least_zero_raise_before_clustering(seed, monkeypatch):
     counts = count_layers(monkeypatch)
     for selector, dist in (("svps", None), ("cbic", "poisson")):

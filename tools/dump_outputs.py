@@ -42,9 +42,14 @@ The set covers:
   is the one at the equal int) and at a tuple seed, kmeans on a NaN row
   and at an m or restarts of 2.5, and select at an m_max of 2.5 and at
   0 restarts on a structureless network, where svps stops at m = 1;
-- kmeans on inputs full of distance ties, on rows offset by 1e6 and on
-  17 columns at m = 17, at seeds 0 and 1: the chosen labels and every
-  restart's WCSS, so the exact fallback of the assignment shows too;
+  kmeans, select and ExperimentConfig given True for an integer, and
+  ExperimentConfig at 2.5 replicates;
+- kmeans on inputs full of distance ties, on rows offset by 1e6, on 17
+  columns at m = 17, on 300 rows offset by 1e6 at m = 257, on rows
+  1.5e-162 apart whose squared distances underflow unevenly and on rows
+  near 1e160 whose squared norms overflow, at seeds 0 and 1: the chosen
+  labels and every restart's WCSS, so the exact fallback of the
+  assignment shows too;
   and at m = 5 then m = 2 on one seed and rows, so the second call
   reads the k-means++ draws the first left memoised;
 - svps, cbic and icl traces on networks sampled from the binomial (5
@@ -284,10 +289,17 @@ def api_error_runs(cs):
     config = cs.parse_config(io.StringIO(VALID_CONFIG))
     for jobs in (0, -3):
         yield f"api-run_experiment-jobs{jobs}.txt", partial(cs.run_experiment, config, jobs=jobs)
+    # a bool is not an integer argument, and replicates is one
+    yield "api-kmeans-seed-true.txt", partial(cs.kmeans, rows, 3, seed=True)
+    yield "api-kmeans-m-true.txt", partial(cs.kmeans, rows, True, seed=False)
+    yield "api-select-seed-true.txt", partial(cs.select, adj, cbic, dist="poisson", m_max=4, seed=True, restarts=2)
+    yield "api-ExperimentConfig-seed-true.txt", partial(dataclasses.replace, config, seed=True)
+    yield "api-ExperimentConfig-replicates2.5.txt", partial(dataclasses.replace, config, replicates=2.5)
 
 
 def kmeans_runs(cs):
-    """(file name, call) for kmeans on tie, duplicate and cancellation inputs."""
+    """(file name, call) for kmeans on tie, duplicate, cancellation, underflow
+    and overflow inputs, and at more centres than a uint8 counts."""
     import numpy as np
 
     rng = np.random.default_rng
@@ -296,6 +308,12 @@ def kmeans_runs(cs):
         "duplicated": (np.repeat(rng(11).normal(size=(4, 3)), [12, 9, 7, 2], axis=0), 5),
         "offset-1e6": (1e6 + 0.01 * rng(12).normal(size=(60, 2)), 3),
         "d17": (rng(13).integers(0, 3, size=(40, 17)).astype(float), 17),
+        # every point marks all 257 centres at first
+        "offset-1e6-n300": (1e6 + 0.01 * rng(12).normal(size=(300, 2)), 257),
+        # 1.5e-162 apart squares to 0, 3e-162 apart does not
+        "underflow-1e-162": (1.5e-162 * rng(17).integers(0, 3, size=(30, 1)), 2),
+        # |x|^2 overflows, so every matmul candidate and WCSS estimate is NaN
+        "huge-1e160": (1e160 + 1e150 * rng(14).normal(size=(30, 2)), 3),
     }
     for name, (rows, m) in inputs.items():
         for seed in (0, 1):

@@ -11,6 +11,7 @@ share their clustered steps, as every cell of run_lesmis does.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
@@ -50,10 +51,13 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for key in ("k_list", "n_all"):
-            if not getattr(self, key):
+            entries = getattr(self, key)
+            if not entries:
                 raise ValueError(f"{key} must not be empty")
-            if min(getattr(self, key)) < 1:
-                raise ValueError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+            for value in entries:
+                if isinstance(value, numbers.Real) and value < 1:
+                    raise ValueError(f"{key} entries must be >= 1, got {entries}")
+                _checked_int(value, f"{key} entry", 1)
         for key in ("rho", "r"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")

@@ -116,6 +116,20 @@ def test_config_validation():
         small_config(methods=())
 
 
+@pytest.mark.parametrize(
+    "key,entries,message",
+    [("k_list", (True,), "k_list entry must be an integer >= 1, got True"),
+     ("n_all", (12.5, 14), "n_all entry must be an integer >= 1, got 12.5"),
+     ("n_all", (20, None), "n_all entry must be an integer >= 1, got None"),
+     ("k_list", (2, 0), r"k_list entries must be >= 1, got \(2, 0\)")],
+)
+def test_config_checks_each_list_entry_is_an_integer(key, entries, message):
+    # select's integer rule: numpy integers pass, a bool or a float does not
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        small_config(**{key: entries})
+    assert small_config(k_list=(np.int64(2),)).k_list == (2,)
+
+
 @pytest.mark.parametrize("k_list", [(2, 2), (2, 3, 2)])
 def test_config_rejects_a_repeated_k(k_list):
     # a repeat would sample and select every task of that K twice

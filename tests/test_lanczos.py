@@ -231,7 +231,11 @@ def test_statistic_finds_eigenvectors_a_swap_negates(lanczos_calls):
 
 def test_regular_network_is_deterministic(lanczos_calls):
     # the vector of ones is an eigenvector of a ring lattice, a start from
-    # which ARPACK would restart at its own random state
+    # which ARPACK would restart at its own random state. Hops (1, 2, 3) at
+    # n = 60 is one lattice whose repeated eigenvalues the values-only solve
+    # finds in full at every k here; at LANCZOS_VALUES_TOL it misses a copy
+    # on most other lattices (hops (1, 5) at n = 60 and k = 5, say), so the
+    # values are compared with eigvalsh on this case only
     n = 60
     ring = np.zeros((n, n))
     for hop in (1, 2, 3):

@@ -1,7 +1,8 @@
 """Property tests: edge-list round trips, relabelling invariance, isolated nodes,
 NaN at every positivity guard, batched k-means on tie-heavy rows, the
 certified nearest centre against the exact one, selections with a warm
-step memo, and the step likelihood against the dense sum."""
+step memo, the step likelihood against the dense sum, and the scipy-free
+parts of the Poisson block form against their scipy.special forms."""
 
 import io
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import gammaln, xlogy
 
 from commscale import selection, spectral
 from commscale.datasets import load_lesmis
@@ -289,3 +291,45 @@ def test_step_likelihood_equals_the_dense_sum(case):
         assert value == pytest.approx(dense, rel=1e-13, abs=0)
     else:
         assert value == dense
+
+
+def _count_step(w, labels):
+    """(network, fitted poisson step) of symmetric counts w under labels."""
+    adj = WeightedAdjacency(np.asarray(w, dtype=float))
+    return adj, fit_step(adj, Assignment(np.asarray(labels), max(labels) + 1), EDGE_LAWS["poisson"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(fitted_count_steps())
+# a zero block between groups 0 and 1, and node 3 of degree zero
+@example(_count_step([[2, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]], [0, 0, 1, 1]))
+def test_block_log_mass_equals_the_xlogy_form(case):
+    # numpy's log, 0 where S or d is 0, against scipy.special.xlogy
+    _, fitted = case
+    s, t, d = fitted.block_sums, fitted.totals, fitted.degrees
+    want = float(xlogy(s, s / np.outer(t, t)).sum() + 2.0 * xlogy(d, d).sum() - s.sum())
+    assert EDGE_LAWS["poisson"].block_log_mass(s, t, d) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@st.composite
+def count_matrices(draw):
+    """Symmetric counts on 2..12 nodes, each entry up to a drawn top of 1..1e6."""
+    n = draw(st.integers(2, 12))
+    top = draw(st.sampled_from([1, 5, 1000, 10**6]))
+    upper = np.triu(draw(arrays(np.int64, (n, n), elements=st.integers(0, top))))
+    return upper + np.triu(upper, 1).T
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_matrices())
+@example(np.zeros((4, 4), dtype=np.int64))
+@example(np.diag([0, 1, 10**6, 2]))
+@example(np.array([[0, 10**6], [10**6, 3]]))
+def test_log_factorial_sum_equals_the_gammaln_sum(w):
+    # sum log A_ij! from the distinct counts above 1, against gammaln over every entry
+    adj = WeightedAdjacency(w.astype(float))
+    want = float(gammaln(adj.weights + 1).sum())
+    assert selection._mean_free_sum(adj) == pytest.approx(want, rel=1e-13, abs=0)
+    # a weight off its count by 5e-10 leaves the block form
+    if w.any():
+        assert selection._mean_free_sum(WeightedAdjacency(np.where(w > 0, w + 5e-10, 0.0))) is None

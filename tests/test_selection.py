@@ -523,26 +523,32 @@ def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypa
     trace = select(adj, MethodSpec(selector), dist=law, m_max=5, restarts=2)
     ok = [step for step in trace.steps if step.status == "ok"]
     assert len(ok) > 1 and len(steps) == len(ok)
-    # poisson steps on this network score in block form, the others at the dense mean
+    # poisson steps on this network score in block form, which needs no data
+    # terms; the others score at the dense mean, from terms built once
     assert len(dense) == (0 if law == "poisson" else len(ok))
-    assert len(builds) == 1
+    assert len(builds) == (0 if law == "poisson" else 1)
     # the memo went with the selection's copy of the network
     assert vars(adj).keys() == fields.keys()
 
 
 def test_import_does_not_load_scipy_stats():
-    # no scipy module at all until the first likelihood, which loads
-    # scipy.special (and never scipy.stats); svps on Les Miserables takes
-    # the dense path, so it loads none
+    # svps on a network below LANCZOS_MIN_N, and poisson cbic and icl steps
+    # that all score in block form, load no scipy module at all; the first
+    # dense likelihood, here a bernoulli cbic, loads scipy.special and never
+    # scipy.stats
     code = (
-        "import sys, commscale\n"
+        "import sys, commscale as cs\n"
         "loaded = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
-        "adj = commscale.load_lesmis()\n"
-        "commscale.select(adj, commscale.MethodSpec('svps'), restarts=2)\n"
+        "rng = cs.make_rng(8)\n"
+        "model = cs.simulation_params(3, 0.3, 3, (12, 14, 16), rng)\n"
+        "adj = cs.sample_network(cs.mean_matrix(model), cs.EdgeDistribution('poisson'), rng)\n"
+        "for selector, law in (('svps', None), ('cbic', 'poisson'), ('icl', 'poisson')):\n"
+        "    trace = cs.select(adj, cs.MethodSpec(selector), dist=law, m_max=5, restarts=2)\n"
+        "    print(selector, [step.status for step in trace.steps].count('ok') > 1)\n"
         "print(loaded())\n"
-        "commscale.select(adj, commscale.MethodSpec('cbic'), dist='poisson', m_max=3, restarts=2)\n"
+        "cs.select(cs.binarize(adj), cs.MethodSpec('cbic'), dist='bernoulli', m_max=3, restarts=2)\n"
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue False\n"
+    assert proc.stdout == "svps True\ncbic True\nicl True\n[]\nTrue False\n"

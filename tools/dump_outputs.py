@@ -21,6 +21,11 @@ The set covers:
   variance, whose fits all fail on a mean of 1 or more; and cbic and icl
   under the poisson law on the first two, where zero means bind the mean
   floor, so their steps take the dense likelihood;
+- cbic and icl under the poisson law on Les Miserables with every weight
+  times 1000, whose counts up to 31000 take the block form's sum of
+  log A_ij! over distinct counts, and with every positive weight 5e-10
+  off its count, which the block form's exact-count rule sends to the
+  dense likelihood;
 - tables: run_lesmis at seeds 0 and 3, and run_experiment on two
   replicates of configs/sim1_rho006.cfg at jobs 1 and 2, as
   Table.to_csv renders them;
@@ -210,6 +215,20 @@ def floor_rule_runs(cs):
                                                          dist="poisson", **common)
 
 
+def count_rule_runs(cs):
+    """(file name, call) for select with cbic and icl under the poisson law on
+    Les Miserables scaled to large counts and moved just off its counts."""
+    import numpy as np
+
+    w = cs.load_lesmis().weights
+    networks = {"times1000": 1000.0 * w, "near-integer": np.where(w > 0, w + 5e-10, 0.0)}
+    for method in ("cbic", "icl"):
+        spec = cs.MethodSpec(method)
+        for name, weights in networks.items():
+            yield f"{method}-lesmis-{name}.csv", partial(cs.select, cs.WeightedAdjacency(weights), spec,
+                                                         dist="poisson", seed=0, restarts=RESTARTS)
+
+
 def trace_runs(cs):
     """(file name, call) for every trace, through select and through the shorthands."""
     for runs in (lesmis_runs(cs), panel_runs(cs), law_runs(cs)):
@@ -224,6 +243,7 @@ def trace_runs(cs):
             yield f"shorthand-{name}.csv", call
     yield large_svps_run(cs)
     yield from floor_rule_runs(cs)
+    yield from count_rule_runs(cs)
 
 
 def table_runs(cs):

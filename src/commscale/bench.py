@@ -20,9 +20,8 @@ import numpy as np
 
 from .fitting import FitError
 from .model import THETA_MIXTURE, EdgeDistribution, edge_law, make_rng, mean_matrix, sample_network, simulation_params
-from .network import WeightedAdjacency, binarize, open_text, regularize
+from .network import WeightedAdjacency, _checked_int, binarize, open_text, regularize
 from .selection import MethodSpec, select
-from .spectral import _checked_int
 
 __all__ = [
     "ExperimentConfig",
@@ -218,8 +217,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Table:
     Parallel and serial execution give identical tables; results are
     aggregated in (K, replicate) order regardless of completion order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs={jobs} must be >= 1")
+    jobs = _checked_int(jobs, "jobs", 1)
     tasks = [(k, rep) for k in config.k_list for rep in range(config.replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

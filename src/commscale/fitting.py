@@ -11,12 +11,12 @@ S_kl = 1_k' A 1_l, the block degree totals t_k = 1_k' A 1 and the degrees d:
 fit_step forms S, t and d only. theta, B, the n x n mean M and the
 variance profile nu(M) are built on first read: `commscale fit` reads
 them, and CBIC and ICL read M only where the likelihood does not split
-into blocks (_mean_unfloored); svps does not. nu is the variance of the
-step's edge law (EdgeDistribution.variance), floored at 1e-8 times its
-mean positive entry so that the doubly-stochastic scaling downstream
-exists. The floor binds only near a zero entry of nu(M): at an isolated
-node or a zero between-block sum. Where it cannot bind, svps scales
-nu(M) in block form, O(n + m^2) per product (_variance_profile).
+into blocks; svps does not. nu is the variance of the step's edge law
+(EdgeDistribution.variance), floored at 1e-8 times its mean positive
+entry so that the doubly-stochastic scaling downstream exists. The floor
+binds only near a zero entry of nu(M): at an isolated node or a zero
+between-block sum. Where it cannot bind, svps scales nu(M) in block
+form, O(n + m^2) per product (_variance_profile).
 """
 
 from __future__ import annotations
@@ -83,38 +83,12 @@ class FittedStep:
 
     @cached_property
     def variance(self) -> np.ndarray:
-        return _frozen(floor_positive(self.law.variance(self.mean)))
-
-
-def floor_positive(values: np.ndarray) -> np.ndarray:
-    """Floor entries at 1e-8 times the mean positive entry."""
-    pos = values[values > 0]
-    if pos.size == 0:
-        raise FitError("matrix has no positive entries to calibrate the floor")
-    return np.maximum(values, VARIANCE_FLOOR_SCALE * pos.mean())
-
-
-def _degree_range(fitted: FittedStep) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest and the largest degree in each group."""
-    labels, d = fitted.assignment.labels, fitted.degrees
-    dmin, dmax = np.full(fitted.m, np.inf), np.full(fitted.m, -np.inf)
-    np.minimum.at(dmin, labels, d)
-    np.maximum.at(dmax, labels, d)
-    return dmin, dmax
-
-
-def _mean_unfloored(fitted: FittedStep) -> bool:
-    """Whether floor_positive leaves fitted.mean as it is.
-
-    The least mean of block (k, l) is C_kl dmin_k dmin_l, rounded as
-    fitted.mean rounds it. Where each clears the floor, 1e-8 times the
-    mean entry sum S / n^2 (with the margin _variance_profile allows for
-    rounding), every entry is positive and above the floor.
-    """
-    dmin, _ = _degree_range(fitted)
-    s, totals, n = fitted.block_sums, fitted.totals, fitted.degrees.size
-    least = (s / np.outer(totals, totals) * np.outer(dmin, dmin)).min()
-    return bool(least > VARIANCE_FLOOR_SCALE * (1 + 1e-6) * s.sum() / n**2)
+        """nu(M), floored at VARIANCE_FLOOR_SCALE times its mean positive entry."""
+        values = self.law.variance(self.mean)
+        pos = values[values > 0]
+        if pos.size == 0:
+            raise FitError("matrix has no positive entries to calibrate the floor")
+        return _frozen(np.maximum(values, VARIANCE_FLOOR_SCALE * pos.mean()))
 
 
 def _variance_profile(fitted: FittedStep) -> _BlockProfile | np.ndarray:
@@ -129,7 +103,9 @@ def _variance_profile(fitted: FittedStep) -> _BlockProfile | np.ndarray:
     """
     labels, d, law, totals = fitted.assignment.labels, fitted.degrees, fitted.law, fitted.totals
     c = fitted.block_sums / np.outer(totals, totals)
-    dmin, dmax = _degree_range(fitted)
+    dmin, dmax = np.full(fitted.m, np.inf), np.full(fitted.m, -np.inf)
+    np.minimum.at(dmin, labels, d)
+    np.maximum.at(dmax, labels, d)
     top = c * np.outer(dmax, dmax)
     if top.max() >= law.variance_cap:
         raise FitError(f"{law.kind} variance needs means < {law.variance_cap}, got max {top.max():.6g}")

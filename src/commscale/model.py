@@ -9,8 +9,8 @@ EdgeDistribution is the one place that knows each edge law's rules.
 Only its dense likelihood, data_terms and log_mass, imports
 scipy.special, when first called; the support check (counts) and the
 Poisson block form (block_log_mass) use numpy alone. So importing
-commscale, svps below LANCZOS_MIN_N, or a Poisson CBIC/ICL selection
-whose steps all score in block form loads no scipy module. That import
+commscale, svps below LANCZOS_MIN_N, or a Poisson CBIC/ICL selection on
+exact counts loads no scipy module. That import
 is worth keeping off the common path: scipy.special takes a fresh
 process's peak RSS from 34.6 MB after import commscale to 53.4 MB
 (x86_64 Linux, Python 3.11, scipy 1.17).
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import WeightedAdjacency
+from .network import WeightedAdjacency, _checked_int
 
 __all__ = [
     "EdgeDistribution",
@@ -60,8 +60,7 @@ class EdgeDistribution:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown distribution {self.kind!r}")
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        _checked_int(self.trials, "trials", 1)
 
     def check_mean(self, peak: float) -> None:
         """The sampler's mean cap: peak <= t (binomial) or peak < t (negative binomial)."""
@@ -109,7 +108,7 @@ class EdgeDistribution:
 
     def log_mass(self, terms: tuple[np.ndarray, ...], mu: np.ndarray) -> np.ndarray:
         """Entrywise log mass, grouped as scipy.stats groups it, of the counts of terms
-        (data_terms) at means mu > 0; probabilities are capped at 1 - 1e-8."""
+        (data_terms) at means mu >= 0; probabilities are capped at 1 - 1e-8."""
         from scipy.special import xlog1py, xlogy
 
         k, c, f = terms
@@ -210,20 +209,23 @@ def simulation_params(k: int, rho: float, r: float, block_sizes, rng: np.random.
     ``block_sizes``; theta is i.i.d. from the 0.8/0.1/0.1 mixture. The
     returned model is rescaled to identifiable form: connectivity divided
     by rho*(1+r) and sqrt(rho*(1+r)) folded into theta. rho and r must
-    be finite and positive, and the first k block sizes at least 1.
+    be finite and positive, and k and the first k block sizes integers
+    of at least 1.
     """
-    if k < 1:
+    if isinstance(k, numbers.Real) and k < 1:
         raise ValueError("need k >= 1")
+    k = _checked_int(k, "k", 1)
     if k > len(block_sizes):
         raise ValueError(f"k={k} exceeds the {len(block_sizes)} available block sizes")
     if not (rho > 0 and r > 0):
         raise ValueError("rho and r must be positive")
     if not np.isfinite((rho, r)).all():
         raise ValueError("rho and r must be finite")
-    sizes = [int(s) for s in block_sizes[:k]]
-    if min(sizes) < 1:
-        raise ValueError(f"block sizes must be >= 1, got {sizes}")
-    n = int(sum(sizes))
+    sizes = list(block_sizes[:k])
+    if any(isinstance(s, numbers.Real) and s < 1 for s in sizes):
+        raise ValueError(f"block sizes must be >= 1, got {np.asarray(sizes).tolist()}")
+    sizes = [_checked_int(s, "block size", 1) for s in sizes]
+    n = sum(sizes)
     labels = np.repeat(np.arange(k), sizes)
     theta = _sample_theta(rng, n)
     scale = rho * (1.0 + r)

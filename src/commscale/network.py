@@ -10,6 +10,7 @@ CSR copy of the weights for its Lanczos path (spectral.LANCZOS_MIN_N).
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -26,6 +27,14 @@ __all__ = [
 
 class EdgeListError(ValueError):
     """Malformed or inconsistent edge-list input."""
+
+
+def _checked_int(value, name: str, least: int = 0) -> int:
+    """value as an int if it is an integer >= least (numpy integers too, a
+    bool not), else ValueError naming it."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,8 @@ def load_edge_list(source, *, indexing: int = 0, n: int | None = None) -> Weight
     """
     if indexing not in (0, 1):
         raise ValueError("indexing must be 0 or 1")
+    if n is not None:
+        n = _checked_int(n, "n")
     records = []
     with open_text(source) as stream:
         for lineno, raw in enumerate(stream, start=1):

@@ -8,16 +8,16 @@ variance profile, falls below 2 + epsilon. The penalized-likelihood
 baselines (CBIC, ICL) score every m and take the argmax.
 
 Every step is fitted under the selection's one edge law. log_likelihood
-sums the law's log mass over data terms built once per selection, with
-scipy.special; it equals the scipy.stats logpmf sum bit for bit. CBIC and
-ICL take it at the step's n x n mean only where the mean floor may bind,
-a weight is not exactly its count, or the law's log mass does not split
+sums the law's log mass at the given mean, with scipy.special, over data
+terms built once per selection; it equals the scipy.stats logpmf sum bit
+for bit. CBIC and ICL take it at the step's n x n mean only where a
+weight is not exactly its count or the law's log mass does not split
 into blocks. A Poisson step otherwise scores from its block sums, totals
 and degrees, less sum log A_ij! over the distinct counts, equal up to
-rounding and with numpy and math alone: a Poisson selection whose steps
-all take the block form builds no n x n likelihood array and loads no
-scipy module. On perfbench's sim-panel that keeps peak RSS near 75 MB,
-against about 92 MB with scipy.special loaded (2-core x86_64 Linux).
+rounding and with numpy and math alone: a Poisson selection on exact
+counts builds no n x n likelihood array and loads no scipy module. On
+perfbench's sim-panel that keeps peak RSS near 75 MB, against about
+92 MB with scipy.special loaded (2-core x86_64 Linux).
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitError, FittedStep, _mean_unfloored, _variance_profile, fit_step, floor_positive
+from .fitting import FitError, FittedStep, _variance_profile, fit_step
 from .model import EDGE_LAWS, EdgeDistribution, edge_law
-from .network import WeightedAdjacency
+from .network import WeightedAdjacency, _checked_int
 from .scaling import ScalingError, scaled_matrix, sinkhorn_symmetric
-from .spectral import ClusterError, _basis_key, _checked_int, _lanczos, _sparse_weights, rsc_cluster, score_cluster
+from .spectral import ClusterError, _basis_key, _lanczos, _sparse_weights, rsc_cluster, score_cluster
 
 __all__ = [
     "MethodSpec",
@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One selector variant: svps with an epsilon, or cbic/icl with lambda."""
+    """One selector variant: svps with an epsilon, cbic with lambda, or icl; other knobs keep their defaults."""
 
     selector: str
     clusterer: str = "score"
@@ -63,6 +63,10 @@ class MethodSpec:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.clusterer not in ("score", "rsc"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
+        if self.selector != "svps" and self.epsilon != 0.05:
+            raise ValueError(f"epsilon applies to svps only, got {self.epsilon!r} for {self.selector}")
+        if self.selector != "cbic" and self.lam != 1.0:
+            raise ValueError(f"lam applies to cbic only, got {self.lam!r} for {self.selector}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.lam >= 0:
@@ -72,7 +76,7 @@ class MethodSpec:
     def label(self) -> str:
         if self.selector == "svps":
             return f"svps-{self.clusterer}-eps{self.epsilon:g}"
-        if self.selector == "cbic" and self.lam != 1.0:
+        if self.lam != 1.0:
             return f"cbic-{self.clusterer}-lam{self.lam:g}"
         return f"{self.selector}-{self.clusterer}"
 
@@ -203,29 +207,32 @@ def log_likelihood(adj: WeightedAdjacency, mean: np.ndarray, dist) -> float:
     The sum runs over all ordered node pairs, so each off-diagonal pair
     contributes twice (once per direction) and each diagonal entry once.
     dist is an EdgeDistribution or a name that model.edge_law accepts;
-    "bernoulli" is the binomial law with one trial. Mean entries are
-    floored positive as in fitting, and the law caps probability-type
-    parameters (EdgeDistribution.log_mass). Weights outside the law's
-    support raise ValueError.
+    "bernoulli" is the binomial law with one trial. The law caps
+    probability-type parameters (EdgeDistribution.log_mass). A zero mean
+    gives log mass 0 at a zero count and -inf at a positive one. A
+    negative or non-finite mean entry, or a weight outside the law's
+    support, raises ValueError.
     """
     law = edge_law(dist)
     mean = np.asarray(mean, dtype=float)
     if mean.shape != adj.weights.shape:
         raise ValueError(f"mean must have shape {adj.weights.shape}, got {mean.shape}")
-    return float(law.log_mass(_data_terms(adj, law), floor_positive(mean)).sum())
+    if not (np.isfinite(mean).all() and (mean >= 0).all()):
+        raise ValueError("mean entries must be finite and nonnegative")
+    return float(law.log_mass(_data_terms(adj, law), mean).sum())
 
 
 def _step_log_likelihood(adj: WeightedAdjacency, fitted: FittedStep) -> float:
     """log f(A | M) at a fitted step's mean M, under fitted.law.
 
     In block form, O(m^2 + n) (EdgeDistribution.block_log_mass), where the
-    law's log mass splits, every weight is its count and the mean floor
-    cannot bind (fitting._mean_unfloored); it then differs from the dense
-    sum in rounding only. Otherwise log_likelihood of fitted.mean.
+    law's log mass splits and every weight is its count. Zero means, where
+    S_kl = 0 or d_i = 0, meet zero counts only and add 0 to either form,
+    which then differ in rounding only. Otherwise log_likelihood of fitted.mean.
     """
     law = fitted.law
     part = law.block_log_mass(fitted.block_sums, fitted.totals, fitted.degrees)
-    if part is not None and _mean_unfloored(fitted):
+    if part is not None:
         constant = _mean_free_sum(adj)
         if constant is not None:
             return part - constant

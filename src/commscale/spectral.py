@@ -40,13 +40,12 @@ a bool not), the rule select and ExperimentConfig apply.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .network import WeightedAdjacency
+from .network import WeightedAdjacency, _checked_int
 
 __all__ = [
     "Assignment",
@@ -72,14 +71,6 @@ LANCZOS_MAX_DENSITY = 0.25
 # Basis solves stay at 0, machine precision: k-means reads their vectors.
 LANCZOS_VALUES_TOL = 1e-10
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
-
-
-def _checked_int(value, name: str, least: int = 0) -> int:
-    """value as an int if it is an integer >= least (numpy integers too, a
-    bool not), else ValueError naming it."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 class ClusterError(RuntimeError):

@@ -100,6 +100,14 @@ def test_method_spec_validation_and_labels():
             MethodSpec("svps", epsilon=epsilon)
     with pytest.raises(ValueError, match="lam"):
         MethodSpec("cbic", lam=-0.5)
+    # a knob the selector does not read is an error, not dropped
+    for selector in ("svps", "icl"):
+        with pytest.raises(ValueError, match=rf"^lam applies to cbic only, got 0.5 for {selector}$"):
+            MethodSpec(selector, lam=0.5)
+    for selector in ("cbic", "icl"):
+        with pytest.raises(ValueError, match=rf"^epsilon applies to svps only, got 9 for {selector}$"):
+            MethodSpec(selector, epsilon=9)
+    assert MethodSpec("icl", lam=1, epsilon=0.05).label == "icl-score"
 
 
 def test_config_validation():
@@ -199,6 +207,8 @@ def test_method_labels_must_be_distinct():
         ("svps score epsilon=-1", "line 3: epsilon must be positive"),
         ("svps score epsilon=0", "line 3: epsilon must be positive"),
         ("cbic rsc lambda=-1", "line 3: lam must be nonnegative"),
+        ("icl score lambda=0.5", "line 3: lam applies to cbic only, got 0.5 for icl"),
+        ("cbic score epsilon=0.1", "line 3: epsilon applies to svps only, got 0.1 for cbic"),
         ("aic score", "line 3: unknown selector 'aic'"),
         ("svps dbscan", "line 3: unknown clusterer 'dbscan'"),
         ("svps score epsilon=abc", "line 3: could not convert"),
@@ -297,6 +307,10 @@ def test_run_experiment_reproducible_and_parallel_equal():
 def test_run_experiment_rejects_fewer_than_one_job():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
+            run_experiment(small_config(replicates=1), jobs=jobs)
+    # a bool or a fraction is no worker count, checked before any replicate runs
+    for jobs in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, got {jobs}$"):
             run_experiment(small_config(replicates=1), jobs=jobs)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commscale import selection
-from commscale.fitting import FitError, _mean_unfloored, _variance_profile, fit_step
+from commscale.fitting import FitError, _variance_profile, fit_step
 from commscale.model import (
     EDGE_LAWS,
     EdgeDistribution,
@@ -193,9 +193,8 @@ def test_variance_floor():
     assert np.array_equal(fitted.variance[:2, :2], mean[:2, :2])
     with pytest.raises(FitError):
         fit_step(WeightedAdjacency(np.zeros((2, 2))), Assignment(np.zeros(2, dtype=int), 1))
-    # the likelihood floors its means the same way, and cannot floor all zeros
-    with pytest.raises(FitError, match="no positive entries"):
-        log_likelihood(WeightedAdjacency(np.zeros((2, 2))), np.zeros((2, 2)), "poisson")
+    # the likelihood applies no floor: zero counts at zero means add 0
+    assert log_likelihood(WeightedAdjacency(np.zeros((2, 2))), np.zeros((2, 2)), "poisson") == 0.0
 
 
 def dense_statistic(adj, fitted):
@@ -207,8 +206,8 @@ def dense_statistic(adj, fitted):
 def test_floored_profile_stays_dense():
     # an isolated node and two disconnected components at m = 2 give zero
     # entries in nu(M), so the floor binds and svps scales the dense profile;
-    # zero entries of M bind the mean floor, so CBIC and ICL take the dense
-    # likelihood
+    # the likelihood has no floor, so the poisson step still scores in block
+    # form, equal to the dense sum up to rounding, and negbinom's is the dense sum
     lesmis = load_lesmis()
     n = lesmis.n
     isolated = np.zeros((n + 1, n + 1))
@@ -226,8 +225,11 @@ def test_floored_profile_stays_dense():
             assert _variance_profile(fitted) is fitted.variance
             assert fitted.variance.min() < fitted.mean[fitted.mean > 0].min()  # floored
             assert svps_statistic(adj, fitted) == dense_statistic(adj, fitted)
-            assert not _mean_unfloored(fitted)
-            assert selection._step_log_likelihood(adj, fitted) == log_likelihood(adj, fitted.mean, law)
+            dense = log_likelihood(adj, fitted.mean, law)
+            if law.kind == "poisson":
+                assert selection._step_log_likelihood(adj, fitted) == pytest.approx(dense, rel=1e-13, abs=0)
+            else:
+                assert selection._step_log_likelihood(adj, fitted) == dense
 
 
 def test_svps_builds_no_dense_fit_arrays(monkeypatch):

@@ -66,7 +66,7 @@ def test_edge_distribution_validation():
     # trials is an integer >= 1; a fractional, NaN or infinite count
     # would sample one law and give the variance of another
     assert EdgeDistribution("binomial", trials=np.int64(3)).trials == 3
-    for trials in (0, -2, 2.5, 5.0, float("nan"), float("inf"), "5"):
+    for trials in (0, -2, 2.5, 5.0, float("nan"), float("inf"), "5", True):
         with pytest.raises(ValueError, match=r"trials must be an integer >= 1, got "):
             EdgeDistribution("binomial", trials=trials)
 
@@ -142,6 +142,18 @@ def test_simulation_params_validation():
             simulation_params(k, rho, r, sizes, make_rng(0))
     # only the first k sizes are used, so later ones are not checked
     assert len(simulation_params(1, 0.1, 2, (10, 0), make_rng(0)).theta) == 10
+
+
+def test_simulation_params_counts_are_integers():
+    # k and the block sizes are integers >= 1 (numpy integers too, a bool not)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k}$"):
+            simulation_params(k, 0.1, 2, (10, 20, 30), make_rng(0))
+    for sizes in ((2.5, 3.7), (True, 20), (10, 2.5)):
+        with pytest.raises(ValueError, match=r"^block size must be an integer >= 1, got "):
+            simulation_params(2, 0.1, 2, sizes, make_rng(0))
+    model = simulation_params(np.int64(2), 0.1, 2, np.array([10, 20]), make_rng(0))
+    assert model.labels.tolist() == [0] * 10 + [1] * 20
 
 
 def test_simulation_params_returns_a_plain_record():

@@ -89,6 +89,14 @@ def test_empty_list_needs_declared_n():
         load_edge_list(io.StringIO(""), n=1)
 
 
+def test_declared_n_is_an_integer():
+    # a bool or a fraction is no node count
+    for n in (2.5, True, -1):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 0, got {n}$"):
+            load_edge_list(io.StringIO("0 1 1\n"), n=n)
+    assert load_edge_list(io.StringIO("0 1 1\n"), n=np.int64(3)).n == 3
+
+
 def test_all_zero_network_round_trips():
     adj = WeightedAdjacency(np.zeros((4, 4)))
     assert adj.to_edge_list() == "0 0 0.0\n1 1 0.0\n2 2 0.0\n3 3 0.0\n"

@@ -251,6 +251,12 @@ def test_warm_step_memo_equals_cold(n, net_seed, seed, mean):
     assert outputs(cold=False) == outputs(cold=True)
 
 
+def _count_step(w, labels):
+    """(network, fitted poisson step) of symmetric counts w under labels."""
+    adj = WeightedAdjacency(np.asarray(w, dtype=float))
+    return adj, fit_step(adj, Assignment(np.asarray(labels), max(labels) + 1), EDGE_LAWS["poisson"])
+
+
 @st.composite
 def fitted_count_steps(draw):
     """(network, fitted step) under a drawn law: counts on 2..30 nodes in m
@@ -280,23 +286,19 @@ def fitted_count_steps(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(fitted_count_steps())
+# a zero block between groups 0 and 1, and node 3 of degree zero
+@example(_count_step([[2, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]], [0, 0, 1, 1]))
 def test_step_likelihood_equals_the_dense_sum(case):
-    # a poisson step with integer weights and no zero mean scores in block
-    # form, equal up to rounding; every other step is the dense sum itself
+    # a poisson step with integer weights scores in block form, zero means
+    # included, equal up to rounding; every other step is the dense sum itself
     adj, fitted = case
     dense = log_likelihood(adj, fitted.mean, fitted.law)
     value = selection._step_log_likelihood(adj, fitted)
     counts = np.array_equal(adj.weights, np.round(adj.weights))
-    if fitted.law.kind == "poisson" and counts and (fitted.mean > 0).all():
+    if fitted.law.kind == "poisson" and counts:
         assert value == pytest.approx(dense, rel=1e-13, abs=0)
     else:
         assert value == dense
-
-
-def _count_step(w, labels):
-    """(network, fitted poisson step) of symmetric counts w under labels."""
-    adj = WeightedAdjacency(np.asarray(w, dtype=float))
-    return adj, fit_step(adj, Assignment(np.asarray(labels), max(labels) + 1), EDGE_LAWS["poisson"])
 
 
 @settings(max_examples=80, deadline=None)

@@ -72,8 +72,10 @@ def test_likelihood_binomial_and_negbinom_values():
 @pytest.mark.parametrize("law", ["poisson", "binomial", "bernoulli", "negbinom"])
 def test_likelihood_equals_scipy_stats_exactly(law):
     # scipy.stats is the reference: the same sum, bit for bit, with means
-    # at zero (floored), at or above the trial cap, and weights within
-    # 1e-9 of an integer
+    # at zero, at or above the trial cap, and weights within 1e-9 of an
+    # integer. The means are not floored: at every fourth n some positive
+    # count meets a zero mean and the sum is -inf; elsewhere the counts are
+    # zero where the mean is, and the sum is finite
     rng = np.random.default_rng(7)
     trials = 1 if law == "bernoulli" else 5
     top = trials if law in ("binomial", "bernoulli") else 12
@@ -88,14 +90,34 @@ def test_likelihood_equals_scipy_stats_exactly(law):
         mean[rng.random((n, n)) < 0.2] = trials
         mean[rng.random((n, n)) < 0.2] = 2.5 * trials
         mean[0, 0] = 0.4
-        mu = np.maximum(mean, 1e-8 * mean[mean > 0].mean())
+        if n % 4:
+            zero = (mean == 0) | (mean == 0).T
+            counts[zero], weights[zero] = 0, 0.0
         if law == "poisson":
-            want = stats.poisson.logpmf(counts, mu)
+            want = stats.poisson.logpmf(counts, mean)
         elif law == "negbinom":
-            want = stats.nbinom.logpmf(counts, trials, 1 - np.minimum(mu / trials, cap))
+            want = stats.nbinom.logpmf(counts, trials, 1 - np.minimum(mean / trials, cap))
         else:
-            want = stats.binom.logpmf(counts, trials, np.minimum(mu / trials, cap))
-        assert log_likelihood(WeightedAdjacency(weights), mean, law) == float(want.sum()), n
+            want = stats.binom.logpmf(counts, trials, np.minimum(mean / trials, cap))
+        value = log_likelihood(WeightedAdjacency(weights), mean, law)
+        assert value == float(want.sum()) and np.isfinite(value) == bool(n % 4), n
+
+
+def test_likelihood_takes_zero_means_as_they_are():
+    # no floor: a zero mean gives 0 at a zero count and -inf at a positive one
+    a = WeightedAdjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for law in EDGE_LAWS:
+        assert log_likelihood(a, np.array([[0.0, 0.5], [0.5, 0.0]]), law) > -np.inf
+        assert log_likelihood(a, np.array([[0.5, 0.0], [0.0, 0.5]]), law) == -np.inf
+
+
+def test_likelihood_rejects_negative_and_nonfinite_means():
+    a = WeightedAdjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for bad in (-0.5, np.nan, np.inf, -np.inf):
+        mean = np.array([[0.5, 0.5], [0.5, bad]])
+        for law in EDGE_LAWS:
+            with pytest.raises(ValueError, match="mean entries must be finite and nonnegative"):
+                log_likelihood(a, mean, law)
 
 
 def test_likelihood_rejects_misshaped_means():
@@ -532,10 +554,11 @@ def test_each_selection_builds_its_likelihood_terms_once(selector, law, monkeypa
 
 
 def test_import_does_not_load_scipy_stats():
-    # svps on a network below LANCZOS_MIN_N, and poisson cbic and icl steps
-    # that all score in block form, load no scipy module at all; the first
-    # dense likelihood, here a bernoulli cbic, loads scipy.special and never
-    # scipy.stats
+    # svps on a network below LANCZOS_MIN_N, and poisson cbic and icl on
+    # exact counts, load no scipy module at all: on Les Miserables too, where
+    # some steps have zero between-group sums, every step scores in block
+    # form and none calls log_likelihood. The first dense likelihood, here a
+    # bernoulli cbic, loads scipy.special and never scipy.stats
     code = (
         "import sys, commscale as cs\n"
         "loaded = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
@@ -545,10 +568,15 @@ def test_import_does_not_load_scipy_stats():
         "for selector, law in (('svps', None), ('cbic', 'poisson'), ('icl', 'poisson')):\n"
         "    trace = cs.select(adj, cs.MethodSpec(selector), dist=law, m_max=5, restarts=2)\n"
         "    print(selector, [step.status for step in trace.steps].count('ok') > 1)\n"
-        "print(loaded())\n"
+        "calls, dense = [], cs.selection.log_likelihood\n"
+        "cs.selection.log_likelihood = lambda *args: calls.append(args) or dense(*args)\n"
+        "for selector in ('cbic', 'icl'):\n"
+        "    trace = cs.select(cs.load_lesmis(), cs.MethodSpec(selector), dist='poisson', restarts=5)\n"
+        "    print(selector, [step.status for step in trace.steps].count('ok'))\n"
+        "print(len(calls), loaded())\n"
         "cs.select(cs.binarize(adj), cs.MethodSpec('cbic'), dist='bernoulli', m_max=3, restarts=2)\n"
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "svps True\ncbic True\nicl True\n[]\nTrue False\n"
+    assert proc.stdout == "svps True\ncbic True\nicl True\ncbic 5\nicl 5\n0 []\nTrue False\n"

@@ -19,8 +19,8 @@ The set covers:
   in block form, so step values can differ from the dense scaling's in
   the last digits; and the binarized network under the bernoulli
   variance, whose fits all fail on a mean of 1 or more; and cbic and icl
-  under the poisson law on the first two, where zero means bind the mean
-  floor, so their steps take the dense likelihood;
+  under the poisson law on the first two, whose zero means score 0 in
+  the block form as in the dense likelihood;
 - cbic and icl under the poisson law on Les Miserables with every weight
   times 1000, whose counts up to 31000 take the block form's sum of
   log A_ij! over distinct counts, and with every positive weight 5e-10
@@ -60,8 +60,8 @@ The set covers:
 - svps, cbic and icl traces on networks sampled from the binomial (5
   trials) and negative binomial laws, each selector given the sampling
   law, and log_likelihood less the cbic and icl penalties under every
-  likelihood law on random counts whose means include zeros (floored)
-  and values at or past the trial cap, so every branch of the
+  likelihood law on random counts whose means include zeros and values
+  at or past the trial cap, so every branch of the
   likelihood shows.
 
 A trace file holds SelectionTrace.to_csv(), or the message of the error
@@ -194,7 +194,7 @@ def large_svps_run(cs):
 
 def floor_rule_runs(cs):
     """(file name, call) for svps_select on networks on both sides of the variance floor's rule,
-    and select with cbic and icl under the poisson law on the two where the mean floor can bind."""
+    and select with cbic and icl under the poisson law on the two with zero means."""
     import numpy as np
 
     adj = cs.load_lesmis()
